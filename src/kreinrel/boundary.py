@@ -9,9 +9,10 @@ isometric when Gamma is contained in Gamma_# and unitary when they are
 equal.  The symmetric relation underneath is T = ker Gamma_#, and
 A_* = dom Gamma spans T+.
 
-The Weyl family is M(z) = Gamma(A_* ∩ zI), read as a relation in the
-boundary space, and the gamma-field collects the defect vectors behind
-admissible boundary data.
+The Weyl family M(z) = Gamma(A_* ∩ zI) and the gamma-field come from
+one null space: with B Gamma's graph basis in the row blocks (f, f',
+l, l'), C = B null(B_f' - z B_f) spans {(f, zf, l, l') in Gamma};
+M(z) is spanned by the (l, l') rows of C, the gamma-field by (l, f).
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .relations import (
     LinearRelation,
-    domain_restriction,
     image_of,
     in_resolvent,
     is_selfadjoint,
@@ -36,11 +36,12 @@ from .spaces import (
     KreinSpace,
     doubled_boundary,
     doubled_krein,
+    hat_symmetry,
+    hat_symmetry_boundary,
     hilbert_space,
-    indef_inner,
     make_krein,
 )
-from .subspaces import DEFAULT_TOL, column_space, subspace_equal
+from .subspaces import DEFAULT_TOL, column_space, null_space, subspace_equal
 
 __all__ = [
     "BoundaryPair",
@@ -188,28 +189,30 @@ def _require_nonreal(z):
         raise PreconditionError("spectral parameter must be nonreal")
 
 
+def _defect_elements(gamma: LinearRelation, n, z, tol):
+    """C = B null(B_f' - z B_f): columns spanning {(f, zf, l, l') in Gamma}."""
+    B = gamma.graph.basis
+    N = null_space(B[n : 2 * n] - z * B[:n], tol)
+    return B @ N.basis
+
+
 def weyl_of_gamma(gamma: LinearRelation, n, m, z, tol=DEFAULT_TOL):
-    """M(z) = Gamma(N_hat_z(dom Gamma)) for a raw boundary relation."""
-    a_star = LinearRelation(n, n, gamma.dom(tol))
-    n_hat = a_star.graph_restriction(z, tol)
-    return shmulyan(gamma, n_hat.graph, tol)
+    """M(z) = Gamma(N_hat_z(dom Gamma)) for a raw boundary relation: the
+    span of the (l, l') rows of C = B null(B_f' - z B_f)."""
+    C = _defect_elements(gamma, n, z, tol)
+    return LinearRelation(m, m, column_space(C[2 * n :], tol))
 
 
 def weyl(bp: BoundaryPair, z) -> WeylSample:
-    """Weyl family M(z) and gamma-field at a nonreal point."""
+    """Weyl family M(z) and gamma-field at a nonreal point: the spans of
+    the (l, l') and the (l, f) rows of C = B null(B_f' - z B_f)."""
     _require_nonreal(z)
     tol = bp.tol
     n, m = bp.n, bp.m
-    n_hat = bp.a_star().graph_restriction(z, tol)
-    M = shmulyan(bp.gamma, n_hat.graph, tol)
-    g0, _ = bp.projections()
-    restricted = domain_restriction(g0, n_hat.graph, tol)
-    # graph rows of `restricted` are (f, f', l) with f' = z f; the
-    # gamma-field pairs (l, f)
-    sel = np.zeros((m + n, 2 * n + m))
-    sel[:m, 2 * n :] = np.eye(m)
-    sel[m :, : n] = np.eye(n)
-    gamma_field = restricted.mapped_graph(sel, m, n, tol)
+    C = _defect_elements(bp.gamma, n, z, tol)
+    M = LinearRelation(m, m, column_space(C[2 * n :], tol))
+    gamma_field = LinearRelation(
+        m, n, column_space(np.vstack([C[2 * n : 2 * n + m], C[:n]]), tol))
     return WeylSample(z=complex(z), M=M, gamma_field=gamma_field)
 
 
@@ -221,7 +224,6 @@ def _strict_component(bp: BoundaryPair, which):
     P_i Gamma: the other boundary component must vanish within the
     same graph element, not merely be forgettable.
     """
-    from .subspaces import null_space
     n, m = bp.n, bp.m
     B = bp.gamma.graph.basis
     if which == 1:
@@ -336,17 +338,20 @@ def sigma0_points(bp: BoundaryPair):
                  if complex(z).imag != 0.0)
 
 
-def delta_excluded_points(bp: BoundaryPair):
-    """The symmetric closure of sigma0_p(T); None when delta is empty."""
-    pts = sigma0_points(bp)
+def _symmetric_closure(pts):
+    """pts with their conjugates, near-duplicates merged, sorted."""
     if pts is None:
         return None
-    sym = list(pts) + [p.conjugate() for p in pts]
     out = []
-    for p in sym:
+    for p in list(pts) + [p.conjugate() for p in pts]:
         if not any(abs(p - q) <= 1e-8 * (1 + abs(q)) for q in out):
             out.append(p)
     return tuple(sorted(out, key=lambda w: (w.real, w.imag)))
+
+
+def delta_excluded_points(bp: BoundaryPair):
+    """The symmetric closure of sigma0_p(T); None when delta is empty."""
+    return _symmetric_closure(sigma0_points(bp))
 
 
 def in_delta(bp: BoundaryPair, z, excluded=None):
@@ -373,24 +378,30 @@ def spectral_sets(bp: BoundaryPair, eps, samples) -> SpectralSets:
     sigma0_p(T); O requires ran(A_* - z) = H; Sigma additionally
     0 in res(M(z) + z); B^eps is the |z| > eps part of delta.
     """
+    return _spectral_sets(bp, eps, samples, lambda z: weyl(bp, z))
+
+
+def _spectral_sets(bp: BoundaryPair, eps, points, weyl_at) -> SpectralSets:
+    """spectral_sets with the Weyl sample at z read from ``weyl_at(z)``,
+    which is called only at points of O."""
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     tol = bp.tol
     sigma0 = sigma0_points(bp)
-    excluded = delta_excluded_points(bp)
+    excluded = _symmetric_closure(sigma0)
     sigma_all = excluded is None
     a_star = bp.a_star()
     notes = []
-    for z in samples:
+    for z in points:
         z = complex(z)
         in_omega = z.imag != 0.0
-        d = in_delta(bp, z, excluded)
+        d = not sigma_all and in_delta(bp, z, excluded)
         in_O = (in_omega and not sigma_all
                 and all(abs(z - w) > 1e-8 * (1 + abs(w)) for w in sigma0)
                 and a_star.ran_shifted(z, tol).dim == bp.n)
         in_sigma = False
         if in_O:
-            M = weyl(bp, z).M
+            M = weyl_at(z).M
             in_sigma = in_resolvent(m_plus_z(M, z, tol), 0.0, tol)
         notes.append({
             "z": z,
@@ -419,19 +430,10 @@ def defect_numbers(bp: BoundaryPair, z):
 
 def green_pairing_ok(bp: BoundaryPair, atol=1e-8):
     """The abstract Green identity on the graph basis of Gamma:
-    [f', g] - [f, g'] = <l', k> - <l, k'> for all basis pairs."""
-    n, m = bp.n, bp.m
+    [f', g] - [f, g'] = <l', k> - <l, k'> for all basis pairs, whose
+    defects are i times the entries of B* diag(hat J_H, -hat J_L) B."""
     B = bp.gamma.graph.basis
-    H = bp.H
-    Lsp = hilbert_space(m)
-    for i in range(B.shape[1]):
-        f, fp = B[:n, i], B[n : 2 * n, i]
-        l, lp = B[2 * n : 2 * n + m, i], B[2 * n + m :, i]
-        for j in range(B.shape[1]):
-            g, gp = B[:n, j], B[n : 2 * n, j]
-            k, kp = B[2 * n : 2 * n + m, j], B[2 * n + m :, j]
-            lhs = indef_inner(fp, g, H) - indef_inner(f, gp, H)
-            rhs = indef_inner(lp, k, Lsp) - indef_inner(l, kp, Lsp)
-            if abs(lhs - rhs) > atol:
-                return False
-    return True
+    BH, BL = B[: 2 * bp.n], B[2 * bp.n :]
+    gram = (BH.conj().T @ hat_symmetry(bp.H) @ BH
+            - BL.conj().T @ hat_symmetry_boundary(bp.m) @ BL)
+    return bool(np.all(np.abs(gram) <= atol))

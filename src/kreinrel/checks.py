@@ -19,6 +19,7 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
+    _spectral_sets,
     delta_excluded_points,
     in_delta,
     m_plus_z,
@@ -61,7 +62,6 @@ from .relations import (
     point_spectrum,
     rel_contains,
     rel_equal,
-    rel_from_graph_subspace,
     rel_from_operator,
     shmulyan,
     sigma_p_contains,
@@ -249,7 +249,7 @@ def _check_cwsum_adjoint(rng, dims, tol):
     lhs = krein_adjoint(cw_sum(V, W, tol), K1, K2, tol)
     rhs_graph = intersect(krein_adjoint(V, K1, K2, tol).graph,
                           krein_adjoint(W, K1, K2, tol).graph, tol)
-    rhs = rel_from_graph_subspace(m, n, rhs_graph)
+    rhs = LinearRelation(m, n, rhs_graph)
     res = _rel_residual(lhs, rhs)
     return res <= tol.angle_tol, res
 
@@ -708,8 +708,8 @@ def _check_QBTex(rng, dims, tol):
     gamma_new = compose(qbt_relation(q), bp.gamma, tol)
     g_plus = krein_adjoint(gamma_new, doubled_krein(bp.H),
                            doubled_boundary(m), tol)
-    lhs = rel_from_graph_subspace(m, m, g_plus.ker(tol))
-    theta0 = rel_from_graph_subspace(m, m, bp.gamma.ran(tol))
+    lhs = LinearRelation(m, m, g_plus.ker(tol))
+    theta0 = LinearRelation(m, m, bp.gamma.ran(tol))
     chain = compose(rel_from_operator(q.G.conj().T),
                     compose(hilbert_adjoint(theta0, tol),
                             rel_from_operator(q.G), tol), tol)
@@ -726,7 +726,7 @@ def _check_thmVVV(rng, dims, tol):
         return False, 1.0
     if not bp2.flags["ran_gamma0_full"]:
         return False, 1.0
-    ker_gamma2 = rel_from_graph_subspace(bp.n, bp.n, bp2.gamma.ker(tol))
+    ker_gamma2 = LinearRelation(bp.n, bp.n, bp2.gamma.ker(tol))
     if not rel_equal(ker_gamma2, bp.underlying_T(), tol):
         return False, 1.0
     z = _nonreal_z(rng)
@@ -892,17 +892,19 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     if any(z.imag == 0.0 for z in pts):
         raise PreconditionError("sweep grid must avoid the real axis")
     tol = bp.tol
-    sets = spectral_sets(bp, eps, pts)
+    samples = {z: weyl(bp, z) for z in pts}
+    sets = _spectral_sets(bp, eps, pts, samples.__getitem__)
     mt = main_transform(bp)
     buf = io.StringIO() if out is None else out
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
     for z, rec in zip(pts, sets.samples):
-        sample = weyl(bp, z)
+        sample = samples[z]
+        dim_mul = sample.M.mul(tol).dim
         row = (f"{z.real:.12g}", f"{z.imag:.12g}",
                str(sample.M.graph.dim),
-               str(sample.M.mul(tol).dim),
+               str(dim_mul),
                str(sample.M.ker(tol).dim),
-               str(int(sample.M.is_operator(tol))),
+               str(int(dim_mul == 0)),
                str(int(rec["in_Sigma"])),
                str(int(in_resolvent(mt, z, tol))))
         buf.write(",".join(row) + "\n")

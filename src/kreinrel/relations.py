@@ -256,10 +256,6 @@ def full_relation(n, m=None) -> LinearRelation:
     return LinearRelation(n, m, full_space(n + m))
 
 
-def rel_from_graph_subspace(from_dim, to_dim, S: Subspace) -> LinearRelation:
-    return LinearRelation(from_dim, to_dim, S)
-
-
 def rel_equal(T: LinearRelation, S: LinearRelation, tol=DEFAULT_TOL):
     if (T.from_dim, T.to_dim) != (S.from_dim, S.to_dim):
         return False
@@ -516,11 +512,3 @@ def classify_point(T: LinearRelation, z, tol=DEFAULT_TOL):
         return "p2" if full_range else "p1"
     return "resolvent" if full_range else "r"
 
-
-def regularity_domain_contains(T: LinearRelation, z, tol=DEFAULT_TOL):
-    """z is a point of regular type: ker(T - z) = {0}.
-
-    Exposed as a predicate only; no theorem in scope consumes it.
-    """
-    _require_square(T)
-    return T.eigenspace(z, tol).dim == 0

@@ -23,18 +23,28 @@ from kreinrel.boundary import (
     weyl_of_gamma,
 )
 from kreinrel.errors import PreconditionError
-from kreinrel.generators import InstanceSpec, gen_obt, gen_unitary_boundary_pair, rng_stream
+from kreinrel.generators import (
+    InstanceSpec,
+    gen_isometric_boundary_pair,
+    gen_obt,
+    gen_unitary_boundary_pair,
+    random_krein,
+    random_relation,
+    rng_stream,
+)
 from kreinrel.relations import (
     LinearRelation,
+    domain_restriction,
     identity_relation,
     in_resolvent,
     is_selfadjoint,
     is_symmetric,
     rel_equal,
     rel_from_operator,
+    shmulyan,
 )
-from kreinrel.spaces import hilbert_space, make_krein
-from kreinrel.subspaces import DEFAULT_TOL, Subspace
+from kreinrel.spaces import hilbert_space, indef_inner, make_krein
+from kreinrel.subspaces import DEFAULT_TOL, Subspace, column_space
 
 TOL = DEFAULT_TOL
 
@@ -80,6 +90,41 @@ def test_restricted_gamma_is_strictly_isometric():
     half = LinearRelation(2, 2, Subspace(4, bp.gamma.graph.basis[:, :1]))
     sub = BoundaryPair(bp.H, 1, half)
     assert sub.classification == "isometric"
+
+
+def _green_defect_loop(bp):
+    """max |[f', g] - [f, g'] - <l', k> + <l, k'>| over basis pairs."""
+    n, m = bp.n, bp.m
+    B = bp.gamma.graph.basis
+    L = hilbert_space(m)
+    worst = 0.0
+    for i in range(B.shape[1]):
+        f, fp = B[:n, i], B[n : 2 * n, i]
+        l, lp = B[2 * n : 2 * n + m, i], B[2 * n + m :, i]
+        for j in range(B.shape[1]):
+            g, gp = B[:n, j], B[n : 2 * n, j]
+            k, kp = B[2 * n : 2 * n + m, j], B[2 * n + m :, j]
+            lhs = indef_inner(fp, g, bp.H) - indef_inner(f, gp, bp.H)
+            rhs = indef_inner(lp, k, L) - indef_inner(l, kp, L)
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def test_green_pairing_matches_loop_oracle():
+    for trial in range(12):
+        rng = rng_stream(33, trial)
+        n, m = 1 + trial % 4, 1 + trial % 3
+        spec = InstanceSpec(n, m, trial % (n + 1))
+        pairs = [gen_unitary_boundary_pair(spec, rng),
+                 gen_isometric_boundary_pair(spec, rng),
+                 BoundaryPair(random_krein(rng, n, trial % (n + 1)), m,
+                              random_relation(rng, 2 * n, 2 * m))]
+        for bp in pairs:
+            worst = _green_defect_loop(bp)
+            assert green_pairing_ok(bp) == (worst <= 1e-8)
+            if worst > 1e-3:
+                assert green_pairing_ok(bp, atol=worst * (1 + 1e-9))
+                assert not green_pairing_ok(bp, atol=worst * (1 - 1e-9))
 
 
 def test_gamma_sharp_of_unitary_pair_equals_gamma():
@@ -149,6 +194,90 @@ def test_weyl_invariants_on_random_pairs():
                                        rng, TOL)
         s = weyl(bp, 0.3 + 0.9j)
         assert weyl_invariants_ok(bp, s)
+
+
+def _weyl_oracle(bp, z):
+    """M(z) and gamma(z) through the relation calculus: N_hat_z is
+    A_* ∩ zI, M(z) = Gamma(N_hat_z), and the gamma-field pairs (l, f)
+    over Gamma_0 restricted to N_hat_z."""
+    tol = bp.tol
+    n, m = bp.n, bp.m
+    n_hat = bp.a_star().graph_restriction(z, tol)
+    M = shmulyan(bp.gamma, n_hat.graph, tol)
+    g0, _ = bp.projections()
+    restricted = domain_restriction(g0, n_hat.graph, tol)
+    sel = np.zeros((m + n, 2 * n + m))
+    sel[:m, 2 * n :] = np.eye(m)
+    sel[m :, :n] = np.eye(n)
+    return M, restricted.mapped_graph(sel, m, n, tol)
+
+
+def _weyl_of_gamma_oracle(gamma, n, z, tol):
+    a_star = LinearRelation(n, n, gamma.dom(tol))
+    return shmulyan(gamma, a_star.graph_restriction(z, tol).graph, tol)
+
+
+def _multivalued_pair():
+    """The identity triple on the first boundary coordinate plus the
+    purely multivalued {(0, 0, 0, t)} on the second: n = 1, m = 2,
+    M(z) = {((a, 0), (za, t))} with mul M(z) = span(0, 1)."""
+    g = np.zeros((6, 3))
+    g[0, 0] = g[2, 0] = g[1, 1] = g[4, 1] = 1 / np.sqrt(2)
+    g[5, 2] = 1.0
+    gamma = LinearRelation(2, 4, Subspace(6, g))
+    return BoundaryPair(hilbert_space(1), 2, gamma)
+
+
+_ORACLE_Z = (0.3 + 0.9j, -1.2 - 0.4j, 2.0 + 1e-3j, -0.5 - 1e-3j)
+
+
+def _oracle_pairs():
+    for n in range(1, 5):
+        for m in (1, 2, 3):
+            for kappa in sorted({0, n // 2, n}):
+                spec = InstanceSpec(n, m, kappa)
+                seed = 100 * n + 10 * m + kappa
+                yield gen_unitary_boundary_pair(spec, rng_stream(29, seed))
+                yield gen_isometric_boundary_pair(spec, rng_stream(30, seed))
+    yield _multivalued_pair()
+
+
+def _assert_weyl_matches_oracle(bp, points):
+    """Equal dimensions and max principal angle <= angle_tol (rel_equal)
+    for M(z), gamma(z), and weyl_of_gamma on Gamma_# at conj(z)."""
+    tol = bp.tol
+    for z in points:
+        sample = weyl(bp, z)
+        M, gamma_field = _weyl_oracle(bp, z)
+        assert rel_equal(sample.M, M, tol)
+        assert rel_equal(sample.gamma_field, gamma_field, tol)
+        zc = z.conjugate()
+        assert rel_equal(
+            weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m, zc, tol),
+            _weyl_of_gamma_oracle(bp.gamma_sharp, bp.n, zc, tol), tol)
+
+
+def test_weyl_matches_relation_calculus_oracle():
+    pairs = list(_oracle_pairs())
+    assert any(bp.classification == "isometric" for bp in pairs)
+    assert any(not bp.flags["gamma_is_operator"] for bp in pairs)
+    for bp in pairs:
+        _assert_weyl_matches_oracle(bp, _ORACLE_Z)
+
+
+def test_weyl_matches_oracle_at_n64():
+    bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), rng_stream(32))
+    _assert_weyl_matches_oracle(bp, (0.7 + 1.1j, -0.4 - 1e-3j))
+
+
+def test_multivalued_pair_weyl_family():
+    bp = _multivalued_pair()
+    assert bp.classification == "unitary"
+    for z in _ORACLE_Z:
+        M = weyl(bp, z).M
+        expect = column_space(np.array([[1, 0, z, 0], [0, 0, 0, 1]]).T)
+        assert rel_equal(M, LinearRelation(2, 2, expect), TOL)
+        assert M.mul(TOL).dim == 1
 
 
 def test_m_plus_z_shifts_operator_values():

@@ -5,7 +5,15 @@ import io
 import numpy as np
 import pytest
 
-from kreinrel.boundary import identity_obt
+import kreinrel.boundary
+import kreinrel.checks
+import kreinrel.relations
+from kreinrel.boundary import (
+    identity_obt,
+    main_transform,
+    spectral_sets,
+    weyl,
+)
 from kreinrel.checks import (
     SWEEP_COLUMNS,
     THEOREM_IDS,
@@ -15,6 +23,8 @@ from kreinrel.checks import (
 )
 from kreinrel.checks import _CHECKS, _VACUOUS
 from kreinrel.errors import PreconditionError, ValidationError
+from kreinrel.generators import InstanceSpec, gen_unitary_boundary_pair, rng_stream
+from kreinrel.relations import in_resolvent
 
 
 def test_registry_is_complete_and_consistent():
@@ -94,3 +104,43 @@ def test_weyl_sweep_writes_to_stream():
     buf = io.StringIO()
     assert weyl_sweep(identity_obt(), [1j, -1j], out=buf) is None
     assert buf.getvalue().startswith(",".join(SWEEP_COLUMNS))
+
+
+def _counting(monkeypatch, attr, modules):
+    """Replace ``attr`` in every given module by one counting wrapper."""
+    original = getattr(modules[0], attr)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
+    bp = gen_unitary_boundary_pair(InstanceSpec(4, 2, 1), rng_stream(31))
+    pts = [complex(a, b) for a in (-1.5, 0.0, 1.2) for b in (0.7, -1.1)]
+    eps = 0.5
+    weyl_calls = _counting(monkeypatch, "weyl",
+                           [kreinrel.boundary, kreinrel.checks])
+    spectrum_calls = _counting(monkeypatch, "point_spectrum",
+                               [kreinrel.relations, kreinrel.boundary])
+    csv = weyl_sweep(bp, pts, eps=eps)
+    assert len(weyl_calls) == len(pts)
+    assert len(spectrum_calls) == 1
+    monkeypatch.undo()
+
+    tol = bp.tol
+    sets = spectral_sets(bp, eps, pts)
+    mt = main_transform(bp)
+    rows = [",".join(SWEEP_COLUMNS)]
+    for z, rec in zip(pts, sets.samples):
+        M = weyl(bp, z).M
+        cells = (f"{z.real:.12g}", f"{z.imag:.12g}", M.graph.dim,
+                 M.mul(tol).dim, M.ker(tol).dim, int(M.is_operator(tol)),
+                 int(rec["in_Sigma"]), int(in_resolvent(mt, z, tol)))
+        rows.append(",".join(str(c) for c in cells))
+    assert csv == "\n".join(rows) + "\n"
