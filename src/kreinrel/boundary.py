@@ -9,31 +9,33 @@ isometric when Gamma is contained in Gamma_# and unitary when they are
 equal.  The symmetric relation underneath is T = ker Gamma_#, and
 A_* = dom Gamma spans T+.
 
-The Weyl family M(z) = Gamma(A_* ∩ zI) and the gamma-field come from
-one null space: with B Gamma's graph basis in the row blocks (f, f',
-l, l'), C = B null(B_f' - z B_f) spans {(f, zf, l, l') in Gamma};
-M(z) is spanned by the (l, l') rows of C, the gamma-field by (l, f).
+Everything is read from B, the graph basis of Gamma in the row blocks
+(f, f', l, l'), with B_H the (f, f') rows.  Gamma_# is the orthogonal
+companion of Gamma in the metric W = diag(hat J_H, -hat J_L), so Gamma
+is isometric exactly when B* W B = 0 and unitary when moreover
+dim Gamma = n + m.  T = null(B_H* hat J_H), T0 = ker Gamma_0 is spanned
+by B_H null(B_l) and T1 = ker Gamma_1 by B_H null(B_l').  The Weyl
+family M(z) = Gamma(A_* ∩ zI) and the gamma-field come from one null
+space: C = B null(B_f' - z B_f) spans {(f, zf, l, l') in Gamma}; M(z)
+is spanned by the (l, l') rows of C, the gamma-field by (l, f).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .relations import (
     LinearRelation,
-    image_of,
     in_resolvent,
-    is_selfadjoint,
-    is_symmetric,
     krein_adjoint,
     point_spectrum,
-    rel_contains,
-    rel_equal,
     shmulyan,
 )
 from .spaces import (
     KreinSpace,
+    _pair_metric,
     doubled_boundary,
     doubled_krein,
     hat_symmetry,
@@ -71,19 +73,37 @@ def gamma_sharp(gamma: LinearRelation, H: KreinSpace, L_dim, tol=DEFAULT_TOL):
     return plus.inverse()
 
 
+def _classify_graph(basis, metric, tol):
+    """'unitary', 'isometric' or 'not_isometric' for the span of an
+    orthonormal basis against a Hermitian metric of balanced signature.
+
+    The span is neutral when every entry of basis* metric basis is
+    within ``angle_tol``; a neutral span of half the ambient dimension
+    is hypermaximal neutral, which is 'unitary'.
+    """
+    gram = basis.conj().T @ metric @ basis
+    if np.any(np.abs(gram) > tol.angle_tol):
+        return "not_isometric"
+    return "unitary" if 2 * basis.shape[1] == metric.shape[0] else "isometric"
+
+
 class BoundaryPair:
     """State space, boundary dimension and boundary relation Gamma.
 
-    Classification and the structural flags are computed eagerly:
+    The constructor checks shapes and classifies Gamma by one Gram
+    matrix; everything else is computed lazily, on first use:
 
     classification
         'unitary' (Gamma = Gamma_#), 'isometric' (strict containment)
-        or 'not_isometric'.
+        or 'not_isometric' - Gram neutrality of Gamma's graph basis in
+        diag(hat J_H, -hat J_L) plus the count dim Gamma = n + m.
+    gamma_sharp
+        Gamma_# = (Gamma+)^{-1}, cached on first read.
     flags
         gamma_is_operator, gamma_surjective, T0_selfadjoint,
         ran_gamma0_full - the decidable sub-classification predicates
         (operator + surjective unitary pair = ordinary boundary
-        triple).
+        triple), cached on first read.
     """
 
     def __init__(self, H: KreinSpace, L_dim, gamma: LinearRelation,
@@ -96,20 +116,23 @@ class BoundaryPair:
         self.L_dim = int(L_dim)
         self.gamma = gamma
         self.tol = tol
-        self.gamma_sharp = gamma_sharp(gamma, H, L_dim, tol)
-        if rel_equal(gamma, self.gamma_sharp, tol):
-            self.classification = "unitary"
-        elif rel_contains(self.gamma_sharp, gamma, tol):
-            self.classification = "isometric"
-        else:
-            self.classification = "not_isometric"
-        parts = gamma.parts(tol)
-        g0, g1 = self.projections()
-        self.flags = {
-            "gamma_is_operator": parts.mul.dim == 0,
-            "gamma_surjective": parts.ran.dim == 2 * L_dim,
-            "T0_selfadjoint": is_selfadjoint(self.T0(), H, tol),
-            "ran_gamma0_full": g0.ran(tol).dim == L_dim,
+        metric = _pair_metric(hat_symmetry(H), hat_symmetry_boundary(L_dim))
+        self.classification = _classify_graph(gamma.graph.basis, metric, tol)
+
+    @cached_property
+    def gamma_sharp(self) -> LinearRelation:
+        return gamma_sharp(self.gamma, self.H, self.L_dim, self.tol)
+
+    @cached_property
+    def flags(self):
+        tol = self.tol
+        l_rows = self.gamma.graph.basis[2 * self.n : 2 * self.n + self.m]
+        return {
+            "gamma_is_operator": self.gamma.mul(tol).dim == 0,
+            "gamma_surjective": self.gamma.ran(tol).dim == 2 * self.m,
+            "T0_selfadjoint": _classify_graph(
+                self.T0().graph.basis, hat_symmetry(self.H), tol) == "unitary",
+            "ran_gamma0_full": column_space(l_rows, tol).dim == self.m,
         }
 
     # -- derived objects ----------------------------------------------
@@ -127,12 +150,24 @@ class BoundaryPair:
                 and self.flags["gamma_surjective"])
 
     def underlying_T(self) -> LinearRelation:
-        """T = ker Gamma_#, verified symmetric in H."""
+        """T = ker Gamma_# = (dom Gamma)^[perp] = null(B_H* hat J_H),
+        checked symmetric in H by its Gram matrix.
+
+        A unitary pair always passes the check.  A strictly isometric
+        pair need not: there ker Gamma_# can be larger than ker Gamma
+        and fail to be neutral, and then the pair is not associated
+        with a symmetric T (PreconditionError).
+        """
         if self.classification == "not_isometric":
             raise PreconditionError("pair is not isometric; T is undefined")
-        T = LinearRelation(self.n, self.n, self.gamma_sharp.ker(self.tol))
-        if not is_symmetric(T, self.H, self.tol):
-            raise ValidationError("ker Gamma_# is not symmetric - invalid pair")
+        hat = hat_symmetry(self.H)
+        B_H = self.gamma.graph.basis[: 2 * self.n]
+        T = LinearRelation(self.n, self.n,
+                           null_space(B_H.conj().T @ hat, self.tol))
+        if _classify_graph(T.graph.basis, hat, self.tol) == "not_isometric":
+            raise PreconditionError(
+                "ker Gamma_# = (dom Gamma)^[perp] is not symmetric: the "
+                "isometric pair is not associated with a symmetric T")
         return T
 
     def a_star(self) -> LinearRelation:
@@ -143,25 +178,30 @@ class BoundaryPair:
         return krein_adjoint(self.underlying_T(), self.H, self.H, self.tol)
 
     def projections(self):
-        """The components Gamma_0, Gamma_1 as relations C^{2n} -> C^m."""
+        """The components Gamma_0, Gamma_1 as relations C^{2n} -> C^m:
+        the spans of the (f, f', l) and the (f, f', l') rows of B."""
         n, m = self.n, self.m
-        sel0 = np.zeros((2 * n + m, 2 * n + 2 * m))
-        sel0[: 2 * n, : 2 * n] = np.eye(2 * n)
-        sel0[2 * n :, 2 * n : 2 * n + m] = np.eye(m)
-        sel1 = np.zeros((2 * n + m, 2 * n + 2 * m))
-        sel1[: 2 * n, : 2 * n] = np.eye(2 * n)
-        sel1[2 * n :, 2 * n + m :] = np.eye(m)
-        g0 = self.gamma.mapped_graph(sel0, 2 * n, m, self.tol)
-        g1 = self.gamma.mapped_graph(sel1, 2 * n, m, self.tol)
-        return g0, g1
+        B = self.gamma.graph.basis
+        g0 = column_space(B[: 2 * n + m], self.tol)
+        g1 = column_space(np.vstack([B[: 2 * n], B[2 * n + m :]]), self.tol)
+        return LinearRelation(2 * n, m, g0), LinearRelation(2 * n, m, g1)
+
+    def _kernel_where_zero(self, rows):
+        """The f-hats of the elements of Gamma vanishing on ``rows``:
+        the span of B_H null(B[rows])."""
+        B = self.gamma.graph.basis
+        N = null_space(B[rows], self.tol)
+        return LinearRelation(self.n, self.n, column_space(
+            B[: 2 * self.n] @ N.basis, self.tol))
 
     def T0(self) -> LinearRelation:
-        g0, _ = self.projections()
-        return LinearRelation(self.n, self.n, g0.ker(self.tol))
+        """T0 = ker Gamma_0, spanned by B_H null(B_l)."""
+        return self._kernel_where_zero(
+            slice(2 * self.n, 2 * self.n + self.m))
 
     def T1(self) -> LinearRelation:
-        _, g1 = self.projections()
-        return LinearRelation(self.n, self.n, g1.ker(self.tol))
+        """T1 = ker Gamma_1, spanned by B_H null(B_l')."""
+        return self._kernel_where_zero(slice(2 * self.n + self.m, None))
 
 
 def identity_obt() -> BoundaryPair:
@@ -216,40 +256,25 @@ def weyl(bp: BoundaryPair, z) -> WeylSample:
     return WeylSample(z=complex(z), M=M, gamma_field=gamma_field)
 
 
-def _strict_component(bp: BoundaryPair, which):
-    """Gamma_1 as the relation {(fhat, l') : (fhat, (0, l')) in Gamma}
-    (``which=1``), or Gamma_0 via (fhat, (l, 0)) (``which=0``).
-
-    For a multivalued Gamma this is smaller than the composition
-    P_i Gamma: the other boundary component must vanish within the
-    same graph element, not merely be forgettable.
-    """
-    n, m = bp.n, bp.m
-    B = bp.gamma.graph.basis
-    if which == 1:
-        zero_rows, keep = slice(2 * n, 2 * n + m), slice(2 * n + m, None)
-    else:
-        zero_rows, keep = slice(2 * n + m, None), slice(2 * n, 2 * n + m)
-    N = null_space(B[zero_rows, :], bp.tol)
-    C = B @ N.basis if N.dim else np.zeros((B.shape[0], 0))
-    g = column_space(np.vstack([C[: 2 * n], C[keep]]), bp.tol)
-    return LinearRelation(2 * n, m, g)
-
-
 def weyl_invariants_ok(bp: BoundaryPair, sample: WeylSample):
     """mul M = Gamma_1(N_hat_z(T0)) and ker M = Gamma_0(N_hat_z(T1)),
     with the components read strictly (the other component vanishes
-    within the same graph element)."""
+    within the same graph element): the spans of
+    B_l' null([B_f' - z B_f; B_l]) and B_l null([B_f' - z B_f; B_l'])."""
     tol = bp.tol
-    z = sample.z
-    lhs_mul = sample.M.mul(tol)
-    rhs_mul = image_of(_strict_component(bp, 1),
-                       bp.T0().graph_restriction(z, tol).graph, tol)
-    lhs_ker = sample.M.ker(tol)
-    rhs_ker = image_of(_strict_component(bp, 0),
-                       bp.T1().graph_restriction(z, tol).graph, tol)
-    return (subspace_equal(lhs_mul, rhs_mul, tol)
-            and subspace_equal(lhs_ker, rhs_ker, tol))
+    n, m = bp.n, bp.m
+    B = bp.gamma.graph.basis
+    pencil = B[n : 2 * n] - sample.z * B[:n]
+    l_rows, lp_rows = B[2 * n : 2 * n + m], B[2 * n + m :]
+
+    def strict_image(zero_rows, keep_rows):
+        N = null_space(np.vstack([pencil, zero_rows]), tol)
+        return column_space(keep_rows @ N.basis, tol)
+
+    return (subspace_equal(sample.M.mul(tol), strict_image(l_rows, lp_rows),
+                           tol)
+            and subspace_equal(sample.M.ker(tol),
+                               strict_image(lp_rows, l_rows), tol))
 
 
 # ---------------------------------------------------------------------
@@ -338,13 +363,18 @@ def sigma0_points(bp: BoundaryPair):
                  if complex(z).imag != 0.0)
 
 
+def _near(z, w):
+    """z lies within the merge radius 1e-8 (1 + |w|) of w."""
+    return abs(z - w) <= 1e-8 * (1 + abs(w))
+
+
 def _symmetric_closure(pts):
     """pts with their conjugates, near-duplicates merged, sorted."""
     if pts is None:
         return None
     out = []
     for p in list(pts) + [p.conjugate() for p in pts]:
-        if not any(abs(p - q) <= 1e-8 * (1 + abs(q)) for q in out):
+        if not any(_near(p, q) for q in out):
             out.append(p)
     return tuple(sorted(out, key=lambda w: (w.real, w.imag)))
 
@@ -360,7 +390,7 @@ def in_delta(bp: BoundaryPair, z, excluded=None):
         excluded = delta_excluded_points(bp)
     if excluded is None or complex(z).imag == 0.0:
         return False
-    return all(abs(z - w) > 1e-8 * (1 + abs(w)) for w in excluded)
+    return not any(_near(z, w) for w in excluded)
 
 
 def m_plus_z(M: LinearRelation, z, tol=DEFAULT_TOL):
@@ -397,7 +427,7 @@ def _spectral_sets(bp: BoundaryPair, eps, points, weyl_at) -> SpectralSets:
         in_omega = z.imag != 0.0
         d = not sigma_all and in_delta(bp, z, excluded)
         in_O = (in_omega and not sigma_all
-                and all(abs(z - w) > 1e-8 * (1 + abs(w)) for w in sigma0)
+                and not any(_near(z, w) for w in sigma0)
                 and a_star.ran_shifted(z, tol).dim == bp.n)
         in_sigma = False
         if in_O:
@@ -433,7 +463,5 @@ def green_pairing_ok(bp: BoundaryPair, atol=1e-8):
     [f', g] - [f, g'] = <l', k> - <l, k'> for all basis pairs, whose
     defects are i times the entries of B* diag(hat J_H, -hat J_L) B."""
     B = bp.gamma.graph.basis
-    BH, BL = B[: 2 * bp.n], B[2 * bp.n :]
-    gram = (BH.conj().T @ hat_symmetry(bp.H) @ BH
-            - BL.conj().T @ hat_symmetry_boundary(bp.m) @ BL)
-    return bool(np.all(np.abs(gram) <= atol))
+    metric = _pair_metric(hat_symmetry(bp.H), hat_symmetry_boundary(bp.m))
+    return bool(np.all(np.abs(B.conj().T @ metric @ B) <= atol))

@@ -517,18 +517,12 @@ def _check_delta0(rng, dims, tol):
             return True, 0.0
         delta = delta_correction(bp, V, z, tol)
         nz = bp.t_plus().eigenspace(z, tol)
-        kerp = column_space(_null_cols(p_poly(V, z)), tol)
+        kerp = null_space(p_poly(V, z), tol)
         inside = sub_contains(kerp, nz, tol)
         zero = np.linalg.norm(delta) <= 1e-7 * max(1.0, abs(z))
         if inside != zero:
             return False, 1.0
     return True, 0.0
-
-
-def _null_cols(A, rtol=1e-10):
-    u, s, vh = np.linalg.svd(A)
-    r = int(np.sum(s > rtol * max(1.0, s[0] if s.size else 0.0)))
-    return vh[r:].conj().T
 
 
 def _check_delta0b(rng, dims, tol):

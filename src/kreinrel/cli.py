@@ -1,6 +1,8 @@
 """Command line front end: gen, check, sweep, report.
 
-Exit codes: 0 on success, 1 when a check suite has failures, 2 for
+Exit codes: 0 on success, 1 when a check suite has failures, a
+mathematical precondition fails (e.g. a sweep over an isometric pair
+whose ker Gamma_# is not symmetric) or a file cannot be read, 2 for
 usage errors (unknown subcommand, bad flags, unknown theorem id,
 malformed input files).  All randomness is controlled by --seed, and
 repeated invocations with identical arguments produce byte-identical
@@ -54,7 +56,7 @@ def _write_out(text, out):
 
 def _cmd_gen(args):
     spec = InstanceSpec(n=args.n, m=args.m, kappa_minus=args.kappa,
-                        seed=args.seed, flavor=args.flavor)
+                        seed=args.seed)
     rng = rng_stream(args.seed)
     tol = _make_tol(args)
     if args.flavor == "obt":
@@ -167,7 +169,8 @@ def _build_parser():
                        help="negative index of the state space")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--tol", type=float, default=None,
-                       help="max principal angle for subspace equality")
+                       help="max principal angle for subspace equality; "
+                            "also bounds the classification Gram entries")
     p_gen.add_argument("--out", default=None, help="output file (default stdout)")
     p_gen.set_defaults(func=_cmd_gen)
 

@@ -24,6 +24,7 @@ from .errors import GenerationError, PreconditionError
 from .relations import LinearRelation, rel_equal
 from .spaces import (
     KreinSpace,
+    _pair_metric,
     hat_symmetry,
     hat_symmetry_boundary,
     make_krein,
@@ -59,7 +60,6 @@ class InstanceSpec:
     m: int
     kappa_minus: int = 0
     seed: int = 0
-    flavor: str = "unitary_bp"
 
     def __post_init__(self):
         if not 0 <= self.kappa_minus <= self.n:
@@ -143,18 +143,6 @@ def hypermax_neutral(rng, metric) -> Subspace:
     return Subspace(metric.shape[0], basis)
 
 
-def _pair_metric(H: KreinSpace, m):
-    """diag(hat J_H, -hat J_L) on C^{2n+2m}."""
-    hj = hat_symmetry(H)
-    hl = hat_symmetry_boundary(m)
-    n2 = hj.shape[0]
-    m2 = hl.shape[0]
-    out = np.zeros((n2 + m2, n2 + m2), dtype=complex)
-    out[:n2, :n2] = hj
-    out[n2:, n2:] = -hl
-    return out
-
-
 def random_symmetric_relation(rng, H: KreinSpace, graph_dim=None,
                               tol=DEFAULT_TOL) -> LinearRelation:
     """A random symmetric relation in the Krein space H.
@@ -186,7 +174,8 @@ def gen_unitary_boundary_pair(spec: InstanceSpec, rng=None,
     """A random unitary boundary pair with the requested signature."""
     rng = rng_stream(spec.seed) if rng is None else rng
     H = _spec_space(spec, rng)
-    graph = hypermax_neutral(rng, _pair_metric(H, spec.m))
+    graph = hypermax_neutral(
+        rng, _pair_metric(hat_symmetry(H), hat_symmetry_boundary(spec.m)))
     gamma = LinearRelation(2 * spec.n, 2 * spec.m, graph)
     return BoundaryPair(H, spec.m, gamma, tol)
 
@@ -194,7 +183,13 @@ def gen_unitary_boundary_pair(spec: InstanceSpec, rng=None,
 def gen_isometric_boundary_pair(spec: InstanceSpec, rng=None, graph_dim=None,
                                 tol=DEFAULT_TOL) -> BoundaryPair:
     """A random isometric pair: a random subspace of a unitary Gamma's
-    graph (strictly isometric when proper)."""
+    graph (strictly isometric when proper).
+
+    A strictly isometric draw need not have a symmetric T: its
+    ker Gamma_# = (dom Gamma)^[perp] is in general larger than
+    ker Gamma and not neutral, and then ``underlying_T`` raises
+    PreconditionError.
+    """
     rng = rng_stream(spec.seed) if rng is None else rng
     full = gen_unitary_boundary_pair(spec, rng, tol)
     total = spec.n + spec.m
@@ -236,7 +231,7 @@ def gen_unitary_pair_with_T(T: LinearRelation, H: KreinSpace, m, rng,
     n = H.dim
     if T.from_dim != n or T.to_dim != n:
         raise PreconditionError("T must be a relation in H")
-    metric = _pair_metric(H, m)
+    metric = _pair_metric(hat_symmetry(H), hat_symmetry_boundary(m))
     plus, minus = _eigensplit(metric)
     p = plus.shape[1]
     d = T.dim
@@ -271,11 +266,7 @@ def gen_boundary_unitary_relation(rng, m, m2=None,
                                   tol=DEFAULT_TOL) -> LinearRelation:
     """A random unitary relation between doubled boundary spaces."""
     m2 = m if m2 is None else m2
-    hm = hat_symmetry_boundary(m)
-    hm2 = hat_symmetry_boundary(m2)
-    metric = np.zeros((2 * m + 2 * m2, 2 * m + 2 * m2), dtype=complex)
-    metric[: 2 * m, : 2 * m] = hm
-    metric[2 * m :, 2 * m :] = -hm2
+    metric = _pair_metric(hat_symmetry_boundary(m), hat_symmetry_boundary(m2))
     graph = hypermax_neutral(rng, metric)
     return LinearRelation(2 * m, 2 * m2, graph)
 
@@ -289,11 +280,7 @@ def gen_std_unitary(rng, K_from: KreinSpace, K_to: KreinSpace = None,
     n, n2 = K_from.dim, K_to.dim
     if n != n2:
         raise PreconditionError("an invertible block operator needs equal dims")
-    hf = hat_symmetry(K_from)
-    ht = hat_symmetry(K_to)
-    metric = np.zeros((4 * n, 4 * n), dtype=complex)
-    metric[: 2 * n, : 2 * n] = hf
-    metric[2 * n :, 2 * n :] = -ht
+    metric = _pair_metric(hat_symmetry(K_from), hat_symmetry(K_to))
     for _ in range(retries):
         graph = hypermax_neutral(rng, metric)
         rel = LinearRelation(2 * n, 2 * n, graph)

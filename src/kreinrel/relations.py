@@ -29,7 +29,6 @@ from .subspaces import (
 
 __all__ = [
     "LinearRelation",
-    "RelationParts",
     "SpectrumReport",
     "rel_from_operator",
     "identity_relation",
@@ -51,14 +50,6 @@ __all__ = [
     "is_symmetric",
     "is_selfadjoint",
 ]
-
-
-@dataclass(frozen=True)
-class RelationParts:
-    dom: Subspace
-    ran: Subspace
-    ker: Subspace
-    mul: Subspace
 
 
 class LinearRelation:
@@ -100,18 +91,6 @@ class LinearRelation:
         )
 
     # -- parts ---------------------------------------------------------
-    def parts(self, tol=DEFAULT_TOL) -> RelationParts:
-        n, m = self.from_dim, self.to_dim
-        dom = column_space(self.F, tol)
-        ran = column_space(self.G, tol)
-        ker_coeff = null_space(self.G, tol)
-        ker = column_space(self.F @ ker_coeff.basis, tol)
-        mul_coeff = null_space(self.F, tol)
-        mul = column_space(self.G @ mul_coeff.basis, tol)
-        if dom.ambient_dim != n or ran.ambient_dim != m:  # pragma: no cover
-            raise DimensionMismatchError("internal shape error")
-        return RelationParts(dom=dom, ran=ran, ker=ker, mul=mul)
-
     def dom(self, tol=DEFAULT_TOL):
         return column_space(self.F, tol)
 
@@ -413,8 +392,6 @@ def shmulyan(V: LinearRelation, T, tol=DEFAULT_TOL) -> LinearRelation:
 class SpectrumReport:
     eigenvalues: tuple  # ((z, eigenspace_dim), ...)
     all_flag: bool      # sigma_p = C (singular pencil)
-    has_full_graph_dim: bool
-    approximate: bool = False
 
 
 # Fixed generic probe points for the singular-pencil test.  A nonzero
@@ -459,14 +436,13 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
     """
     _require_square(T)
     n, k = T.from_dim, T.dim
-    full = (k == n)
     if k == 0:
-        return SpectrumReport((), False, full)
+        return SpectrumReport((), False)
     F, G = T.F, T.G
     singular = all(_nullity(G - z * F, tol.rank_rel * 1e3) > 0
                    for z in _PROBE_POINTS)
     if k > n or singular:
-        return SpectrumReport((), True, full)
+        return SpectrumReport((), True)
     if k == n:
         Fc, Gc = F, G
     else:
@@ -485,7 +461,7 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
         if d > 0:
             found.append((z, d))
     found.sort(key=lambda p: (round(p[0].real, 10), round(p[0].imag, 10)))
-    return SpectrumReport(tuple(found), False, full)
+    return SpectrumReport(tuple(found), False)
 
 
 def in_resolvent(T: LinearRelation, z, tol=DEFAULT_TOL):

@@ -101,6 +101,16 @@ def hat_symmetry_boundary(m):
     return _hat_from_J(np.eye(m, dtype=complex))
 
 
+def _pair_metric(hat_from, hat_to):
+    """diag(hat_from, -hat_to): a relation between the two doubled
+    spaces is isometric exactly when its graph is neutral here."""
+    a, b = hat_from.shape[0], hat_to.shape[0]
+    out = np.zeros((a + b, a + b), dtype=complex)
+    out[:a, :a] = hat_from
+    out[a:, a:] = -hat_to
+    return out
+
+
 def doubled_krein(K: KreinSpace) -> KreinSpace:
     """The doubled space C^{2n} as a Krein space with symmetry hat(J)."""
     return make_krein(hat_symmetry(K))

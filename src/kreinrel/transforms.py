@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryPair, weyl
+from .boundary import BoundaryPair, _classify_graph, weyl
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .relations import (
     LinearRelation,
@@ -27,8 +27,10 @@ from .relations import (
 )
 from .spaces import (
     KreinSpace,
+    _pair_metric,
     doubled_boundary,
     doubled_krein,
+    hat_symmetry_boundary,
     hilbert_space,
     krein_adjoint_matrix,
 )
@@ -55,7 +57,6 @@ __all__ = [
     "w_rel",
     "lft",
     "p_poly",
-    "p_rel",
     "in_rho_v",
     "delta_correction",
     "transform_left",
@@ -285,12 +286,6 @@ def p_poly(V: StdUnitaryOp, z):
     return z * z * V.B + z * (V.A - V.D) - V.C
 
 
-def p_rel(V: StdUnitaryOp, z, T: LinearRelation,
-          tol=DEFAULT_TOL) -> LinearRelation:
-    """p_V(z; T) = z W(A,B;T) - W(C,D;T) as a relation."""
-    return w_rel(z * V.A - V.C, z * V.B - V.D, T, tol)
-
-
 def _p_pencil(V: StdUnitaryOp, z, T0: LinearRelation):
     """The coefficient-space matrix of p_V(z; T0) on the graph basis."""
     F0, G0 = T0.F, T0.G
@@ -343,18 +338,13 @@ def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z, tol=None):
 # ---------------------------------------------------------------------
 
 def boundary_v_classification(v_rel: LinearRelation, tol=DEFAULT_TOL):
-    """Classification of a relation between doubled boundary spaces."""
+    """Classification of a relation between doubled boundary spaces:
+    the Gram test of its graph in diag(hat J_m, -hat J_m')."""
     if v_rel.from_dim % 2 or v_rel.to_dim % 2:
         raise DimensionMismatchError("V must act between doubled spaces")
-    m, m2 = v_rel.from_dim // 2, v_rel.to_dim // 2
-    plus = krein_adjoint(v_rel, doubled_boundary(m), doubled_boundary(m2), tol)
-    sharp = plus.inverse()
-    from .relations import rel_contains, rel_equal
-    if rel_equal(v_rel, sharp, tol):
-        return "unitary"
-    if rel_contains(sharp, v_rel, tol):
-        return "isometric"
-    return "not_isometric"
+    metric = _pair_metric(hat_symmetry_boundary(v_rel.from_dim // 2),
+                          hat_symmetry_boundary(v_rel.to_dim // 2))
+    return _classify_graph(v_rel.graph.basis, metric, tol)
 
 
 def transform_left(bp: BoundaryPair, v_rel: LinearRelation,

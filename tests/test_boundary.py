@@ -25,26 +25,46 @@ from kreinrel.boundary import (
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
+    gen_boundary_unitary_relation,
     gen_isometric_boundary_pair,
     gen_obt,
     gen_unitary_boundary_pair,
     random_krein,
     random_relation,
+    random_unitary,
     rng_stream,
 )
 from kreinrel.relations import (
     LinearRelation,
     domain_restriction,
     identity_relation,
+    image_of,
     in_resolvent,
     is_selfadjoint,
     is_symmetric,
+    krein_adjoint,
+    rel_contains,
     rel_equal,
     rel_from_operator,
     shmulyan,
 )
-from kreinrel.spaces import hilbert_space, indef_inner, make_krein
-from kreinrel.subspaces import DEFAULT_TOL, Subspace, column_space
+from kreinrel.spaces import (
+    doubled_boundary,
+    hat_symmetry,
+    hat_symmetry_boundary,
+    hilbert_space,
+    indef_inner,
+    make_krein,
+)
+from kreinrel.subspaces import (
+    DEFAULT_TOL,
+    Subspace,
+    Tolerance,
+    column_space,
+    null_space,
+    subspace_equal,
+)
+from kreinrel.transforms import boundary_v_classification
 
 TOL = DEFAULT_TOL
 
@@ -387,3 +407,233 @@ def test_gen_obt_flags_always_hold():
                      rng_stream(28, trial), TOL)
         assert bp.is_obt()
         assert all(bp.flags.values())
+
+
+# ------------------------ graph-basis derivations against the old chains
+
+def _classification_oracle(gamma, sharp, tol):
+    """Gamma against Gamma_# through rel_equal / rel_contains."""
+    if rel_equal(gamma, sharp, tol):
+        return "unitary"
+    if rel_contains(sharp, gamma, tol):
+        return "isometric"
+    return "not_isometric"
+
+
+def _selection_projections(bp):
+    """Gamma_0 and Gamma_1 as images of the graph under selection
+    matrices (f, f', l, l') -> (f, f', l) and -> (f, f', l')."""
+    n, m = bp.n, bp.m
+    sel0 = np.zeros((2 * n + m, 2 * n + 2 * m))
+    sel0[: 2 * n, : 2 * n] = np.eye(2 * n)
+    sel0[2 * n :, 2 * n : 2 * n + m] = np.eye(m)
+    sel1 = np.zeros((2 * n + m, 2 * n + 2 * m))
+    sel1[: 2 * n, : 2 * n] = np.eye(2 * n)
+    sel1[2 * n :, 2 * n + m :] = np.eye(m)
+    return (bp.gamma.mapped_graph(sel0, 2 * n, m, bp.tol),
+            bp.gamma.mapped_graph(sel1, 2 * n, m, bp.tol))
+
+
+def _strict_component(bp, which):
+    """Gamma_1 as {(fhat, l') : (fhat, (0, l')) in Gamma} (which=1), or
+    Gamma_0 via (fhat, (l, 0)) (which=0)."""
+    n, m = bp.n, bp.m
+    B = bp.gamma.graph.basis
+    if which == 1:
+        zero_rows, keep = slice(2 * n, 2 * n + m), slice(2 * n + m, None)
+    else:
+        zero_rows, keep = slice(2 * n + m, None), slice(2 * n, 2 * n + m)
+    N = null_space(B[zero_rows, :], bp.tol)
+    C = B @ N.basis if N.dim else np.zeros((B.shape[0], 0))
+    g = column_space(np.vstack([C[: 2 * n], C[keep]]), bp.tol)
+    return LinearRelation(2 * n, m, g)
+
+
+def _old_chains(bp):
+    """Classification, T (with its symmetry), T0, T1 and the flags by
+    the adjoint and selection-matrix chains."""
+    tol = bp.tol
+    n = bp.n
+    sharp = gamma_sharp(bp.gamma, bp.H, bp.m, tol)
+    g0, g1 = _selection_projections(bp)
+    T = LinearRelation(n, n, sharp.ker(tol))
+    T0 = LinearRelation(n, n, g0.ker(tol))
+    T1 = LinearRelation(n, n, g1.ker(tol))
+    flags = {
+        "gamma_is_operator": bp.gamma.mul(tol).dim == 0,
+        "gamma_surjective": bp.gamma.ran(tol).dim == 2 * bp.m,
+        "T0_selfadjoint": is_selfadjoint(T0, bp.H, tol),
+        "ran_gamma0_full": g0.ran(tol).dim == bp.m,
+    }
+    return {
+        "classification": _classification_oracle(bp.gamma, sharp, tol),
+        "T": T,
+        "T_symmetric": is_symmetric(T, bp.H, tol),
+        "T0": T0,
+        "T1": T1,
+        "flags": flags,
+    }
+
+
+def _weyl_invariants_oracle(bp, sample, T0, T1):
+    """weyl_invariants_ok through strict components, eigen-slices of
+    T0 and T1, and images of relations."""
+    tol = bp.tol
+    z = sample.z
+    rhs_mul = image_of(_strict_component(bp, 1),
+                       T0.graph_restriction(z, tol).graph, tol)
+    rhs_ker = image_of(_strict_component(bp, 0),
+                       T1.graph_restriction(z, tol).graph, tol)
+    return (subspace_equal(sample.M.mul(tol), rhs_mul, tol)
+            and subspace_equal(sample.M.ker(tol), rhs_ker, tol))
+
+
+def _assert_same_relation(new, old, tol):
+    assert new.dim == old.dim
+    assert rel_equal(new, old, tol)
+
+
+def _assert_matches_old_chains(bp, points=(0.3 + 0.9j, -1.2 - 0.4j)):
+    """The Gram classification, the null-space T, T0, T1, the flags and
+    the row-block weyl_invariants_ok agree with the old chains."""
+    tol = bp.tol
+    old = _old_chains(bp)
+    assert bp.classification == old["classification"]
+    _assert_same_relation(bp.T0(), old["T0"], tol)
+    _assert_same_relation(bp.T1(), old["T1"], tol)
+    assert bp.flags == old["flags"]
+    if bp.classification != "not_isometric" and old["T_symmetric"]:
+        _assert_same_relation(bp.underlying_T(), old["T"], tol)
+    else:
+        with pytest.raises(PreconditionError):
+            bp.underlying_T()
+    for z in points:
+        sample = weyl(bp, z)
+        assert weyl_invariants_ok(bp, sample) == _weyl_invariants_oracle(
+            bp, sample, old["T0"], old["T1"])
+    return old
+
+
+def _gram_oracle_pairs():
+    for n in range(1, 5):
+        for m in (1, 2, 3):
+            for kappa in sorted({0, n // 2, n}):
+                spec = InstanceSpec(n, m, kappa)
+                seed = 100 * n + 10 * m + kappa
+                yield gen_unitary_boundary_pair(spec, rng_stream(41, seed))
+                yield gen_isometric_boundary_pair(spec, rng_stream(42, seed))
+                rng = rng_stream(43, seed)
+                H = random_krein(rng, n, kappa)
+                yield BoundaryPair(H, m, random_relation(rng, 2 * n, 2 * m))
+                yield BoundaryPair(H, m, random_relation(
+                    rng, 2 * n, 2 * m, graph_dim=n + m))
+    yield _multivalued_pair()
+    yield identity_obt()
+    yield _empty_resolvent_pair()[0]
+    yield BoundaryPair(make_krein(np.array([[-1.0]])), 1,
+                       identity_relation(2))
+
+
+def test_gram_derivations_match_old_chains():
+    seen = set()
+    for bp in _gram_oracle_pairs():
+        old = _assert_matches_old_chains(bp)
+        seen.add((bp.classification, old["T_symmetric"],
+                  bp.flags["T0_selfadjoint"]))
+    assert {c for c, _, _ in seen} == {"unitary", "isometric",
+                                       "not_isometric"}
+    assert {("isometric", True), ("isometric", False)} <= {
+        (c, s) for c, s, _ in seen}
+    assert {f for _, _, f in seen} == {True, False}
+
+
+def test_gram_derivations_match_old_chains_at_n64():
+    spec = InstanceSpec(64, 8, 16)
+    _assert_matches_old_chains(
+        gen_unitary_boundary_pair(spec, rng_stream(44)), (0.7 + 1.1j,))
+    _assert_matches_old_chains(
+        gen_isometric_boundary_pair(spec, rng_stream(45)), (0.7 + 1.1j,))
+
+
+def test_gram_classification_between_tolerances():
+    # Gram defects between 1e-11 and 1e-6: neutral at angle_tol 1e-6,
+    # not at 1e-11, for the Gram test and the adjoint chain alike
+    unitary = gen_unitary_boundary_pair(InstanceSpec(3, 3, 1), rng_stream(47))
+    half = unitary.gamma.graph.basis[:, :4]
+    strict = BoundaryPair(unitary.H, 3,
+                          LinearRelation(6, 6, Subspace(12, half)))
+    metric = np.zeros((12, 12), dtype=complex)
+    metric[:6, :6] = hat_symmetry(unitary.H)
+    metric[6:, 6:] = -hat_symmetry_boundary(3)
+    rng = rng_stream(46)
+    for bp, neutral in ((unitary, "unitary"), (strict, "isometric")):
+        B = bp.gamma.graph.basis
+        E = rng.normal(size=B.shape) + 1j * rng.normal(size=B.shape)
+        B, _ = np.linalg.qr(B + 3e-9 * E)
+        gamma = LinearRelation(6, 6, Subspace(12, B))
+        defect = np.max(np.abs(B.conj().T @ metric @ B))
+        assert 1e-11 < defect < 1e-6
+        for angle_tol, want in ((1e-6, neutral), (1e-11, "not_isometric")):
+            tol = Tolerance(angle_tol=angle_tol)
+            moved = BoundaryPair(bp.H, 3, gamma, tol)
+            assert moved.classification == want
+            _assert_matches_old_chains(moved)
+
+
+def test_boundary_v_classification_matches_old_chain():
+    seen = set()
+    for trial in range(36):
+        rng = rng_stream(48, trial)
+        m, m2 = 1 + trial % 3, 1 + (trial // 3) % 3
+        unitary = gen_boundary_unitary_relation(rng, m, m2)
+        d = unitary.graph.dim
+        coeff = random_unitary(rng, d)[:, : d - 1]
+        sub = LinearRelation(2 * m, 2 * m2, Subspace(
+            2 * (m + m2), unitary.graph.basis @ coeff))
+        for v_rel in (unitary, sub, random_relation(rng, 2 * m, 2 * m2)):
+            sharp = krein_adjoint(v_rel, doubled_boundary(m),
+                                  doubled_boundary(m2)).inverse()
+            cls = boundary_v_classification(v_rel)
+            assert cls == _classification_oracle(v_rel, sharp, DEFAULT_TOL)
+            seen.add(cls)
+    assert seen == {"unitary", "isometric", "not_isometric"}
+
+
+def test_constructor_makes_no_svd(monkeypatch):
+    pairs = list(_gram_oracle_pairs())[::7]
+    pairs.append(gen_unitary_boundary_pair(InstanceSpec(16, 4, 2),
+                                           rng_stream(49)))
+    args = [(bp.H, bp.m, bp.gamma, bp.tol) for bp in pairs]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*a, **k):
+        calls.append(a)
+        return svd(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    built = [BoundaryPair(*a) for a in args]
+    assert calls == []
+    monkeypatch.undo()
+    for bp in built:
+        assert bp.flags == _old_chains(bp)["flags"]
+
+
+def test_strictly_isometric_pair_has_no_symmetric_t():
+    # ker Gamma_# = (dom Gamma)^[perp] of a strict part of a unitary
+    # Gamma is in general not neutral: a well-formed isometric pair
+    # without a symmetric T, reported as a failed precondition
+    raised = 0
+    for s in range(20):
+        bp = gen_isometric_boundary_pair(InstanceSpec(3, 2, 1),
+                                         rng_stream(40, s))
+        assert bp.classification == "isometric"
+        old = _old_chains(bp)
+        if old["T_symmetric"]:
+            _assert_same_relation(bp.underlying_T(), old["T"], bp.tol)
+            continue
+        with pytest.raises(PreconditionError,
+                           match="not associated with a symmetric T"):
+            bp.underlying_T()
+        raised += 1
+    assert raised > 0

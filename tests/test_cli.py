@@ -6,7 +6,12 @@ import pytest
 
 from kreinrel.checks import SWEEP_COLUMNS, THEOREM_IDS
 from kreinrel.cli import main
-from kreinrel.serialize import load
+from kreinrel.generators import (
+    InstanceSpec,
+    gen_isometric_boundary_pair,
+    rng_stream,
+)
+from kreinrel.serialize import dump, load
 
 
 def test_no_subcommand_is_a_usage_error():
@@ -94,6 +99,16 @@ def test_gen_then_sweep_pipeline(tmp_path):
 
 def test_sweep_missing_file_exits_1(capsys):
     assert main(["sweep", "/nonexistent/pair.json"]) == 1
+
+
+def test_sweep_of_pair_without_symmetric_t_exits_1(tmp_path, capsys):
+    # a well-formed strictly isometric pair whose ker Gamma_# is not
+    # symmetric: a failed precondition, not a usage error
+    bp = gen_isometric_boundary_pair(InstanceSpec(3, 2, 1), rng_stream(40, 0))
+    path = tmp_path / "isometric.json"
+    path.write_text(dump(bp))
+    assert main(["sweep", str(path)]) == 1
+    assert "not associated with a symmetric T" in capsys.readouterr().err
 
 
 def test_report_aggregates_and_flags_failures(tmp_path, capsys):
