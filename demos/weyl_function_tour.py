@@ -19,7 +19,6 @@ from kreinrel import (
     main_transform,
     rng_stream,
     weyl,
-    weyl_invariants_ok,
     weyl_sweep,
 )
 
@@ -52,7 +51,6 @@ def main():
     sample = weyl(bp, z)
     print(f"M({z}) is an operator: {sample.M.is_operator(TOL)}")
     print(f"value:\n{np.round(sample.M.to_matrix(TOL), 4)}")
-    print(f"sample invariants hold: {weyl_invariants_ok(bp, sample)}")
 
     section("3. Pairs where the Weyl value degenerates")
     # with m > n the boundary map is necessarily multivalued and the
@@ -64,7 +62,6 @@ def main():
     print(f"graph dim of M(2j): {sample.M.graph.dim}")
     print(f"dim ker = {sample.M.ker(TOL).dim}, "
           f"dim mul = {sample.M.mul(TOL).dim}")
-    print(f"invariants still hold: {weyl_invariants_ok(bp, sample)}")
 
     section("4. Sweeping a grid")
     bp = gen_obt(InstanceSpec(n=2, m=1, kappa_minus=1), rng_stream(5), TOL)

@@ -20,6 +20,7 @@ import numpy as np
 from .boundary import (
     BoundaryPair,
     _spectral_sets,
+    _weyl_point,
     delta_excluded_points,
     in_delta,
     m_plus_z,
@@ -878,6 +879,11 @@ SWEEP_COLUMNS = ("re_z", "im_z", "dim_M", "dim_mul", "dim_ker",
 def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     """CSV rows describing M(z) over a nonreal grid.
 
+    Each point is one ``boundary._weyl_point``: past the size crossover
+    (n >= 16), one n x n LU of the pair's pencil split gives M(z) and
+    decides the O and main-transform-resolvent tests, and the SVD
+    formulas take over wherever the LU's condition guard fails.
+
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
     in_j_resolvent (0/1, z in the resolvent set of the main transform).
@@ -886,13 +892,17 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     if any(z.imag == 0.0 for z in pts):
         raise PreconditionError("sweep grid must avoid the real axis")
     tol = bp.tol
-    samples = {z: weyl(bp, z) for z in pts}
-    sets = _spectral_sets(bp, eps, pts, samples.__getitem__)
-    mt = main_transform(bp)
+    points = {z: _weyl_point(bp, z) for z in pts}
+    sets = _spectral_sets(bp, eps, pts, points.__getitem__)
+    mt = None
     buf = io.StringIO() if out is None else out
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
     for z, rec in zip(pts, sets.samples):
-        sample = samples[z]
+        sample, _, in_mt = points[z]
+        if in_mt is None:
+            if mt is None:
+                mt = main_transform(bp)
+            in_mt = in_resolvent(mt, z, tol)
         dim_mul = sample.M.mul(tol).dim
         row = (f"{z.real:.12g}", f"{z.imag:.12g}",
                str(sample.M.graph.dim),
@@ -900,7 +910,7 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
                str(sample.M.ker(tol).dim),
                str(int(dim_mul == 0)),
                str(int(rec["in_Sigma"])),
-               str(int(in_resolvent(mt, z, tol))))
+               str(int(in_mt)))
         buf.write(",".join(row) + "\n")
     if out is None:
         return buf.getvalue()

@@ -10,7 +10,6 @@ arithmetic on graphs.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, PreconditionError
 from .spaces import KreinSpace
@@ -401,6 +400,13 @@ _PROBE_POINTS = (0.73462815 + 1.12904873j,
                  0.20893117 - 0.87341209j)
 
 _EIG_RTOL = 1e-7
+# Loose pre-filter ahead of the _EIG_RTOL rank test: a pencil candidate
+# whose eigenvector residual ||(G - zF)x|| / (||G - zF||_F ||x||) is
+# above it is not rank tested.  Eigenvalues of T leave residuals at
+# rounding level, Jordan blocks included (eig is backward stable);
+# candidates that only the compression adds left 0.03 and more on the
+# random n = 4..128 relations.
+_EIG_RESIDUAL = 1e-4
 
 
 def _nullity(A, rtol):
@@ -427,12 +433,13 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
 
     Eigenvalue candidates come from the generalized eigenvalues of the
     pencil (G, F) built from the graph basis (after a unitary
-    compression when the pencil is rectangular); each candidate is
-    verified by a rank test of G - zF.  Infinite generalized
-    eigenvalues (pencil null vectors with Fc = 0) belong to mul T and
-    are discarded.  If the pencil is singular - rank deficient at
-    three generic probe points - every z is an eigenvalue and the
-    all-of-C flag is set.
+    compression when the pencil is rectangular); each candidate whose
+    pencil eigenvector x leaves G - zF a residual below
+    ``_EIG_RESIDUAL`` is verified by a rank test of G - zF.  Infinite
+    generalized eigenvalues (pencil null vectors with Fc = 0) belong to
+    mul T and are discarded.  If the pencil is singular - rank
+    deficient at three generic probe points - every z is an eigenvalue
+    and the all-of-C flag is set.
     """
     _require_square(T)
     n, k = T.from_dim, T.dim
@@ -450,14 +457,21 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
         U = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
         U, _ = np.linalg.qr(U)
         Fc, Gc = U.conj().T @ F, U.conj().T @ G
+    import scipy.linalg
     with np.errstate(all="ignore"):
-        candidates = scipy.linalg.eigvals(Gc, Fc)
-    finite = [complex(z) for z in candidates if np.isfinite(z)]
+        candidates, vectors = scipy.linalg.eig(Gc, Fc)
     found = []
-    for z in finite:
+    for z, x in zip(candidates, vectors.T):
+        if not np.isfinite(z):
+            continue
+        z = complex(z)
         if any(abs(z - w) <= 1e-8 * (1.0 + abs(w)) for w, _ in found):
             continue
-        d = _nullity(G - z * F, _EIG_RTOL)
+        A = G - z * F
+        if (np.linalg.norm(A @ x)
+                > _EIG_RESIDUAL * np.linalg.norm(A) * np.linalg.norm(x)):
+            continue
+        d = _nullity(A, _EIG_RTOL)
         if d > 0:
             found.append((z, d))
     found.sort(key=lambda p: (round(p[0].real, 10), round(p[0].imag, 10)))

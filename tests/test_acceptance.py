@@ -16,7 +16,6 @@ from kreinrel.boundary import (
     main_transform,
     main_transform_space,
     weyl,
-    weyl_invariants_ok,
 )
 from kreinrel.checks import THEOREM_IDS, check_theorem
 from kreinrel.cli import main as cli_main
@@ -131,10 +130,9 @@ def test_adjoint_of_shmulyan_transform_200_trials():
     _run_check("torth", trials=200)
 
 
-# 4+5. Weyl symmetry across pairs and grid points, with the sample
-# invariants asserted on every draw
+# 4. Weyl symmetry across pairs and grid points
 
-def test_weyl_symmetry_and_invariants_200_pairs():
+def test_weyl_symmetry_200_pairs():
     zs = (2j, -2j, 1 + 1j, 1 - 1j, 0.5 + 1.5j)
     for trial in range(200):
         rng = rng_stream(102, trial)
@@ -143,8 +141,6 @@ def test_weyl_symmetry_and_invariants_200_pairs():
         bp = gen_unitary_boundary_pair(
             InstanceSpec(n, m, trial % (n + 1)), rng, TOL)
         for z in zs:
-            sample = weyl(bp, z)
-            assert weyl_invariants_ok(bp, sample)
             assert weyl_symmetry_check(bp, z, TOL)
 
 

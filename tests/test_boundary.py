@@ -4,8 +4,11 @@ bookkeeping."""
 import numpy as np
 import pytest
 
+import kreinrel.boundary as boundary
 from kreinrel.boundary import (
     BoundaryPair,
+    _defect_elements,
+    _weyl_point,
     defect_numbers,
     delta_excluded_points,
     gamma_sharp,
@@ -19,7 +22,6 @@ from kreinrel.boundary import (
     spectral_sets,
     theta_extension,
     weyl,
-    weyl_invariants_ok,
     weyl_of_gamma,
 )
 from kreinrel.errors import PreconditionError
@@ -38,7 +40,6 @@ from kreinrel.relations import (
     LinearRelation,
     domain_restriction,
     identity_relation,
-    image_of,
     in_resolvent,
     is_selfadjoint,
     is_symmetric,
@@ -61,7 +62,6 @@ from kreinrel.subspaces import (
     Subspace,
     Tolerance,
     column_space,
-    null_space,
     subspace_equal,
 )
 from kreinrel.transforms import boundary_v_classification
@@ -176,7 +176,6 @@ def test_identity_obt_weyl_function_is_z():
         s = weyl(bp, z)
         assert s.M.is_operator()
         assert np.allclose(s.M.to_matrix(), [[z]])
-        assert weyl_invariants_ok(bp, s)
 
 
 def test_flip_pair_weyl_function_is_reciprocal():
@@ -203,17 +202,6 @@ def test_weyl_symmetry_against_gamma_sharp():
         rhs = weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m,
                             z.conjugate(), TOL)
         assert rel_equal(lhs, rhs, TOL)
-
-
-def test_weyl_invariants_on_random_pairs():
-    for trial in range(20):
-        rng = rng_stream(24, trial)
-        n = 1 + trial % 4
-        m = 1 + trial % 2
-        bp = gen_unitary_boundary_pair(InstanceSpec(n, m, trial % (n + 1)),
-                                       rng, TOL)
-        s = weyl(bp, 0.3 + 0.9j)
-        assert weyl_invariants_ok(bp, s)
 
 
 def _weyl_oracle(bp, z):
@@ -288,6 +276,136 @@ def test_weyl_matches_relation_calculus_oracle():
 def test_weyl_matches_oracle_at_n64():
     bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), rng_stream(32))
     _assert_weyl_matches_oracle(bp, (0.7 + 1.1j, -0.4 - 1e-3j))
+
+
+# ------------------------------- pencil split against the direct formulas
+
+_SPLIT_Z = _ORACLE_Z + (0.8 + 1e-8j, -1.1 - 1e-8j)
+
+
+def _direct_point(bp, z):
+    """C, ran(A_* - z) = C^n and z in res(main transform) by the SVD
+    formulas the pencil split replaces."""
+    tol = bp.tol
+    return (_defect_elements(bp.gamma, bp.n, z, tol),
+            bp.a_star().ran_shifted(z, tol).dim == bp.n,
+            in_resolvent(main_transform(bp), z, tol))
+
+
+def _assert_split_matches_direct(bp, points):
+    """Where the split decides, it agrees with the direct formulas: equal
+    dims and rel_equal for C and M(z), identical booleans.  Returns how
+    many points it decided."""
+    tol = bp.tol
+    decided = 0
+    for z in points:
+        C, ran_full, in_mt = _direct_point(bp, z)
+        point = _weyl_point(bp, z)
+        fast = None if bp._split is None else bp._split.defect_elements(
+            z, tol)
+        if fast is None:
+            assert point.ran_full is None
+            assert point.in_mt_resolvent is None
+            continue
+        decided += 1
+        assert fast.shape == C.shape
+        assert subspace_equal(Subspace(len(C), fast), Subspace(len(C), C),
+                              tol)
+        assert point.ran_full == ran_full
+        assert point.in_mt_resolvent in (None, in_mt)
+        M = LinearRelation(bp.m, bp.m, column_space(C[2 * bp.n :], tol))
+        _assert_same_relation(point.sample.M, M, tol)
+    return decided
+
+
+def test_pencil_split_matches_direct_formulas_at_desk_scale(monkeypatch):
+    monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 1)
+    decided = {}
+    # the empty-resolvent pair: W = 0, left to in_resolvent
+    empty = _empty_resolvent_pair()[0]
+    for bp in [*_oracle_pairs(), empty]:
+        key = (bp.classification, bp.flags["gamma_is_operator"])
+        decided[key] = decided.get(key, 0) + _assert_split_matches_direct(
+            bp, _SPLIT_Z)
+        _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
+    # the split decided points of unitary, isometric and multivalued pairs
+    assert decided[("unitary", True)] > 0
+    assert decided[("unitary", False)] > 0
+    assert decided[("isometric", True)] > 0
+    mt = {_weyl_point(bp, 0.3 + 0.9j).in_mt_resolvent
+          for bp in _oracle_pairs()}
+    assert {True, False} <= mt
+    assert _weyl_point(empty, 0.3 + 0.9j)[1:] == (True, None)
+
+
+def test_pencil_split_matches_direct_formulas_at_n64():
+    unitary = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16),
+                                        rng_stream(50))
+    # a strict part of dimension n + m - 2 > n keeps the split
+    part = unitary.gamma.graph.basis[:, :70]
+    isometric = BoundaryPair(unitary.H, 8, LinearRelation(
+        128, 16, Subspace(144, part)))
+    assert isometric.classification == "isometric"
+    for bp in (unitary, isometric):
+        assert bp._split is not None
+        assert _assert_split_matches_direct(bp, _SPLIT_Z) == len(_SPLIT_Z)
+        _assert_weyl_matches_oracle(bp, _SPLIT_Z[-2:])
+
+
+def test_pencil_split_falls_back_on_an_eigenvalue_of_the_split_pencil():
+    import scipy.linalg
+    bp = gen_unitary_boundary_pair(InstanceSpec(16, 4, 2), rng_stream(51))
+    split = bp._split
+    eigs = scipy.linalg.eigvals(split.P1, split.L)
+    z = complex(next(w for w in eigs if abs(w.imag) > 1e-2))
+    for w in (z, z.conjugate()):
+        assert (split.defect_elements(w, bp.tol) is None) == (w == z)
+    point = _weyl_point(bp, z)
+    assert point.ran_full is None and point.in_mt_resolvent is None
+    assert _assert_split_matches_direct(bp, (z,)) == 0
+    _assert_weyl_matches_oracle(bp, (z,))
+
+
+def _direct_sum(bp1, bp2):
+    """Gamma1 ⊕ Gamma2 over H1 ⊕ H2 and C^{m1 + m2}."""
+    (n1, m1), (n2, m2) = (bp1.n, bp1.m), (bp2.n, bp2.m)
+    n, m = n1 + n2, m1 + m2
+    B1, B2 = bp1.gamma.graph.basis, bp2.gamma.graph.basis
+    first, second = [], []
+    for start, size, size1 in ((0, n, n1), (n, n, n1), (2 * n, m, m1),
+                               (2 * n + m, m, m1)):
+        first += range(start, start + size1)
+        second += range(start + size1, start + size)
+    B = np.zeros((2 * (n + m), B1.shape[1] + B2.shape[1]), dtype=complex)
+    B[np.ix_(first, range(B1.shape[1]))] = B1
+    B[np.ix_(second, range(B1.shape[1], B.shape[1]))] = B2
+    J = np.zeros((n, n), dtype=complex)
+    J[:n1, :n1], J[n1:, n1:] = bp1.H.J, bp2.H.J
+    return BoundaryPair(make_krein(J), m, LinearRelation(
+        2 * n, 2 * m, Subspace(2 * (n + m), B)))
+
+
+def _mul_pair():
+    """n = m = 1, Gamma = span{(0, 1, 0, 0), (0, 0, 1, 2)}: B_f = 0,
+    T = {0} x C and M(z) = 2."""
+    g = np.zeros((4, 2))
+    g[1, 0] = 1.0
+    g[2, 1], g[3, 1] = 1 / np.sqrt(5), 2 / np.sqrt(5)
+    return BoundaryPair(hilbert_space(1), 1,
+                        LinearRelation(2, 2, Subspace(4, g)))
+
+
+def test_rank_deficient_b_f_takes_the_direct_formulas():
+    assert np.allclose(weyl(_mul_pair(), 1j).M.to_matrix(), [[2.0]])
+    bp = _direct_sum(
+        gen_unitary_boundary_pair(InstanceSpec(16, 3, 4), rng_stream(52)),
+        _mul_pair())
+    assert bp.classification == "unitary"
+    assert bp.n >= boundary._SPLIT_MIN_N
+    assert bp.underlying_T().mul(TOL).dim == 1
+    assert bp._split is None
+    assert _assert_split_matches_direct(bp, _SPLIT_Z) == 0
+    _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
 
 
 def test_multivalued_pair_weyl_family():
@@ -434,21 +552,6 @@ def _selection_projections(bp):
             bp.gamma.mapped_graph(sel1, 2 * n, m, bp.tol))
 
 
-def _strict_component(bp, which):
-    """Gamma_1 as {(fhat, l') : (fhat, (0, l')) in Gamma} (which=1), or
-    Gamma_0 via (fhat, (l, 0)) (which=0)."""
-    n, m = bp.n, bp.m
-    B = bp.gamma.graph.basis
-    if which == 1:
-        zero_rows, keep = slice(2 * n, 2 * n + m), slice(2 * n + m, None)
-    else:
-        zero_rows, keep = slice(2 * n + m, None), slice(2 * n, 2 * n + m)
-    N = null_space(B[zero_rows, :], bp.tol)
-    C = B @ N.basis if N.dim else np.zeros((B.shape[0], 0))
-    g = column_space(np.vstack([C[: 2 * n], C[keep]]), bp.tol)
-    return LinearRelation(2 * n, m, g)
-
-
 def _old_chains(bp):
     """Classification, T (with its symmetry), T0, T1 and the flags by
     the adjoint and selection-matrix chains."""
@@ -475,27 +578,14 @@ def _old_chains(bp):
     }
 
 
-def _weyl_invariants_oracle(bp, sample, T0, T1):
-    """weyl_invariants_ok through strict components, eigen-slices of
-    T0 and T1, and images of relations."""
-    tol = bp.tol
-    z = sample.z
-    rhs_mul = image_of(_strict_component(bp, 1),
-                       T0.graph_restriction(z, tol).graph, tol)
-    rhs_ker = image_of(_strict_component(bp, 0),
-                       T1.graph_restriction(z, tol).graph, tol)
-    return (subspace_equal(sample.M.mul(tol), rhs_mul, tol)
-            and subspace_equal(sample.M.ker(tol), rhs_ker, tol))
-
-
 def _assert_same_relation(new, old, tol):
     assert new.dim == old.dim
     assert rel_equal(new, old, tol)
 
 
-def _assert_matches_old_chains(bp, points=(0.3 + 0.9j, -1.2 - 0.4j)):
-    """The Gram classification, the null-space T, T0, T1, the flags and
-    the row-block weyl_invariants_ok agree with the old chains."""
+def _assert_matches_old_chains(bp):
+    """The Gram classification, the null-space T, T0, T1 and the flags
+    agree with the old chains."""
     tol = bp.tol
     old = _old_chains(bp)
     assert bp.classification == old["classification"]
@@ -507,10 +597,6 @@ def _assert_matches_old_chains(bp, points=(0.3 + 0.9j, -1.2 - 0.4j)):
     else:
         with pytest.raises(PreconditionError):
             bp.underlying_T()
-    for z in points:
-        sample = weyl(bp, z)
-        assert weyl_invariants_ok(bp, sample) == _weyl_invariants_oracle(
-            bp, sample, old["T0"], old["T1"])
     return old
 
 
@@ -549,10 +635,9 @@ def test_gram_derivations_match_old_chains():
 
 def test_gram_derivations_match_old_chains_at_n64():
     spec = InstanceSpec(64, 8, 16)
+    _assert_matches_old_chains(gen_unitary_boundary_pair(spec, rng_stream(44)))
     _assert_matches_old_chains(
-        gen_unitary_boundary_pair(spec, rng_stream(44)), (0.7 + 1.1j,))
-    _assert_matches_old_chains(
-        gen_isometric_boundary_pair(spec, rng_stream(45)), (0.7 + 1.1j,))
+        gen_isometric_boundary_pair(spec, rng_stream(45)))
 
 
 def test_gram_classification_between_tolerances():

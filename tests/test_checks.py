@@ -9,7 +9,9 @@ import kreinrel.boundary
 import kreinrel.checks
 import kreinrel.relations
 from kreinrel.boundary import (
+    BoundaryPair,
     identity_obt,
+    inverse_main_transform,
     main_transform,
     spectral_sets,
     weyl,
@@ -24,7 +26,9 @@ from kreinrel.checks import (
 from kreinrel.checks import _CHECKS, _VACUOUS
 from kreinrel.errors import PreconditionError, ValidationError
 from kreinrel.generators import InstanceSpec, gen_unitary_boundary_pair, rng_stream
-from kreinrel.relations import in_resolvent
+from kreinrel.relations import LinearRelation, in_resolvent
+from kreinrel.spaces import make_krein
+from kreinrel.subspaces import Subspace
 
 
 def test_registry_is_complete_and_consistent():
@@ -124,7 +128,7 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
     bp = gen_unitary_boundary_pair(InstanceSpec(4, 2, 1), rng_stream(31))
     pts = [complex(a, b) for a in (-1.5, 0.0, 1.2) for b in (0.7, -1.1)]
     eps = 0.5
-    weyl_calls = _counting(monkeypatch, "weyl",
+    weyl_calls = _counting(monkeypatch, "_weyl_point",
                            [kreinrel.boundary, kreinrel.checks])
     spectrum_calls = _counting(monkeypatch, "point_spectrum",
                                [kreinrel.relations, kreinrel.boundary])
@@ -144,3 +148,55 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
                  int(rec["in_Sigma"]), int(in_resolvent(mt, z, tol)))
         rows.append(",".join(str(c) for c in cells))
     assert csv == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("split_min_n", [1, 10**9])
+def test_weyl_sweep_of_a_pair_with_empty_resolvent(monkeypatch, split_min_n):
+    # the main transform (graph I) x (graph I) in C^4 over H = (C, -1) is
+    # self-adjoint with empty resolvent set; with the split forced on,
+    # its m x m test is W = 0 and the sweep falls back to in_resolvent
+    monkeypatch.setattr(kreinrel.boundary, "_SPLIT_MIN_N", split_min_n)
+    g = np.zeros((4, 2))
+    g[0, 0] = g[1, 0] = g[2, 1] = g[3, 1] = 1 / np.sqrt(2)
+    bp = inverse_main_transform(LinearRelation(2, 2, Subspace(4, g)),
+                                make_krein(np.array([[-1.0]])), 1)
+    assert (bp._split is None) == (split_min_n > 1)
+    rows = weyl_sweep(bp, [0.3 + 0.9j, -1.2 - 1e-3j]).strip().split("\n")
+    assert [r.split(",")[-1] for r in rows[1:]] == ["0", "0"]
+
+
+def _sweep_grid(seed, count):
+    rng = np.random.default_rng(seed)
+    im = rng.uniform(0.5, 2.0, count) * rng.choice([-1.0, 1.0], count)
+    pts = [complex(a, b) for a, b in zip(rng.uniform(-2.0, 2.0, count), im)]
+    return pts + [0.3 + 1e-3j, -0.7 - 1e-3j, 1.1 + 1e-8j, -0.2 - 1e-8j]
+
+
+def test_weyl_sweep_with_the_pencil_split_equals_the_direct_formulas(
+        monkeypatch):
+    pairs = [gen_unitary_boundary_pair(InstanceSpec(n, m, kappa),
+                                       rng_stream(34, n))
+             for n, m, kappa in ((16, 2, 4), (17, 3, 0), (64, 8, 16))]
+    assert all(bp._split is not None for bp in pairs)
+    pts = _sweep_grid(34, 20)
+    fast = [weyl_sweep(bp, pts) for bp in pairs]
+    monkeypatch.setattr(kreinrel.boundary, "_SPLIT_MIN_N", 10**9)
+    direct = [BoundaryPair(bp.H, bp.m, bp.gamma, bp.tol) for bp in pairs]
+    assert all(bp._split is None for bp in direct)
+    assert fast == [weyl_sweep(bp, pts) for bp in direct]
+
+
+def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
+    n, m = 64, 8
+    bp = gen_unitary_boundary_pair(InstanceSpec(n, m, 16), rng_stream(35))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    weyl_sweep(bp, _sweep_grid(35, 46))
+    assert len(shapes) > 0
+    assert sum(min(s) >= n // 2 for s in shapes) <= 8

@@ -1,9 +1,13 @@
 """Command line front end: subcommands, exit codes and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kreinrel
 from kreinrel.checks import SWEEP_COLUMNS, THEOREM_IDS
 from kreinrel.cli import main
 from kreinrel.generators import (
@@ -141,3 +145,15 @@ def test_report_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"theorem_id": "x"}))
     assert main(["report", str(bad)]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the functions that call it, not by the package
+    src = os.path.dirname(os.path.dirname(kreinrel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, kreinrel; print(sorted(m for m in sys.modules " \
+           "if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kreinrel.errors import DimensionMismatchError, PreconditionError
-from kreinrel.generators import random_krein, random_relation, rng_stream
+from kreinrel.generators import (
+    InstanceSpec,
+    gen_unitary_boundary_pair,
+    random_krein,
+    random_relation,
+    rng_stream,
+)
 from kreinrel.relations import (
     LinearRelation,
+    SpectrumReport,
     classify_point,
     compose,
     cw_sum,
@@ -32,6 +39,7 @@ from kreinrel.spaces import hilbert_space, make_krein
 from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
+    column_space,
     contains as sub_contains,
     intersect,
     subspace_equal,
@@ -223,6 +231,91 @@ def test_pure_mul_relation_has_empty_point_spectrum():
     assert rep.eigenvalues == ()
     assert not rep.all_flag
     assert in_resolvent(T, 0.5)
+
+
+def _point_spectrum_oracle(T, tol=TOL):
+    """point_spectrum without the eigenvector pre-filter: every finite
+    candidate of the compressed pencil goes to the rank test."""
+    import scipy.linalg
+    from kreinrel.relations import _EIG_RTOL, _PROBE_POINTS, _nullity
+    n, k = T.from_dim, T.dim
+    if k == 0:
+        return SpectrumReport((), False)
+    F, G = T.F, T.G
+    singular = all(_nullity(G - z * F, tol.rank_rel * 1e3) > 0
+                   for z in _PROBE_POINTS)
+    if k > n or singular:
+        return SpectrumReport((), True)
+    if k == n:
+        Fc, Gc = F, G
+    else:
+        rng = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
+        U = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        U, _ = np.linalg.qr(U)
+        Fc, Gc = U.conj().T @ F, U.conj().T @ G
+    with np.errstate(all="ignore"):
+        candidates = scipy.linalg.eigvals(Gc, Fc)
+    found = []
+    for z in (complex(z) for z in candidates if np.isfinite(z)):
+        if any(abs(z - w) <= 1e-8 * (1.0 + abs(w)) for w, _ in found):
+            continue
+        d = _nullity(G - z * F, _EIG_RTOL)
+        if d > 0:
+            found.append((z, d))
+    found.sort(key=lambda p: (round(p[0].real, 10), round(p[0].imag, 10)))
+    return SpectrumReport(tuple(found), False)
+
+
+def _jordan(size, lam):
+    return lam * np.eye(size) + np.eye(size, k=1)
+
+
+def _planted(rng, n, lam):
+    """A relation with eigenvalue lam of geometric multiplicity 2: the
+    graph of S diag(lam, lam, ...) S^-1 restricted to a subspace that
+    holds both eigenvectors (so dim T < n and the pencil is compressed)."""
+    S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    d = np.concatenate([[lam, lam], rng.normal(size=n - 2)
+                        + 1j * rng.normal(size=n - 2)])
+    A = S @ np.diag(d) @ np.linalg.inv(S)
+    keep = np.hstack([S[:, :2], rng.normal(size=(n, 1))])
+    return rel_from_operator(A).restrict_domain(column_space(keep), TOL)
+
+
+def _spectrum_cases():
+    lam = 0.4 + 0.9j
+    for size in (2, 3, 4):
+        yield rel_from_operator(_jordan(size, lam))
+    yield rel_from_operator([[2.0, 1.0], [0.0, 2.0]])
+    rng = rng_stream(60)
+    for lam in (0.7, 0.3 + 1.1j):
+        yield rel_from_operator(np.diag([lam, lam, -1.0, 2.0 + 1j]))
+        yield _planted(rng, 6, lam)
+    # singular pencil: G - zF = [[-z, 1], [0, 0]] for every z
+    yield LinearRelation(2, 2, Subspace(4, np.eye(4)[:, [0, 2]]))
+    for n in (1, 2, 3, 4, 64):
+        for s in range(2 if n < 64 else 1):
+            bp = gen_unitary_boundary_pair(
+                InstanceSpec(n, max(1, n // 8), n // 2), rng_stream(61, s))
+            yield bp.underlying_T()
+
+
+def test_point_spectrum_prefilter_matches_unfiltered_oracle():
+    seen = set()
+    for T in _spectrum_cases():
+        rep = point_spectrum(T)
+        assert rep == _point_spectrum_oracle(T)
+        seen.add((rep.all_flag, max((d for _, d in rep.eigenvalues),
+                                    default=0)))
+    assert {(True, 0), (False, 1), (False, 2)} <= seen
+
+
+def test_point_spectrum_keeps_the_known_jordan_splitting():
+    # the 2x2 Jordan block still splits into two simple eigenvalues about
+    # 1e-8 apart (a known defect the pre-filter must not change)
+    rep = point_spectrum(rel_from_operator(_jordan(2, 0.4 + 0.9j)))
+    assert len(rep.eigenvalues) == 2
+    assert all(d == 1 for _, d in rep.eigenvalues)
 
 
 # ------------------------------------------------------ property tests
