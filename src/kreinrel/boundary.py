@@ -44,12 +44,15 @@ from .errors import PreconditionError
 from .relations import (
     LinearRelation,
     in_resolvent,
+    is_selfadjoint,
+    is_symmetric,
     krein_adjoint,
     point_spectrum,
     shmulyan,
 )
 from .spaces import (
     KreinSpace,
+    _classify_graph,
     _pair_metric,
     doubled_boundary,
     doubled_krein,
@@ -67,7 +70,6 @@ __all__ = [
     "gamma_sharp",
     "identity_obt",
     "weyl",
-    "weyl_of_gamma",
     "in_delta",
     "m_plus_z",
     "delta_excluded_points",
@@ -85,20 +87,6 @@ def gamma_sharp(gamma: LinearRelation, H: KreinSpace, L_dim, tol=DEFAULT_TOL):
     """Gamma_# = (Gamma+)^{-1} between the doubled symmetries."""
     plus = krein_adjoint(gamma, doubled_krein(H), doubled_boundary(L_dim), tol)
     return plus.inverse()
-
-
-def _classify_graph(basis, metric, tol):
-    """'unitary', 'isometric' or 'not_isometric' for the span of an
-    orthonormal basis against a Hermitian metric of balanced signature.
-
-    The span is neutral when every entry of basis* metric basis is
-    within ``angle_tol``; a neutral span of half the ambient dimension
-    is hypermaximal neutral, which is 'unitary'.
-    """
-    gram = basis.conj().T @ metric @ basis
-    if np.any(np.abs(gram) > tol.angle_tol):
-        return "not_isometric"
-    return "unitary" if 2 * basis.shape[1] == metric.shape[0] else "isometric"
 
 
 class BoundaryPair:
@@ -153,8 +141,7 @@ class BoundaryPair:
         return {
             "gamma_is_operator": self.gamma.mul(tol).dim == 0,
             "gamma_surjective": self.gamma.ran(tol).dim == 2 * self.m,
-            "T0_selfadjoint": _classify_graph(
-                self.T0().graph.basis, hat_symmetry(self.H), tol) == "unitary",
+            "T0_selfadjoint": is_selfadjoint(self.T0(), self.H, tol),
             "ran_gamma0_full": column_space(l_rows, tol).dim == self.m,
         }
 
@@ -187,7 +174,7 @@ class BoundaryPair:
         B_H = self.gamma.graph.basis[: 2 * self.n]
         T = LinearRelation(self.n, self.n,
                            null_space(B_H.conj().T @ hat, self.tol))
-        if _classify_graph(T.graph.basis, hat, self.tol) == "not_isometric":
+        if not is_symmetric(T, self.H, self.tol):
             raise PreconditionError(
                 "ker Gamma_# = (dom Gamma)^[perp] is not symmetric: the "
                 "isometric pair is not associated with a symmetric T")
@@ -257,13 +244,6 @@ def _defect_elements(gamma: LinearRelation, n, z, tol):
     B = gamma.graph.basis
     N = null_space(B[n : 2 * n] - z * B[:n], tol)
     return B @ N.basis
-
-
-def weyl_of_gamma(gamma: LinearRelation, n, m, z, tol=DEFAULT_TOL):
-    """M(z) = Gamma(N_hat_z(dom Gamma)) for a raw boundary relation: the
-    span of the (l, l') rows of C = B null(B_f' - z B_f)."""
-    C = _defect_elements(gamma, n, z, tol)
-    return LinearRelation(m, m, column_space(C[2 * n :], tol))
 
 
 # Smallest n that gets the pencil split.  One BLAS thread, per point:

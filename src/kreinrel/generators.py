@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryPair
-from .errors import GenerationError, PreconditionError
+from .errors import GenerationError, PreconditionError, ValidationError
 from .relations import LinearRelation, rel_equal
 from .spaces import (
     KreinSpace,
@@ -293,7 +293,7 @@ def gen_std_unitary(rng, K_from: KreinSpace, K_to: KreinSpace = None,
         C, D = blocks[n:, :n], blocks[n:, n:]
         try:
             return make_std_unitary(A, B, C, D, K_from, K_to, atol=1e-8)
-        except Exception:
+        except ValidationError:
             continue
     raise GenerationError("retry cap exhausted while sampling a standard "
                           "unitary operator")

@@ -22,11 +22,11 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
+    delta_excluded_points,
     in_delta,
     m_plus_z,
     main_transform,
     weyl,
-    weyl_of_gamma,
 )
 from .errors import PreconditionError
 from .relations import hilbert_adjoint, in_resolvent, rel_equal
@@ -88,7 +88,8 @@ def weyl_symmetry_check(bp: BoundaryPair, z, tol=None):
     if z.imag == 0.0:
         raise PreconditionError("z must be nonreal")
     lhs = hilbert_adjoint(weyl(bp, z).M, tol)
-    rhs = weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m, z.conjugate(), tol)
+    sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, tol)
+    rhs = weyl(sharp, z.conjugate()).M
     return rel_equal(lhs, rhs, tol)
 
 
@@ -175,17 +176,18 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     tol = bp.tol
     cond1 = all(weyl_symmetry_check(bp, z, tol) for z in grid.points)
     scaled = scale_eps(bp, eps)
-    admissible = [z for z in grid.points
-                  if abs(z) > eps and in_delta(bp, z)]
+    excluded = delta_excluded_points(bp)
+    admissible = [] if excluded is None else [
+        z for z in grid.points if abs(z) > eps and in_delta(bp, z, excluded)]
     if admissible:
         cond2 = all(
             in_resolvent(m_plus_z(weyl(scaled, z).M, z, tol), 0.0, tol)
             for z in admissible)
     else:
-        cond2 = None  # no admissible z on this grid
+        cond2 = None  # no admissible z on this grid (delta may be empty)
+    mt = main_transform(scaled)
     usable = [z for z in grid.points
-              if in_resolvent(main_transform(scaled), complex(z).conjugate(),
-                              tol)]
+              if in_resolvent(mt, complex(z).conjugate(), tol)]
     usable = [z for z in usable if z.conjugate() in usable]
     if usable:
         subgrid = KernelSampleGrid(points=tuple(usable), vectors=grid.vectors)

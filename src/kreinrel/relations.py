@@ -2,9 +2,19 @@
 
 A linear relation from C^n to C^m is a subspace of C^{n+m}; the first
 n coordinates are the input, the last m the output.  Operators are
-relations via their graphs.  All calculus (sums, compositions,
-adjoints, eigenspaces, Shmul'yan transforms, spectra) is subspace
-arithmetic on graphs.
+relations via their graphs.  A relation is held by an orthonormal
+graph basis, whose input rows are F and output rows G.
+
+Every operation is one null space of stacked row blocks of the input
+graph bases, followed by at most one column space: the null space
+holds the coefficients of the graph elements that meet the defining
+constraints, and the result is spanned by row blocks of the bases
+times those coefficients.  Compositions, operatorwise sums, domain
+restrictions (and through them images and Shmul'yan transforms),
+adjoints, kernels, multivalued parts and eigenspaces are all of this
+form; the point spectrum rank-tests the candidates of the pencil
+(G, F).  Symmetry and self-adjointness in a Krein space are one Gram
+matrix of the graph basis against the doubled symmetry hat(J).
 """
 
 from dataclasses import dataclass
@@ -12,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
-from .spaces import KreinSpace
+from .spaces import KreinSpace, _classify_graph, hat_symmetry
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     column_space,
     contains,
     full_space,
-    intersect,
     null_space,
+    orth_complement,
     subspace_equal,
     subspace_sum,
     zero_subspace,
@@ -34,6 +44,7 @@ __all__ = [
     "zero_relation",
     "full_relation",
     "rel_equal",
+    "rel_contains",
     "compose",
     "cw_sum",
     "op_sum",
@@ -144,17 +155,13 @@ class LinearRelation:
             self.from_dim, self.to_dim, column_space(vectors, tol))
 
     def restrict_domain(self, S: Subspace, tol=DEFAULT_TOL):
-        """The restriction {(f, f') in T : f in S}."""
+        """The restriction {(f, f') in T : f in S}: the graph basis
+        times null(S_perp* F), which is orthonormal as it stands."""
         if S.ambient_dim != self.from_dim:
             raise DimensionMismatchError("restricting subspace has wrong ambient")
-        m = self.to_dim
-        span = np.block([
-            [S.basis, np.zeros((S.ambient_dim, m))],
-            [np.zeros((m, S.dim)), np.eye(m)],
-        ])
-        window = column_space(span, tol)
-        return LinearRelation(
-            self.from_dim, m, intersect(self.graph, window, tol))
+        coeff = null_space(orth_complement(S, tol).basis.conj().T @ self.F, tol)
+        return LinearRelation(self.from_dim, self.to_dim, Subspace(
+            self.graph.ambient_dim, self.graph.basis @ coeff.basis))
 
     # -- matrix views --------------------------------------------------
     def to_matrix(self, tol=DEFAULT_TOL):
@@ -260,47 +267,26 @@ def cw_sum(V: LinearRelation, W: LinearRelation, tol=DEFAULT_TOL):
 
 
 def op_sum(T: LinearRelation, R: LinearRelation, tol=DEFAULT_TOL):
-    """Operatorwise sum {(f, a + b) : (f, a) in T, (f, b) in R}."""
+    """Operatorwise sum {(f, a + b) : (f, a) in T, (f, b) in R}: with
+    (a; b) spanning null([T_F, -R_F]), the span of
+    [T_F a; T_G a + R_G b]."""
     if (T.from_dim, T.to_dim) != (R.from_dim, R.to_dim):
         raise DimensionMismatchError("operatorwise sum needs matching spaces")
-    n, m = T.from_dim, T.to_dim
-    # triples (f, a, b) with (f, a) in T and (f, b) in R
-    s1 = column_space(np.block([
-        [T.F, np.zeros((n, m))],
-        [T.G, np.zeros((m, m))],
-        [np.zeros((m, T.dim)), np.eye(m)],
-    ]), tol)
-    s2 = column_space(np.block([
-        [R.F, np.zeros((n, m))],
-        [np.zeros((m, R.dim)), np.eye(m)],
-        [R.G, np.zeros((m, m))],
-    ]), tol)
-    inter = intersect(s1, s2, tol)
-    L = np.block([
-        [np.eye(n), np.zeros((n, 2 * m))],
-        [np.zeros((m, n)), np.eye(m), np.eye(m)],
-    ])
-    return LinearRelation(n, m, column_space(L @ inter.basis, tol))
+    N = null_space(np.hstack([T.F, -R.F]), tol).basis
+    a, b = N[: T.dim], N[T.dim :]
+    return LinearRelation(T.from_dim, T.to_dim, column_space(
+        np.vstack([T.F @ a, T.G @ a + R.G @ b]), tol))
 
 
 def compose(R: LinearRelation, X: LinearRelation, tol=DEFAULT_TOL):
-    """The composition R X = {(f, h) : exists g, (f,g) in X, (g,h) in R}."""
+    """The composition R X = {(f, h) : exists g, (f,g) in X, (g,h) in R}:
+    with (a; b) spanning null([X_G, -R_F]), the span of [X_F a; R_G b]."""
     if X.to_dim != R.from_dim:
         raise DimensionMismatchError("inner dimensions of the composition differ")
-    a, b, c = X.from_dim, X.to_dim, R.to_dim
-    s1 = column_space(np.block([
-        [X.F, np.zeros((a, c))],
-        [X.G, np.zeros((b, c))],
-        [np.zeros((c, X.dim)), np.eye(c)],
-    ]), tol)
-    s2 = column_space(np.block([
-        [np.eye(a), np.zeros((a, R.dim))],
-        [np.zeros((b, a)), R.F],
-        [np.zeros((c, a)), R.G],
-    ]), tol)
-    inter = intersect(s1, s2, tol)
-    keep = np.vstack([inter.basis[:a], inter.basis[a + b :]])
-    return LinearRelation(a, c, column_space(keep, tol))
+    N = null_space(np.hstack([X.G, -R.F]), tol).basis
+    a, b = N[: X.dim], N[X.dim :]
+    return LinearRelation(X.from_dim, R.to_dim, column_space(
+        np.vstack([X.F @ a, R.G @ b]), tol))
 
 
 # ---------------------------------------------------------------------
@@ -331,15 +317,23 @@ def krein_adjoint(T: LinearRelation, K_from: KreinSpace, K_to: KreinSpace,
     return LinearRelation(T.to_dim, T.from_dim, ns)
 
 
+def _hat_class(T: LinearRelation, K: KreinSpace, tol):
+    """The Gram classification of T's graph basis against hat(J):
+    neutral is T ⊆ T+, hypermaximal neutral ('unitary') is T = T+."""
+    _require_square(T)
+    if K.dim != T.from_dim:
+        raise DimensionMismatchError("Krein space does not match the relation")
+    return _classify_graph(T.graph.basis, hat_symmetry(K), tol)
+
+
 def is_symmetric(T: LinearRelation, K: KreinSpace, tol=DEFAULT_TOL):
     """T ⊆ T+ with respect to the Krein space K."""
-    _require_square(T)
-    return rel_contains(krein_adjoint(T, K, K, tol), T, tol)
+    return _hat_class(T, K, tol) != "not_isometric"
 
 
 def is_selfadjoint(T: LinearRelation, K: KreinSpace, tol=DEFAULT_TOL):
-    _require_square(T)
-    return rel_equal(krein_adjoint(T, K, K, tol), T, tol)
+    """T = T+ with respect to the Krein space K."""
+    return _hat_class(T, K, tol) == "unitary"
 
 
 # ---------------------------------------------------------------------

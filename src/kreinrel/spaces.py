@@ -111,6 +111,20 @@ def _pair_metric(hat_from, hat_to):
     return out
 
 
+def _classify_graph(basis, metric, tol):
+    """'unitary', 'isometric' or 'not_isometric' for the span of an
+    orthonormal basis against a Hermitian metric of balanced signature.
+
+    The span is neutral when every entry of basis* metric basis is
+    within ``angle_tol``; a neutral span of half the ambient dimension
+    is hypermaximal neutral, which is 'unitary'.
+    """
+    gram = basis.conj().T @ metric @ basis
+    if np.any(np.abs(gram) > tol.angle_tol):
+        return "not_isometric"
+    return "unitary" if 2 * basis.shape[1] == metric.shape[0] else "isometric"
+
+
 def doubled_krein(K: KreinSpace) -> KreinSpace:
     """The doubled space C^{2n} as a Krein space with symmetry hat(J)."""
     return make_krein(hat_symmetry(K))

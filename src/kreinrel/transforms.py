@@ -15,21 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryPair, _classify_graph, weyl
+from .boundary import BoundaryPair, weyl
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .relations import (
     LinearRelation,
     compose,
     in_resolvent,
-    krein_adjoint,
+    rel_equal,
     rel_from_operator,
     shmulyan,
 )
 from .spaces import (
     KreinSpace,
+    _classify_graph,
     _pair_metric,
-    doubled_boundary,
-    doubled_krein,
+    hat_symmetry,
     hat_symmetry_boundary,
     hilbert_space,
     krein_adjoint_matrix,
@@ -38,7 +38,8 @@ from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     column_space,
-    intersect,
+    null_space,
+    orth_complement,
     contains as sub_contains,
 )
 
@@ -114,7 +115,8 @@ def make_std_unitary(A, B, C, D, K_from: KreinSpace, K_to: KreinSpace,
     A+D - C+B = I and AD+ - BC+ = I, while A+C, AB+, B+D, CD+ are
     self-adjoint in the indicated Krein spaces.  The graph of the
     block matrix is additionally checked to be a unitary relation
-    between the hat-symmetry spaces.
+    between the hat-symmetry spaces: hypermaximal neutral in
+    diag(hat J_from, -hat J_to).
     """
     A, B, C, D = (np.asarray(X, dtype=complex) for X in (A, B, C, D))
     n, n2 = K_from.dim, K_to.dim
@@ -139,10 +141,9 @@ def make_std_unitary(A, B, C, D, K_from: KreinSpace, K_to: KreinSpace,
         raise ValidationError("standard-unitary conditions violated: "
                               + "; ".join(failures))
     V = StdUnitaryOp(A=A, B=B, C=C, D=D, K_from=K_from, K_to=K_to)
-    rel = std_unitary_relation(V)
-    sharp = krein_adjoint(rel, doubled_krein(K_from), doubled_krein(K_to))
-    from .relations import rel_equal
-    if not rel_equal(sharp.inverse(), rel):
+    metric = _pair_metric(hat_symmetry(K_from), hat_symmetry(K_to))
+    if _classify_graph(std_unitary_relation(V).graph.basis, metric,
+                       DEFAULT_TOL) != "unitary":
         raise ValidationError("block matrix is not a unitary relation "
                               "between the hat-symmetry spaces")
     return V
@@ -229,18 +230,15 @@ def transform_right(bp: BoundaryPair, V, K_to=None) -> BoundaryPair:
 def n_hat_v(v_rel: LinearRelation, a_star: LinearRelation, z,
             tol=DEFAULT_TOL) -> Subspace:
     """N^V_z(A_*) = dom(V ∩ (A_* × zI)) - the z-eigen-slice pulled
-    through V, a subspace of the doubled domain space."""
-    two_n = v_rel.from_dim
-    two_n2 = v_rel.to_dim
-    half = two_n2 // 2
-    zgraph = column_space(
-        np.vstack([np.eye(half), z * np.eye(half)]), tol)
-    window = column_space(np.block([
-        [a_star.graph.basis, np.zeros((two_n, zgraph.dim))],
-        [np.zeros((two_n2, a_star.graph.dim)), zgraph.basis],
-    ]), tol)
-    inter = intersect(v_rel.graph, window, tol)
-    return column_space(inter.basis[:two_n], tol)
+    through V, a subspace of the doubled domain space: the span of
+    V_F null([P* V_F; V_G'' - z V_G']), with P an orthonormal basis of
+    the orthogonal complement of A_* and V_G', V_G'' the two halves of
+    V's output rows."""
+    half = v_rel.to_dim // 2
+    G1, G2 = v_rel.G[:half], v_rel.G[half:]
+    perp = orth_complement(a_star.graph, tol).basis
+    N = null_space(np.vstack([perp.conj().T @ v_rel.F, G2 - z * G1]), tol)
+    return column_space(v_rel.F @ N.basis, tol)
 
 
 # -- linear fractional transformations --------------------------------
@@ -372,9 +370,10 @@ def transform_left(bp: BoundaryPair, v_rel: LinearRelation,
         bundle = "dom_v_covers_ran_gamma"
     elif sub_contains(ran_gamma, dom_v, tol):
         bundle = "dom_v_within_ran_gamma"
-        v_plus = krein_adjoint(v_rel, doubled_boundary(bp.m),
-                               doubled_boundary(m2), tol)
-        t_new = shmulyan(bp.gamma.inverse(), v_plus.mul(tol), tol)
+        # mul V+ = (dom V)^[perp] in the doubled boundary metric
+        mul_v_plus = null_space(
+            dom_v.basis.conj().T @ hat_symmetry_boundary(bp.m), tol)
+        t_new = shmulyan(bp.gamma.inverse(), mul_v_plus, tol)
         info["T_prime"] = t_new
     elif require_bundle:
         raise PreconditionError(
@@ -469,7 +468,6 @@ def qbt_transform(bp: BoundaryPair, q: QbtMap):
     if not bp.is_obt():
         problems = []
         ker_gamma = LinearRelation(bp.n, bp.n, bp.gamma.ker(tol))
-        from .relations import rel_equal
         if not rel_equal(ker_gamma, bp.underlying_T(), tol):
             problems.append("ker Gamma != T")
         if not bp.flags["T0_selfadjoint"]:
@@ -484,14 +482,9 @@ def qbt_transform(bp: BoundaryPair, q: QbtMap):
 def v_star(v_rel: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
     """V_* = dom(V ∩ (L^2 × ({0} × cH))), read as a relation in the
     boundary space; dom V_* = {0} together with Gamma_1(T0) ⊆ mul V_*
-    forces T'_0 = T0."""
-    two_m, two_m2 = v_rel.from_dim, v_rel.to_dim
-    m2 = two_m2 // 2
-    window = column_space(np.block([
-        [np.eye(two_m), np.zeros((two_m, m2))],
-        [np.zeros((m2, two_m)), np.zeros((m2, m2))],
-        [np.zeros((m2, two_m)), np.eye(m2)],
-    ]), tol)
-    inter = intersect(v_rel.graph, window, tol)
-    dom = column_space(inter.basis[:two_m], tol)
-    return LinearRelation(two_m // 2, two_m // 2, dom)
+    forces T'_0 = T0.  The span of V_F null(V_G'), V_G' the first half
+    of V's output rows."""
+    half = v_rel.to_dim // 2
+    N = null_space(v_rel.G[:half], tol)
+    m = v_rel.from_dim // 2
+    return LinearRelation(m, m, column_space(v_rel.F @ N.basis, tol))

@@ -22,7 +22,6 @@ from kreinrel.boundary import (
     spectral_sets,
     theta_extension,
     weyl,
-    weyl_of_gamma,
 )
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
@@ -199,9 +198,11 @@ def test_weyl_symmetry_against_gamma_sharp():
             InstanceSpec(3, 2, trial % 3), rng_stream(23, trial), TOL)
         z = 0.7 + 1.3j
         lhs = hilbert_adjoint(weyl(bp, z).M, TOL)
-        rhs = weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m,
-                            z.conjugate(), TOL)
+        sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, TOL)
+        rhs = weyl(sharp, z.conjugate()).M
         assert rel_equal(lhs, rhs, TOL)
+        assert rel_equal(rhs, _weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m,
+                                             z.conjugate(), TOL), TOL)
 
 
 def _weyl_oracle(bp, z):
@@ -218,6 +219,14 @@ def _weyl_oracle(bp, z):
     sel[:m, 2 * n :] = np.eye(m)
     sel[m :, :n] = np.eye(n)
     return M, restricted.mapped_graph(sel, m, n, tol)
+
+
+def _weyl_of_gamma(gamma, n, m, z, tol):
+    """M(z) of a raw boundary relation, as the deleted
+    ``boundary.weyl_of_gamma`` formed it: the span of the (l, l') rows
+    of C = B null(B_f' - z B_f)."""
+    C = _defect_elements(gamma, n, z, tol)
+    return LinearRelation(m, m, column_space(C[2 * n :], tol))
 
 
 def _weyl_of_gamma_oracle(gamma, n, z, tol):
@@ -252,17 +261,21 @@ def _oracle_pairs():
 
 def _assert_weyl_matches_oracle(bp, points):
     """Equal dimensions and max principal angle <= angle_tol (rel_equal)
-    for M(z), gamma(z), and weyl_of_gamma on Gamma_# at conj(z)."""
+    for M(z), gamma(z), and M_{Gamma_#}(conj z) against both the
+    relation calculus and the former weyl_of_gamma."""
     tol = bp.tol
+    sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, tol)
     for z in points:
         sample = weyl(bp, z)
         M, gamma_field = _weyl_oracle(bp, z)
         assert rel_equal(sample.M, M, tol)
         assert rel_equal(sample.gamma_field, gamma_field, tol)
         zc = z.conjugate()
+        M_sharp = weyl(sharp, zc).M
         assert rel_equal(
-            weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m, zc, tol),
-            _weyl_of_gamma_oracle(bp.gamma_sharp, bp.n, zc, tol), tol)
+            M_sharp, _weyl_of_gamma_oracle(bp.gamma_sharp, bp.n, zc, tol), tol)
+        assert rel_equal(
+            M_sharp, _weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m, zc, tol), tol)
 
 
 def test_weyl_matches_relation_calculus_oracle():
@@ -565,13 +578,15 @@ def _old_chains(bp):
     flags = {
         "gamma_is_operator": bp.gamma.mul(tol).dim == 0,
         "gamma_surjective": bp.gamma.ran(tol).dim == 2 * bp.m,
-        "T0_selfadjoint": is_selfadjoint(T0, bp.H, tol),
+        "T0_selfadjoint": rel_equal(T0, krein_adjoint(T0, bp.H, bp.H, tol),
+                                    tol),
         "ran_gamma0_full": g0.ran(tol).dim == bp.m,
     }
     return {
         "classification": _classification_oracle(bp.gamma, sharp, tol),
         "T": T,
-        "T_symmetric": is_symmetric(T, bp.H, tol),
+        "T_symmetric": rel_contains(krein_adjoint(T, bp.H, bp.H, tol), T,
+                                    tol),
         "T0": T0,
         "T1": T1,
         "flags": flags,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kreinrel.errors import GenerationError, PreconditionError
+from kreinrel.errors import GenerationError, PreconditionError, ValidationError
 from kreinrel.generators import (
     RETRY_CAP,
     InstanceSpec,
@@ -159,6 +159,38 @@ def test_gen_std_unitary_blocks_validate():
     M = V.block_matrix()
     hat = doubled_krein(K).J
     assert np.linalg.norm(M.conj().T @ hat @ M - hat) < 1e-8
+
+
+def test_gen_std_unitary_propagates_errors_other_than_validation(monkeypatch):
+    # only a rejected draw (ValidationError) is resampled; any other
+    # error from make_std_unitary must surface, not become a
+    # GenerationError that check_theorem would skip
+    import kreinrel.generators as generators
+
+    def broken(*a, **k):
+        raise RuntimeError("broken make_std_unitary")
+
+    monkeypatch.setattr(generators, "make_std_unitary", broken)
+    K = random_krein(rng_stream(15), 2, 1)
+    with pytest.raises(RuntimeError, match="broken make_std_unitary"):
+        gen_std_unitary(rng_stream(15), K, K, TOL)
+
+
+def test_gen_std_unitary_resamples_rejected_draws(monkeypatch):
+    import kreinrel.generators as generators
+    real = generators.make_std_unitary
+    calls = []
+
+    def reject_first(*a, **k):
+        calls.append(a)
+        if len(calls) == 1:
+            raise ValidationError("rejected draw")
+        return real(*a, **k)
+
+    monkeypatch.setattr(generators, "make_std_unitary", reject_first)
+    K = random_krein(rng_stream(16), 2, 1)
+    gen_std_unitary(rng_stream(16), K, K, TOL)
+    assert len(calls) == 2
 
 
 def test_gen_qbt_map_shapes():

@@ -6,7 +6,12 @@ import pytest
 
 from kreinrel.boundary import BoundaryPair, main_transform, weyl
 from kreinrel.errors import PreconditionError
-from kreinrel.generators import InstanceSpec, gen_obt, rng_stream
+from kreinrel.generators import (
+    InstanceSpec,
+    gen_obt,
+    gen_unitary_pair_with_T,
+    rng_stream,
+)
 from kreinrel.nevanlinna import (
     KernelSampleGrid,
     block_gram,
@@ -16,7 +21,7 @@ from kreinrel.nevanlinna import (
     nev_kernel,
     weyl_symmetry_check,
 )
-from kreinrel.relations import in_resolvent, rel_from_operator
+from kreinrel.relations import LinearRelation, in_resolvent, rel_from_operator
 from kreinrel.spaces import make_krein
 from kreinrel.subspaces import DEFAULT_TOL, Subspace
 
@@ -201,3 +206,42 @@ def test_probe_on_one_negative_square_fixture():
     assert out["condition3"] is True
     assert out["kappa_prime"] == 1
     assert out["kappa_bound"] == 1
+
+
+def _sigma_p_all_pair():
+    """A unitary pair whose T = span{(e, 0), (0, e)}, e = (1, 1, 0)/sqrt 2
+    neutral in (C^3, diag(1, -1, 1)): the pencil of T is singular, so
+    sigma_p(T) = C and delta is empty."""
+    H = make_krein(np.diag([1.0, -1.0, 1.0]))
+    g = np.zeros((6, 2))
+    g[:2, 0] = g[3:5, 1] = 1 / np.sqrt(2)
+    T = LinearRelation(3, 3, Subspace(6, g))
+    return gen_unitary_pair_with_T(T, H, 1, rng_stream(3), TOL)
+
+
+def test_probe_computes_the_point_spectrum_once(monkeypatch):
+    import kreinrel.boundary as boundary
+    import kreinrel.nevanlinna as nevanlinna
+    counts = {"point_spectrum": 0, "main_transform": 0}
+    for mod, name in ((boundary, "point_spectrum"),
+                      (nevanlinna, "main_transform")):
+        real = getattr(mod, name)
+
+        def counting(*a, _real=real, _name=name, **k):
+            counts[_name] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(mod, name, counting)
+    grid = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 3 + 0.5j,
+                                    3 - 0.5j, -1 + 2j, -1 - 2j))
+    degenerate = _sigma_p_all_pair()
+    pairs = [gen_obt(InstanceSpec(3, 2, 1), rng_stream(46), TOL), degenerate]
+    for bp in pairs:
+        for key in counts:
+            counts[key] = 0
+        out = gen_nevanlinna_probe(bp, 0.5, grid)
+        # one for the usable filter, one inside block_gram
+        assert counts == {"point_spectrum": 1,
+                          "main_transform": 2 if out["condition3"] is not None
+                          else 1}
+    assert out["condition2"] is None and out["admissible_points"] == 0

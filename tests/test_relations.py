@@ -8,8 +8,11 @@ from kreinrel.errors import DimensionMismatchError, PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
     gen_unitary_boundary_pair,
+    hypermax_neutral,
     random_krein,
     random_relation,
+    random_symmetric_relation,
+    random_unitary,
     rng_stream,
 )
 from kreinrel.relations import (
@@ -35,7 +38,7 @@ from kreinrel.relations import (
     sigma_p_contains,
     zero_relation,
 )
-from kreinrel.spaces import hilbert_space, make_krein
+from kreinrel.spaces import hat_symmetry, hilbert_space, make_krein
 from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -343,3 +346,176 @@ def test_prop_adjoint_reverses_containment(seed):
     Tp = krein_adjoint(T, Kf, Kt, TOL)
     Sp = krein_adjoint(sub, Kf, Kt, TOL)
     assert rel_contains(Sp, Tp, TOL)
+
+
+# ------------------------- single null-space forms against the old chains
+
+def _compose_chain(R, X, tol=TOL):
+    """R X as the intersection of two stacked windows in C^{a+b+c}."""
+    a, b, c = X.from_dim, X.to_dim, R.to_dim
+    s1 = column_space(np.block([
+        [X.F, np.zeros((a, c))],
+        [X.G, np.zeros((b, c))],
+        [np.zeros((c, X.dim)), np.eye(c)],
+    ]), tol)
+    s2 = column_space(np.block([
+        [np.eye(a), np.zeros((a, R.dim))],
+        [np.zeros((b, a)), R.F],
+        [np.zeros((c, a)), R.G],
+    ]), tol)
+    inter = intersect(s1, s2, tol)
+    keep = np.vstack([inter.basis[:a], inter.basis[a + b :]])
+    return LinearRelation(a, c, column_space(keep, tol))
+
+
+def _op_sum_chain(T, R, tol=TOL):
+    """T + R from the triples (f, a, b), (f, a) in T and (f, b) in R."""
+    n, m = T.from_dim, T.to_dim
+    s1 = column_space(np.block([
+        [T.F, np.zeros((n, m))],
+        [T.G, np.zeros((m, m))],
+        [np.zeros((m, T.dim)), np.eye(m)],
+    ]), tol)
+    s2 = column_space(np.block([
+        [R.F, np.zeros((n, m))],
+        [np.zeros((m, R.dim)), np.eye(m)],
+        [R.G, np.zeros((m, m))],
+    ]), tol)
+    inter = intersect(s1, s2, tol)
+    L = np.block([
+        [np.eye(n), np.zeros((n, 2 * m))],
+        [np.zeros((m, n)), np.eye(m), np.eye(m)],
+    ])
+    return LinearRelation(n, m, column_space(L @ inter.basis, tol))
+
+
+def _restrict_domain_chain(T, S, tol=TOL):
+    """T ∩ (S x C^m)."""
+    m = T.to_dim
+    window = column_space(np.block([
+        [S.basis, np.zeros((S.ambient_dim, m))],
+        [np.zeros((m, S.dim)), np.eye(m)],
+    ]), tol)
+    return LinearRelation(T.from_dim, m, intersect(T.graph, window, tol))
+
+
+def _is_symmetric_chain(T, K, tol=TOL):
+    return rel_contains(krein_adjoint(T, K, K, tol), T, tol)
+
+
+def _is_selfadjoint_chain(T, K, tol=TOL):
+    return rel_equal(krein_adjoint(T, K, K, tol), T, tol)
+
+
+def _relation_kinds(rng, n, m):
+    """Zero, full, purely multivalued, operator, non-operator and
+    generic relations C^n -> C^m."""
+    kinds = [zero_relation(n, m), full_relation(n, m)]
+    mul_basis = np.vstack([np.zeros((n, m)), random_unitary(rng, m)])
+    kinds.append(LinearRelation(n, m, Subspace(
+        n + m, mul_basis[:, : int(rng.integers(0, m + 1))])))
+    kinds.append(rel_from_operator(rng.normal(size=(m, n))))
+    kinds.append(random_relation(rng, n, m, graph_dim=min(n + 1, n + m)))
+    kinds.append(random_relation(rng, n, m))
+    return kinds
+
+
+_DIMS = range(0, 5)
+
+
+def test_compose_matches_window_chain():
+    rng = rng_stream(61)
+    seen_mul = False
+    for a in _DIMS:
+        for b in _DIMS:
+            for c in _DIMS:
+                xs = _relation_kinds(rng, a, b)
+                rs = _relation_kinds(rng, b, c)
+                for i, X in enumerate(xs):
+                    for R in (rs[i], rs[(i + 1) % len(rs)]):
+                        new = compose(R, X, TOL)
+                        assert rel_equal(new, _compose_chain(R, X), TOL)
+                        seen_mul |= new.mul(TOL).dim > 0
+    assert seen_mul
+
+
+def test_op_sum_matches_window_chain():
+    rng = rng_stream(62)
+    for n in _DIMS:
+        for m in _DIMS:
+            ts = _relation_kinds(rng, n, m)
+            rs = _relation_kinds(rng, n, m)
+            for i, T in enumerate(ts):
+                for R in (rs[i], rs[(i + 2) % len(rs)]):
+                    assert rel_equal(op_sum(T, R, TOL), _op_sum_chain(T, R),
+                                     TOL)
+
+
+def test_restrict_domain_matches_window_chain():
+    rng = rng_stream(63)
+    for n in _DIMS:
+        for m in _DIMS:
+            subspaces = [Subspace(n, random_unitary(rng, n)[:, :k])
+                         for k in range(n + 1)]
+            for T in _relation_kinds(rng, n, m):
+                for S in subspaces:
+                    new = T.restrict_domain(S, TOL)
+                    assert rel_equal(new, _restrict_domain_chain(T, S), TOL)
+                    # the product of orthonormal bases needs no rebasing
+                    assert sub_contains(S, new.dom(TOL), TOL)
+
+
+def test_gram_symmetry_matches_krein_adjoint_chain():
+    rng = rng_stream(64)
+    seen = set()
+    for n in _DIMS:
+        for kappa in range(n + 1):
+            K = random_krein(rng, n, kappa)
+            selfadj = LinearRelation(
+                n, n, hypermax_neutral(rng, hat_symmetry(K)))
+            cases = _relation_kinds(rng, n, n) + [
+                selfadj,
+                random_symmetric_relation(rng, K),
+                random_symmetric_relation(rng, K, graph_dim=max(0, n - 1)),
+            ]
+            for T in cases:
+                sym, sa = is_symmetric(T, K, TOL), is_selfadjoint(T, K, TOL)
+                assert sym == _is_symmetric_chain(T, K)
+                assert sa == _is_selfadjoint_chain(T, K)
+                seen.add((sym, sa))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_symmetry_rejects_a_mismatched_space():
+    with pytest.raises(DimensionMismatchError):
+        is_symmetric(identity_relation(2), hilbert_space(3))
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*a, **k):
+        calls.append(a[0].shape)
+        return svd(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_relation_operations_take_at_most_two_svds(monkeypatch):
+    rng = rng_stream(65)
+    X, R = random_relation(rng, 3, 4, 5), random_relation(rng, 4, 2, 4)
+    T, T2 = random_relation(rng, 4, 3, 4), random_relation(rng, 4, 3, 5)
+    S = Subspace(4, random_unitary(rng, 4)[:, :2])
+    K = random_krein(rng, 3, 1)
+    sym = random_symmetric_relation(rng, K, graph_dim=2)
+    calls = _count_svd(monkeypatch)
+    for op in (lambda: compose(R, X, TOL), lambda: op_sum(T, T2, TOL),
+               lambda: T.restrict_domain(S, TOL)):
+        del calls[:]
+        op()
+        assert len(calls) <= 2
+    del calls[:]
+    assert is_symmetric(sym, K, TOL) and not is_selfadjoint(sym, K, TOL)
+    assert calls == []

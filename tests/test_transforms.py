@@ -1,6 +1,8 @@
 """Both transformation schemes for boundary pairs, linear fractional
 transforms, scalings and the quasi-boundary-triple map."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,19 +14,43 @@ from kreinrel.errors import (
 )
 from kreinrel.generators import (
     InstanceSpec,
+    gen_boundary_unitary_relation,
     gen_obt,
     gen_qbt_map,
     gen_std_unitary,
     gen_unitary_boundary_pair,
+    random_krein,
+    random_relation,
+    random_unitary,
     rng_stream,
 )
 from kreinrel.relations import (
+    LinearRelation,
+    full_relation,
     image_of,
+    krein_adjoint,
     rel_equal,
     rel_from_operator,
+    shmulyan,
+    zero_relation,
 )
-from kreinrel.spaces import doubled_boundary, hilbert_space, make_krein
-from kreinrel.subspaces import DEFAULT_TOL, contains as sub_contains
+from kreinrel.spaces import (
+    _classify_graph,
+    _pair_metric,
+    doubled_boundary,
+    doubled_krein,
+    hat_symmetry,
+    hilbert_space,
+    make_krein,
+)
+from kreinrel.subspaces import (
+    DEFAULT_TOL,
+    Subspace,
+    column_space,
+    contains as sub_contains,
+    intersect,
+    subspace_equal,
+)
 from kreinrel.transforms import (
     QbtMap,
     delta_correction,
@@ -32,6 +58,7 @@ from kreinrel.transforms import (
     lft,
     make_commuting_unitary,
     make_std_unitary,
+    n_hat_v,
     p_poly,
     qbt_relation,
     qbt_transform,
@@ -247,3 +274,175 @@ def test_delta_correction_requires_rho_v():
     if not in_rho_v(bp, V, 1j):
         with pytest.raises(PreconditionError):
             delta_correction(bp, V, 1j)
+
+
+# ------------------------- single null-space forms against the old chains
+
+def _n_hat_v_chain(v_rel, a_star, z, tol=TOL):
+    """dom(V ∩ (A_* x zI)) through a window and an intersection."""
+    two_n, two_n2 = v_rel.from_dim, v_rel.to_dim
+    half = two_n2 // 2
+    zgraph = column_space(np.vstack([np.eye(half), z * np.eye(half)]), tol)
+    window = column_space(np.block([
+        [a_star.graph.basis, np.zeros((two_n, zgraph.dim))],
+        [np.zeros((two_n2, a_star.graph.dim)), zgraph.basis],
+    ]), tol)
+    inter = intersect(v_rel.graph, window, tol)
+    return column_space(inter.basis[:two_n], tol)
+
+
+def _v_star_chain(v_rel, tol=TOL):
+    """dom(V ∩ (L^2 x ({0} x cH))) through a window and an intersection."""
+    two_m, two_m2 = v_rel.from_dim, v_rel.to_dim
+    m2 = two_m2 // 2
+    window = column_space(np.block([
+        [np.eye(two_m), np.zeros((two_m, m2))],
+        [np.zeros((m2, two_m)), np.zeros((m2, m2))],
+        [np.zeros((m2, two_m)), np.eye(m2)],
+    ]), tol)
+    inter = intersect(v_rel.graph, window, tol)
+    dom = column_space(inter.basis[:two_m], tol)
+    return LinearRelation(two_m // 2, two_m // 2, dom)
+
+
+def _graph_unitary_chain(rel, K_from, K_to, tol=TOL):
+    """The block graph equals its own Gamma_# between the hat spaces."""
+    sharp = krein_adjoint(rel, doubled_krein(K_from), doubled_krein(K_to),
+                          tol)
+    return rel_equal(sharp.inverse(), rel, tol)
+
+
+def _graph_unitary(rel, K_from, K_to, tol=TOL):
+    metric = _pair_metric(hat_symmetry(K_from), hat_symmetry(K_to))
+    return _classify_graph(rel.graph.basis, metric, tol) == "unitary"
+
+
+def _doubled_relations(rng, n, n2):
+    """Zero, full, purely multivalued, operator, non-operator and
+    generic relations C^{2n} -> C^{2n2}."""
+    a, b = 2 * n, 2 * n2
+    mul = np.vstack([np.zeros((a, b)), random_unitary(rng, b)])
+    return [
+        zero_relation(a, b),
+        full_relation(a, b),
+        LinearRelation(a, b, Subspace(a + b, mul[:, : int(rng.integers(
+            0, b + 1))])),
+        rel_from_operator(rng.normal(size=(b, a))),
+        random_relation(rng, a, b, graph_dim=min(a + 1, a + b)),
+        random_relation(rng, a, b),
+        gen_boundary_unitary_relation(rng, n, n2),
+    ]
+
+
+def test_n_hat_v_matches_window_chain():
+    rng = rng_stream(71)
+    seen = set()
+    for n in range(0, 5):
+        for n2 in range(0, 5):
+            a_stars = [zero_relation(n), full_relation(n),
+                       random_relation(rng, n, n),
+                       random_relation(rng, n, n, graph_dim=min(2 * n, n + 1))]
+            for i, V in enumerate(_doubled_relations(rng, n, n2)):
+                z = complex(rng.normal(), 0.2 + rng.uniform())
+                a_star = a_stars[i % len(a_stars)]
+                new = n_hat_v(V, a_star, z, TOL)
+                assert subspace_equal(new, _n_hat_v_chain(V, a_star, z), TOL)
+                seen.add(new.dim > 0)
+    for trial in range(6):
+        bp = gen_obt(InstanceSpec(1 + trial % 3, 1, trial % 2),
+                     rng_stream(72, trial), TOL)
+        V = std_unitary_relation(gen_std_unitary(rng_stream(73, trial), bp.H))
+        new = n_hat_v(V, bp.a_star(), Z, TOL)
+        assert subspace_equal(new, _n_hat_v_chain(V, bp.a_star(), Z), TOL)
+    assert seen == {True, False}
+
+
+def test_v_star_matches_window_chain():
+    rng = rng_stream(74)
+    for m in range(0, 5):
+        for m2 in range(0, 5):
+            for V in _doubled_relations(rng, m, m2):
+                assert rel_equal(v_star(V, TOL), _v_star_chain(V), TOL)
+    for m in (1, 2, 3):
+        V = qbt_relation(gen_qbt_map(rng_stream(75, m), m))
+        assert rel_equal(v_star(V, TOL), _v_star_chain(V), TOL)
+
+
+def test_block_graph_gram_test_matches_krein_adjoint_chain():
+    seen = set()
+    for trial in range(24):
+        rng = rng_stream(76, trial)
+        n = 1 + trial % 4
+        K = random_krein(rng, n, int(rng.integers(0, n + 1)))
+        M = gen_std_unitary(rng, K).block_matrix()
+        for scale in (0.0, 1e-13, 1e-5, 1.0):
+            E = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
+            rel = rel_from_operator(M + scale * E)
+            verdict = _graph_unitary(rel, K, K)
+            assert verdict == _graph_unitary_chain(rel, K, K)
+            seen.add(verdict)
+        # unequal dims: an operator graph of dim 2n is never unitary
+        K2 = random_krein(rng, n + 1, 0)
+        rel = rel_from_operator(rng.normal(size=(2 * n + 2, 2 * n)))
+        assert not _graph_unitary(rel, K, K2)
+        assert not _graph_unitary_chain(rel, K, K2)
+    assert seen == {True, False}
+
+
+def test_make_std_unitary_graph_check_catches_what_a_loose_atol_passes():
+    rng = rng_stream(77)
+    K = random_krein(rng, 2, 1)
+    V = gen_std_unitary(rng, K)
+    bad = [X + 1e-4 * rng.normal(size=X.shape) for X in (V.A, V.B, V.C, V.D)]
+    rel = rel_from_operator(np.block([bad[:2], bad[2:]]))
+    assert not _graph_unitary_chain(rel, K, K)
+    with pytest.raises(ValidationError, match="not a unitary relation"):
+        make_std_unitary(*bad, K, K, atol=1.0)
+    make_std_unitary(V.A, V.B, V.C, V.D, K, K, atol=1e-8)
+
+
+def _bundle_ii_case(trial):
+    """An ordinary boundary triple and the restriction of a unitary V
+    to a proper subspace of its domain: dom V lies in ran Gamma = C^{2m}
+    without covering it."""
+    rng = rng_stream(78, trial)
+    m = 1 + trial % 3
+    bp = gen_obt(InstanceSpec(m + trial % 2, m, trial % 2), rng, TOL)
+    V = gen_boundary_unitary_relation(rng, m, 1 + (trial // 3) % 3)
+    S = Subspace(2 * m, random_unitary(rng, 2 * m)[:, : 2 * m - 1])
+    return bp, V.restrict_domain(S, TOL)
+
+
+def test_transform_left_bundle_ii_matches_krein_adjoint_chain():
+    for trial in range(12):
+        bp, V = _bundle_ii_case(trial)
+        _, info = transform_left(bp, V)
+        assert info["bundle"] == "dom_v_within_ran_gamma"
+        v_plus = krein_adjoint(V, doubled_boundary(bp.m),
+                               doubled_boundary(V.to_dim // 2), TOL)
+        expect = shmulyan(bp.gamma.inverse(), v_plus.mul(TOL), TOL)
+        assert rel_equal(info["T_prime"], expect, TOL)
+
+
+def test_no_krein_adjoint_in_make_std_unitary_or_transform_left(monkeypatch):
+    import kreinrel
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "kreinrel"
+                and callable(getattr(mod, "krein_adjoint", None))):
+            real = getattr(mod, "krein_adjoint")
+            monkeypatch.setattr(
+                mod, "krein_adjoint",
+                lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
+    assert callable(kreinrel.relations.krein_adjoint)
+    K = random_krein(rng_stream(79), 3, 1)
+    V = gen_std_unitary(rng_stream(79), K)
+    make_std_unitary(V.A, V.B, V.C, V.D, K, K)
+    u_j(K)
+    bp, v_rel = _bundle_ii_case(5)
+    transform_left(bp, v_rel)
+    transform_left(bp, gen_boundary_unitary_relation(rng_stream(80), bp.m))
+    assert calls == []
+    kreinrel.relations.krein_adjoint(v_rel, doubled_boundary(bp.m),
+                                     doubled_boundary(v_rel.to_dim // 2))
+    assert len(calls) == 1
