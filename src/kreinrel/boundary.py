@@ -40,13 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .relations import (
     LinearRelation,
     in_resolvent,
     is_selfadjoint,
     is_symmetric,
-    krein_adjoint,
     point_spectrum,
     shmulyan,
 )
@@ -54,14 +53,12 @@ from .spaces import (
     KreinSpace,
     _classify_graph,
     _pair_metric,
-    doubled_boundary,
-    doubled_krein,
     hat_symmetry,
     hat_symmetry_boundary,
     hilbert_space,
     make_krein,
 )
-from .subspaces import DEFAULT_TOL, column_space, null_space
+from .subspaces import DEFAULT_TOL, Subspace, column_space, null_space
 
 __all__ = [
     "BoundaryPair",
@@ -84,9 +81,16 @@ __all__ = [
 
 
 def gamma_sharp(gamma: LinearRelation, H: KreinSpace, L_dim, tol=DEFAULT_TOL):
-    """Gamma_# = (Gamma+)^{-1} between the doubled symmetries."""
-    plus = krein_adjoint(gamma, doubled_krein(H), doubled_boundary(L_dim), tol)
-    return plus.inverse()
+    """Gamma_# = (Gamma+)^{-1} between the doubled symmetries: the
+    companion null(B* W) of Gamma's graph basis B in the metric
+    W = diag(hat J_H, -hat J_L)."""
+    if gamma.from_dim != 2 * H.dim or gamma.to_dim != 2 * L_dim:
+        raise DimensionMismatchError(
+            "gamma must map the doubled state space to the doubled "
+            "boundary space")
+    metric = _pair_metric(hat_symmetry(H), hat_symmetry_boundary(L_dim))
+    return LinearRelation(gamma.from_dim, gamma.to_dim, null_space(
+        gamma.graph.basis.conj().T @ metric, tol))
 
 
 class BoundaryPair:
@@ -100,7 +104,8 @@ class BoundaryPair:
         or 'not_isometric' - Gram neutrality of Gamma's graph basis in
         diag(hat J_H, -hat J_L) plus the count dim Gamma = n + m.
     gamma_sharp
-        Gamma_# = (Gamma+)^{-1}, cached on first read.
+        Gamma_# = (Gamma+)^{-1} = null(B* W) for Gamma's graph basis B
+        and W = diag(hat J_H, -hat J_L), cached on first read.
     flags
         gamma_is_operator, gamma_surjective, T0_selfadjoint,
         ran_gamma0_full - the decidable sub-classification predicates
@@ -185,7 +190,10 @@ class BoundaryPair:
         return LinearRelation(self.n, self.n, self.gamma.dom(self.tol))
 
     def t_plus(self) -> LinearRelation:
-        return krein_adjoint(self.underlying_T(), self.H, self.H, self.tol)
+        """T+ = T^[perp] = null(T_basis* hat J_H)."""
+        T = self.underlying_T()
+        return LinearRelation(self.n, self.n, null_space(
+            T.graph.basis.conj().T @ hat_symmetry(self.H), self.tol))
 
     def projections(self):
         """The components Gamma_0, Gamma_1 as relations C^{2n} -> C^m:
@@ -366,24 +374,18 @@ def weyl(bp: BoundaryPair, z) -> WeylSample:
 # main transform
 # ---------------------------------------------------------------------
 
-def _main_transform_matrix(n, m):
-    """Coordinate map (f, f', l, l') -> ((f, l), (f', -l'))."""
-    P = np.zeros((2 * (n + m), 2 * n + 2 * m))
-    P[:n, :n] = np.eye(n)                              # f
-    P[n : n + m, 2 * n : 2 * n + m] = np.eye(m)        # l
-    P[n + m : 2 * n + m, n : 2 * n] = np.eye(n)        # f'
-    P[2 * n + m :, 2 * n + m :] = -np.eye(m)           # -l'
-    return P
-
-
 def main_transform(bp: BoundaryPair) -> LinearRelation:
     """The exit-space relation {((f,l), (f',-l')) : (f^, l^) in Gamma}.
 
+    Its graph basis is B's rows (f, l, f', -l'): a signed row
+    permutation of Gamma's orthonormal graph basis, so no SVD.
     Self-adjoint in (C^{n+m}, J ⊕ I) exactly when Gamma is unitary.
     """
     n, m = bp.n, bp.m
-    P = _main_transform_matrix(n, m)
-    return bp.gamma.mapped_graph(P, n + m, n + m, bp.tol)
+    B = bp.gamma.graph.basis
+    basis = np.vstack([B[:n], B[2 * n : 2 * n + m], B[n : 2 * n],
+                       -B[2 * n + m :]])
+    return LinearRelation(n + m, n + m, Subspace(2 * (n + m), basis))
 
 
 def main_transform_space(bp_or_H, L_dim=None) -> KreinSpace:
@@ -406,12 +408,10 @@ def inverse_main_transform(A: LinearRelation, H: KreinSpace, L_dim,
     if A.from_dim != n + m or A.to_dim != n + m:
         raise PreconditionError("relation does not live in C^{n+m}")
     # A-graph rows are (f, l, f', -l'); undo the reshuffle and the sign
-    Q = np.zeros((2 * n + 2 * m, 2 * (n + m)))
-    Q[:n, :n] = np.eye(n)                              # f
-    Q[n : 2 * n, n + m : 2 * n + m] = np.eye(n)        # f'
-    Q[2 * n : 2 * n + m, n : n + m] = np.eye(m)        # l
-    Q[2 * n + m :, 2 * n + m :] = -np.eye(m)           # l'
-    gamma = A.mapped_graph(Q, 2 * n, 2 * m, tol)
+    A_basis = A.graph.basis
+    basis = np.vstack([A_basis[:n], A_basis[n + m : 2 * n + m],
+                       A_basis[n : n + m], -A_basis[2 * n + m :]])
+    gamma = LinearRelation(2 * n, 2 * m, Subspace(2 * (n + m), basis))
     return BoundaryPair(H, m, gamma, tol)
 
 

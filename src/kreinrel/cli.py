@@ -111,10 +111,15 @@ def _load_reports(paths):
     reports = []
     for path in paths:
         with open(path) as fp:
-            data = json.load(fp)
+            try:
+                data = json.load(fp)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ValidationError(f"{path}: malformed JSON: {exc}")
         records = data if isinstance(data, list) else [data]
         for rec in records:
             try:
+                if not isinstance(rec["theorem_id"], str):
+                    raise TypeError("theorem_id is not a string")
                 reports.append({
                     "theorem_id": rec["theorem_id"],
                     "trials": int(rec["trials"]),

@@ -29,7 +29,7 @@ from .spaces import (
     hat_symmetry_boundary,
     make_krein,
 )
-from .subspaces import DEFAULT_TOL, Subspace, column_space, null_space
+from .subspaces import DEFAULT_TOL, Subspace, null_space
 from .transforms import QbtMap, StdUnitaryOp, make_std_unitary
 
 __all__ = [

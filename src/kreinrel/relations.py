@@ -122,12 +122,6 @@ class LinearRelation:
         return LinearRelation(self.to_dim, self.from_dim, Subspace(
             self.to_dim + self.from_dim, basis))
 
-    def mapped_graph(self, L, new_from, new_to, tol=DEFAULT_TOL):
-        """Relation whose graph is the image of this graph under L."""
-        L = np.asarray(L, dtype=complex)
-        return LinearRelation(
-            new_from, new_to, column_space(L @ self.graph.basis, tol))
-
     def shifted(self, z, tol=DEFAULT_TOL):
         """The relation T - zI (square relations only)."""
         _require_square(self)

@@ -159,9 +159,20 @@ def dump(obj, fp=None):
 
 
 def load(source):
-    """Inverse of :func:`dump`; accepts a JSON string or an open file."""
-    d = json.loads(source) if isinstance(source, str) else json.load(source)
-    tag = d.get("type")
+    """Inverse of :func:`dump`; accepts a JSON string or an open file.
+
+    Undecodable JSON and missing or mistyped fields raise
+    ValidationError.
+    """
+    try:
+        d = json.loads(source) if isinstance(source, str) else json.load(source)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"malformed JSON: {exc}")
+    tag = d.get("type") if isinstance(d, dict) else None
     if tag not in _TAGGED:
         raise ValidationError(f"unknown or missing type tag: {tag!r}")
-    return _TAGGED[tag][2](d)
+    try:
+        return _TAGGED[tag][2](d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"malformed {tag} record: missing or mistyped field {exc}")

@@ -24,8 +24,6 @@ __all__ = [
     "indef_inner",
     "hat_symmetry",
     "hat_symmetry_boundary",
-    "doubled_krein",
-    "doubled_boundary",
     "krein_adjoint_matrix",
 ]
 
@@ -123,16 +121,6 @@ def _classify_graph(basis, metric, tol):
     if np.any(np.abs(gram) > tol.angle_tol):
         return "not_isometric"
     return "unitary" if 2 * basis.shape[1] == metric.shape[0] else "isometric"
-
-
-def doubled_krein(K: KreinSpace) -> KreinSpace:
-    """The doubled space C^{2n} as a Krein space with symmetry hat(J)."""
-    return make_krein(hat_symmetry(K))
-
-
-def doubled_boundary(m) -> KreinSpace:
-    """The doubled boundary space C^{2m} with its standard symmetry."""
-    return make_krein(hat_symmetry_boundary(m))
 
 
 def krein_adjoint_matrix(X, K_from: KreinSpace, K_to: KreinSpace):

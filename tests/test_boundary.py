@@ -49,7 +49,6 @@ from kreinrel.relations import (
     shmulyan,
 )
 from kreinrel.spaces import (
-    doubled_boundary,
     hat_symmetry,
     hat_symmetry_boundary,
     hilbert_space,
@@ -218,7 +217,8 @@ def _weyl_oracle(bp, z):
     sel = np.zeros((m + n, 2 * n + m))
     sel[:m, 2 * n :] = np.eye(m)
     sel[m :, :n] = np.eye(n)
-    return M, restricted.mapped_graph(sel, m, n, tol)
+    return M, LinearRelation(m, n, column_space(
+        sel @ restricted.graph.basis, tol))
 
 
 def _weyl_of_gamma(gamma, n, m, z, tol):
@@ -542,6 +542,13 @@ def test_gen_obt_flags_always_hold():
 
 # ------------------------ graph-basis derivations against the old chains
 
+def _gamma_sharp_chain(gamma, H, m, tol):
+    """Gamma_# as (Gamma+)^{-1}, the Krein adjoint between the doubled
+    spaces (C^{2n}, hat J_H) and (C^{2m}, hat J_L)."""
+    return krein_adjoint(gamma, make_krein(hat_symmetry(H)),
+                         make_krein(hat_symmetry_boundary(m)), tol).inverse()
+
+
 def _classification_oracle(gamma, sharp, tol):
     """Gamma against Gamma_# through rel_equal / rel_contains."""
     if rel_equal(gamma, sharp, tol):
@@ -561,8 +568,9 @@ def _selection_projections(bp):
     sel1 = np.zeros((2 * n + m, 2 * n + 2 * m))
     sel1[: 2 * n, : 2 * n] = np.eye(2 * n)
     sel1[2 * n :, 2 * n + m :] = np.eye(m)
-    return (bp.gamma.mapped_graph(sel0, 2 * n, m, bp.tol),
-            bp.gamma.mapped_graph(sel1, 2 * n, m, bp.tol))
+    B = bp.gamma.graph.basis
+    return (LinearRelation(2 * n, m, column_space(sel0 @ B, bp.tol)),
+            LinearRelation(2 * n, m, column_space(sel1 @ B, bp.tol)))
 
 
 def _old_chains(bp):
@@ -570,7 +578,7 @@ def _old_chains(bp):
     the adjoint and selection-matrix chains."""
     tol = bp.tol
     n = bp.n
-    sharp = gamma_sharp(bp.gamma, bp.H, bp.m, tol)
+    sharp = _gamma_sharp_chain(bp.gamma, bp.H, bp.m, tol)
     g0, g1 = _selection_projections(bp)
     T = LinearRelation(n, n, sharp.ker(tol))
     T0 = LinearRelation(n, n, g0.ker(tol))
@@ -691,8 +699,9 @@ def test_boundary_v_classification_matches_old_chain():
         sub = LinearRelation(2 * m, 2 * m2, Subspace(
             2 * (m + m2), unitary.graph.basis @ coeff))
         for v_rel in (unitary, sub, random_relation(rng, 2 * m, 2 * m2)):
-            sharp = krein_adjoint(v_rel, doubled_boundary(m),
-                                  doubled_boundary(m2)).inverse()
+            sharp = krein_adjoint(
+                v_rel, make_krein(hat_symmetry_boundary(m)),
+                make_krein(hat_symmetry_boundary(m2))).inverse()
             cls = boundary_v_classification(v_rel)
             assert cls == _classification_oracle(v_rel, sharp, DEFAULT_TOL)
             seen.add(cls)
@@ -737,3 +746,84 @@ def test_strictly_isometric_pair_has_no_symmetric_t():
             bp.underlying_T()
         raised += 1
     assert raised > 0
+
+
+# ------------- Gamma_#, T+ and the main transform against the old chains
+
+def _main_transform_chain(bp):
+    """J(Gamma) as the column space of P B, with P the coordinate map
+    (f, f', l, l') -> ((f, l), (f', -l'))."""
+    n, m = bp.n, bp.m
+    P = np.zeros((2 * (n + m), 2 * (n + m)))
+    P[:n, :n] = np.eye(n)
+    P[n : n + m, 2 * n : 2 * n + m] = np.eye(m)
+    P[n + m : 2 * n + m, n : 2 * n] = np.eye(n)
+    P[2 * n + m :, 2 * n + m :] = -np.eye(m)
+    return P, LinearRelation(n + m, n + m, column_space(
+        P @ bp.gamma.graph.basis, bp.tol))
+
+
+def _assert_direct_forms_match_chains(bp):
+    """Gamma_#, T+, J(Gamma) and its inverse against the adjoint and
+    coordinate-matrix chains; returns whether T+ was compared."""
+    tol = bp.tol
+    chain = _gamma_sharp_chain(bp.gamma, bp.H, bp.m, tol)
+    _assert_same_relation(bp.gamma_sharp, chain, tol)
+    _assert_same_relation(gamma_sharp(bp.gamma, bp.H, bp.m, tol), chain, tol)
+    P, mt_chain = _main_transform_chain(bp)
+    mt = main_transform(bp)
+    assert np.array_equal(mt.graph.basis, P @ bp.gamma.graph.basis)
+    _assert_same_relation(mt, mt_chain, tol)
+    back = inverse_main_transform(mt, bp.H, bp.m, tol)
+    assert np.array_equal(back.gamma.graph.basis, bp.gamma.graph.basis)
+    assert back.classification == bp.classification
+    back = inverse_main_transform(mt_chain, bp.H, bp.m, tol)
+    _assert_same_relation(back.gamma, bp.gamma, tol)
+    try:
+        T = bp.underlying_T()
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            bp.t_plus()
+        return False
+    _assert_same_relation(bp.t_plus(), krein_adjoint(T, bp.H, bp.H, tol), tol)
+    return True
+
+
+def test_direct_forms_match_old_chains():
+    seen = set()
+    for bp in _gram_oracle_pairs():
+        compared = _assert_direct_forms_match_chains(bp)
+        seen.add((bp.classification, bp.flags["gamma_is_operator"], compared))
+    assert {c for c, _, _ in seen} == {"unitary", "isometric",
+                                       "not_isometric"}
+    assert ("unitary", False, True) in seen  # multivalued Gamma
+    assert ("isometric", True, True) in seen
+
+
+def test_direct_forms_match_old_chains_at_n64():
+    bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), rng_stream(53))
+    assert _assert_direct_forms_match_chains(bp)
+
+
+def test_no_krein_adjoint_in_gamma_sharp_t_plus_or_main_transform(
+        monkeypatch):
+    import sys
+    import kreinrel
+    bp = gen_unitary_boundary_pair(InstanceSpec(3, 2, 1), rng_stream(54))
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "kreinrel":
+            continue
+        for attr in ("krein_adjoint", "make_krein"):
+            real = getattr(mod, attr, None)
+            if callable(real):
+                monkeypatch.setattr(
+                    mod, attr,
+                    lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
+    bp.gamma_sharp
+    bp.t_plus()
+    inverse_main_transform(main_transform(bp), bp.H, bp.m)
+    assert calls == []
+    kreinrel.relations.krein_adjoint(bp.underlying_T(), bp.H, bp.H)
+    kreinrel.spaces.make_krein(bp.H.J)
+    assert len(calls) == 2

@@ -23,7 +23,7 @@ from kreinrel.checks import (
     check_theorem,
     weyl_sweep,
 )
-from kreinrel.checks import _CHECKS, _VACUOUS
+from kreinrel.checks import _REGISTRY
 from kreinrel.errors import PreconditionError, ValidationError
 from kreinrel.generators import InstanceSpec, gen_unitary_boundary_pair, rng_stream
 from kreinrel.relations import LinearRelation, in_resolvent
@@ -32,9 +32,19 @@ from kreinrel.subspaces import Subspace
 
 
 def test_registry_is_complete_and_consistent():
-    assert set(THEOREM_IDS) == set(_CHECKS)
-    assert set(THEOREM_IDS) == set(_VACUOUS)
-    assert len(THEOREM_IDS) == len(set(THEOREM_IDS))
+    assert THEOREM_IDS == (
+        "pop_lemma", "derk_lemma", "cwsum_adjoint", "torth", "wie",
+        "behrndt20", "projp1", "rrz", "rrzz", "equivfNTh",
+        "mrTG_selfadjoint", "lemma_r", "lemma_r2", "resTG_pipeline",
+        "IUBP", "IUBP3", "delta0", "delta0b", "scaled_obt", "fTex",
+        "IBP0", "IUBP2xxcor", "GunTp", "VVV", "Vstar", "propVVV",
+        "QBTex", "thmVVV", "pstan2_probe",
+    )
+    assert tuple(_REGISTRY) == THEOREM_IDS
+    for check, clauses in _REGISTRY.values():
+        assert callable(check)
+        assert isinstance(clauses, tuple) and clauses
+        assert all(isinstance(c, str) and c for c in clauses)
 
 
 def test_unknown_id_is_rejected():

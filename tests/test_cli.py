@@ -1,7 +1,9 @@
 """Command line front end: subcommands, exit codes and determinism."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -145,6 +147,31 @@ def test_report_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"theorem_id": "x"}))
     assert main(["report", str(bad)]) == 2
+    rec = {"theorem_id": 5, "trials": 1, "failures": 0,
+           "worst_residual": 0.0, "seed": 0}
+    bad.write_text(json.dumps([dict(rec, theorem_id="x"), rec]))
+    assert main(["report", str(bad)]) == 2
+
+
+def test_report_of_non_json_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main(["report", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_of_non_json_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main(["sweep", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_of_pair_with_missing_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "boundary_pair", "H": {"dim": 2}}))
+    assert main(["sweep", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_import_leaves_scipy_unloaded():
@@ -157,3 +184,23 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_no_unused_module_level_imports():
+    # every name a module imports at module level is read somewhere in
+    # that module; __init__.py re-exports and is exempt
+    unused = {}
+    for path in sorted(pathlib.Path(kreinrel.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        if bound - read:
+            unused[path.name] = sorted(bound - read)
+    assert unused == {}

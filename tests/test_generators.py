@@ -23,7 +23,12 @@ from kreinrel.generators import (
     rng_stream,
 )
 from kreinrel.relations import is_symmetric, rel_equal
-from kreinrel.spaces import doubled_boundary, doubled_krein, hilbert_space
+from kreinrel.spaces import (
+    hat_symmetry,
+    hat_symmetry_boundary,
+    hilbert_space,
+    make_krein,
+)
 from kreinrel.subspaces import DEFAULT_TOL, subspace_equal
 
 TOL = DEFAULT_TOL
@@ -148,7 +153,8 @@ def test_gen_boundary_unitary_relation_is_unitary():
         rng = rng_stream(12, trial)
         m, m2 = 1 + trial % 3, 1 + (trial + 1) % 3
         V = gen_boundary_unitary_relation(rng, m, m2, TOL)
-        Vp = krein_adjoint(V, doubled_boundary(m), doubled_boundary(m2), TOL)
+        Vp = krein_adjoint(V, make_krein(hat_symmetry_boundary(m)),
+                           make_krein(hat_symmetry_boundary(m2)), TOL)
         assert rel_equal(V, Vp.inverse(), TOL)
 
 
@@ -157,7 +163,7 @@ def test_gen_std_unitary_blocks_validate():
     K = random_krein(rng, 2, 1)
     V = gen_std_unitary(rng, K, K, TOL)
     M = V.block_matrix()
-    hat = doubled_krein(K).J
+    hat = hat_symmetry(K)
     assert np.linalg.norm(M.conj().T @ hat @ M - hat) < 1e-8
 
 

@@ -6,8 +6,6 @@ import pytest
 from kreinrel.errors import DimensionMismatchError, ValidationError
 from kreinrel.spaces import (
     KreinSpace,
-    doubled_boundary,
-    doubled_krein,
     hat_symmetry,
     hat_symmetry_boundary,
     hilbert_space,
@@ -77,8 +75,8 @@ def test_hat_symmetry_structure():
 
 def test_doubled_spaces_have_balanced_signature():
     K = make_krein(np.diag([1.0, -1.0, 1.0]))
-    assert doubled_krein(K).neg_index == 3
-    assert doubled_boundary(2).neg_index == 2
+    assert make_krein(hat_symmetry(K)).neg_index == 3
+    assert make_krein(hat_symmetry_boundary(2)).neg_index == 2
     assert np.allclose(hat_symmetry_boundary(2),
                        hat_symmetry(hilbert_space(2)))
 

@@ -37,9 +37,8 @@ from kreinrel.relations import (
 from kreinrel.spaces import (
     _classify_graph,
     _pair_metric,
-    doubled_boundary,
-    doubled_krein,
     hat_symmetry,
+    hat_symmetry_boundary,
     hilbert_space,
     make_krein,
 )
@@ -307,8 +306,8 @@ def _v_star_chain(v_rel, tol=TOL):
 
 def _graph_unitary_chain(rel, K_from, K_to, tol=TOL):
     """The block graph equals its own Gamma_# between the hat spaces."""
-    sharp = krein_adjoint(rel, doubled_krein(K_from), doubled_krein(K_to),
-                          tol)
+    sharp = krein_adjoint(rel, make_krein(hat_symmetry(K_from)),
+                          make_krein(hat_symmetry(K_to)), tol)
     return rel_equal(sharp.inverse(), rel, tol)
 
 
@@ -418,8 +417,9 @@ def test_transform_left_bundle_ii_matches_krein_adjoint_chain():
         bp, V = _bundle_ii_case(trial)
         _, info = transform_left(bp, V)
         assert info["bundle"] == "dom_v_within_ran_gamma"
-        v_plus = krein_adjoint(V, doubled_boundary(bp.m),
-                               doubled_boundary(V.to_dim // 2), TOL)
+        v_plus = krein_adjoint(
+            V, make_krein(hat_symmetry_boundary(bp.m)),
+            make_krein(hat_symmetry_boundary(V.to_dim // 2)), TOL)
         expect = shmulyan(bp.gamma.inverse(), v_plus.mul(TOL), TOL)
         assert rel_equal(info["T_prime"], expect, TOL)
 
@@ -443,6 +443,7 @@ def test_no_krein_adjoint_in_make_std_unitary_or_transform_left(monkeypatch):
     transform_left(bp, v_rel)
     transform_left(bp, gen_boundary_unitary_relation(rng_stream(80), bp.m))
     assert calls == []
-    kreinrel.relations.krein_adjoint(v_rel, doubled_boundary(bp.m),
-                                     doubled_boundary(v_rel.to_dim // 2))
+    kreinrel.relations.krein_adjoint(
+        v_rel, make_krein(hat_symmetry_boundary(bp.m)),
+        make_krein(hat_symmetry_boundary(v_rel.to_dim // 2)))
     assert len(calls) == 1
