@@ -42,7 +42,7 @@ def section(title):
 
 def main():
     section("1. A definite pair reports zero negative squares")
-    rep = neg_squares_estimate(identity_obt(), [GRID], TOL)
+    rep = neg_squares_estimate(identity_obt(), [GRID])
     print(f"kappa' = {rep.kappa_prime}, bound = {rep.kappa_bound}")
 
     section("2. One negative square, after rescaling")
@@ -53,7 +53,7 @@ def main():
     print("raw main transform has resolvent points on the grid:",
           any(in_resolvent(mt, z, TOL) for z in GRID.points))
     scaled = scale_eps(bp, 0.5)
-    rep = neg_squares_estimate(scaled, [GRID], TOL)
+    rep = neg_squares_estimate(scaled, [GRID])
     print(f"after scale_eps(0.5): kappa' = {rep.kappa_prime}, "
           f"bound = {rep.kappa_bound}")
 
@@ -72,7 +72,7 @@ def main():
             print(f"  n={n} kappa={kappa}: no usable grid points, skipped")
             continue
         rep = neg_squares_estimate(
-            pair, [KernelSampleGrid(points=usable)], TOL)
+            pair, [KernelSampleGrid(points=usable)])
         print(f"  n={n} kappa={kappa}: kappa' = {rep.kappa_prime} "
               f"<= {rep.kappa_bound}")
 

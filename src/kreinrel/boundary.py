@@ -53,8 +53,6 @@ from .spaces import (
     KreinSpace,
     _classify_graph,
     _pair_metric,
-    hat_symmetry,
-    hat_symmetry_boundary,
     hilbert_space,
     make_krein,
 )
@@ -88,7 +86,7 @@ def gamma_sharp(gamma: LinearRelation, H: KreinSpace, L_dim, tol=DEFAULT_TOL):
         raise DimensionMismatchError(
             "gamma must map the doubled state space to the doubled "
             "boundary space")
-    metric = _pair_metric(hat_symmetry(H), hat_symmetry_boundary(L_dim))
+    metric = _pair_metric(H, hilbert_space(L_dim))
     return LinearRelation(gamma.from_dim, gamma.to_dim, null_space(
         gamma.graph.basis.conj().T @ metric, tol))
 
@@ -116,14 +114,14 @@ class BoundaryPair:
     def __init__(self, H: KreinSpace, L_dim, gamma: LinearRelation,
                  tol=DEFAULT_TOL):
         if gamma.from_dim != 2 * H.dim or gamma.to_dim != 2 * L_dim:
-            raise PreconditionError(
+            raise DimensionMismatchError(
                 "gamma must map the doubled state space to the doubled "
                 "boundary space")
         self.H = H
         self.L_dim = int(L_dim)
         self.gamma = gamma
         self.tol = tol
-        metric = _pair_metric(hat_symmetry(H), hat_symmetry_boundary(L_dim))
+        metric = _pair_metric(H, hilbert_space(L_dim))
         self.classification = _classify_graph(gamma.graph.basis, metric, tol)
 
     @cached_property
@@ -175,10 +173,9 @@ class BoundaryPair:
         """
         if self.classification == "not_isometric":
             raise PreconditionError("pair is not isometric; T is undefined")
-        hat = hat_symmetry(self.H)
         B_H = self.gamma.graph.basis[: 2 * self.n]
         T = LinearRelation(self.n, self.n,
-                           null_space(B_H.conj().T @ hat, self.tol))
+                           null_space(B_H.conj().T @ self.H.hat, self.tol))
         if not is_symmetric(T, self.H, self.tol):
             raise PreconditionError(
                 "ker Gamma_# = (dom Gamma)^[perp] is not symmetric: the "
@@ -190,10 +187,13 @@ class BoundaryPair:
         return LinearRelation(self.n, self.n, self.gamma.dom(self.tol))
 
     def t_plus(self) -> LinearRelation:
-        """T+ = T^[perp] = null(T_basis* hat J_H)."""
-        T = self.underlying_T()
-        return LinearRelation(self.n, self.n, null_space(
-            T.graph.basis.conj().T @ hat_symmetry(self.H), self.tol))
+        """T+ = T^[perp] = dom Gamma, since T = (dom Gamma)^[perp].
+
+        Raises PreconditionError where ``underlying_T`` does: the pair
+        is not isometric, or its T is not symmetric.
+        """
+        self.underlying_T()
+        return self.a_star()
 
     def projections(self):
         """The components Gamma_0, Gamma_1 as relations C^{2n} -> C^m:
@@ -388,12 +388,9 @@ def main_transform(bp: BoundaryPair) -> LinearRelation:
     return LinearRelation(n + m, n + m, Subspace(2 * (n + m), basis))
 
 
-def main_transform_space(bp_or_H, L_dim=None) -> KreinSpace:
+def main_transform_space(bp: BoundaryPair) -> KreinSpace:
     """The Krein space (C^{n+m}, J ⊕ I) the main transform lives in."""
-    if isinstance(bp_or_H, BoundaryPair):
-        H, m = bp_or_H.H, bp_or_H.m
-    else:
-        H, m = bp_or_H, L_dim
+    H, m = bp.H, bp.m
     J = np.block([
         [H.J, np.zeros((H.dim, m))],
         [np.zeros((m, H.dim)), np.eye(m)],
@@ -419,15 +416,13 @@ def inverse_main_transform(A: LinearRelation, H: KreinSpace, L_dim,
 # extensions and spectral bookkeeping
 # ---------------------------------------------------------------------
 
-def theta_extension(bp: BoundaryPair, theta: LinearRelation,
-                    tol=None) -> LinearRelation:
+def theta_extension(bp: BoundaryPair, theta: LinearRelation) -> LinearRelation:
     """The extension T_Theta = Gamma^{-1}(Theta), a relation in H."""
-    tol = bp.tol if tol is None else tol
     if theta.from_dim != bp.m or theta.to_dim != bp.m:
         raise PreconditionError("Theta must be a relation in the boundary space")
     if bp.classification == "not_isometric":
         raise PreconditionError("Theta-extensions need an isometric pair")
-    return shmulyan(bp.gamma.inverse(), theta.graph, tol)
+    return shmulyan(bp.gamma.inverse(), theta.graph, bp.tol)
 
 
 @dataclass(frozen=True)
@@ -555,5 +550,5 @@ def green_pairing_ok(bp: BoundaryPair, atol=1e-8):
     [f', g] - [f, g'] = <l', k> - <l, k'> for all basis pairs, whose
     defects are i times the entries of B* diag(hat J_H, -hat J_L) B."""
     B = bp.gamma.graph.basis
-    metric = _pair_metric(hat_symmetry(bp.H), hat_symmetry_boundary(bp.m))
+    metric = _pair_metric(bp.H, hilbert_space(bp.m))
     return bool(np.all(np.abs(B.conj().T @ metric @ B) <= atol))

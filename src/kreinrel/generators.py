@@ -22,13 +22,7 @@ import numpy as np
 from .boundary import BoundaryPair
 from .errors import GenerationError, PreconditionError, ValidationError
 from .relations import LinearRelation, rel_equal
-from .spaces import (
-    KreinSpace,
-    _pair_metric,
-    hat_symmetry,
-    hat_symmetry_boundary,
-    make_krein,
-)
+from .spaces import KreinSpace, _pair_metric, hilbert_space, make_krein
 from .subspaces import DEFAULT_TOL, Subspace, null_space
 from .transforms import QbtMap, StdUnitaryOp, make_std_unitary
 
@@ -75,11 +69,11 @@ def _cgauss(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
-def conditioned_matrix(rng, rows, cols, smin=0.1, smax=10.0):
+def conditioned_matrix(rng, rows, cols):
     """Complex Gaussian matrix with singular values clipped to
-    [smin, smax] - keeps chained tolerances meaningful."""
+    [0.1, 10] - keeps chained tolerances meaningful."""
     u, s, vh = np.linalg.svd(_cgauss(rng, rows, cols), full_matrices=False)
-    return u @ np.diag(np.clip(s, smin, smax)) @ vh
+    return u @ np.diag(np.clip(s, 0.1, 10.0)) @ vh
 
 
 def random_unitary(rng, n):
@@ -89,9 +83,9 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng, n, scale=1.0):
+def random_hermitian(rng, n):
     X = conditioned_matrix(rng, n, n)
-    return scale * (X + X.conj().T) / 2
+    return (X + X.conj().T) / 2
 
 
 def random_krein(rng, n, kappa_minus) -> KreinSpace:
@@ -156,7 +150,7 @@ def random_symmetric_relation(rng, H: KreinSpace, graph_dim=None,
         graph_dim = int(rng.integers(0, n + 1))
     if graph_dim > n:
         raise PreconditionError("a symmetric relation has graph dim <= n")
-    maximal = hypermax_neutral(rng, hat_symmetry(H))
+    maximal = hypermax_neutral(rng, H.hat)
     coeff = random_unitary(rng, n)[:, :graph_dim]
     return LinearRelation(n, n, Subspace(2 * n, maximal.basis @ coeff))
 
@@ -174,8 +168,7 @@ def gen_unitary_boundary_pair(spec: InstanceSpec, rng=None,
     """A random unitary boundary pair with the requested signature."""
     rng = rng_stream(spec.seed) if rng is None else rng
     H = _spec_space(spec, rng)
-    graph = hypermax_neutral(
-        rng, _pair_metric(hat_symmetry(H), hat_symmetry_boundary(spec.m)))
+    graph = hypermax_neutral(rng, _pair_metric(H, hilbert_space(spec.m)))
     gamma = LinearRelation(2 * spec.n, 2 * spec.m, graph)
     return BoundaryPair(H, spec.m, gamma, tol)
 
@@ -218,20 +211,20 @@ def gen_obt(spec: InstanceSpec, rng=None, tol=DEFAULT_TOL) -> BoundaryPair:
 
 
 def gen_unitary_pair_with_T(T: LinearRelation, H: KreinSpace, m, rng,
-                            tol=DEFAULT_TOL, retries=RETRY_CAP) -> BoundaryPair:
+                            tol=DEFAULT_TOL) -> BoundaryPair:
     """A random unitary pair whose underlying symmetric relation is the
     prescribed T.
 
     T x {0} is a neutral subspace of the pair metric; it is the graph
     of an isometry between parts of the +-1 eigenspaces, which is
     completed to a unitary by a random rotation of the complements.
-    Resamples until ker Gamma = T exactly (the completion can
-    accidentally enlarge the kernel).
+    Resamples, up to RETRY_CAP times, until ker Gamma = T exactly (the
+    completion can accidentally enlarge the kernel).
     """
     n = H.dim
     if T.from_dim != n or T.to_dim != n:
         raise PreconditionError("T must be a relation in H")
-    metric = _pair_metric(hat_symmetry(H), hat_symmetry_boundary(m))
+    metric = _pair_metric(H, hilbert_space(m))
     plus, minus = _eigensplit(metric)
     p = plus.shape[1]
     d = T.dim
@@ -246,7 +239,7 @@ def gen_unitary_pair_with_T(T: LinearRelation, H: KreinSpace, m, rng,
     qa, qb = np.sqrt(2.0) * a, np.sqrt(2.0) * b
     qa_perp = null_space(qa.conj().T, tol).basis
     qb_perp = null_space(qb.conj().T, tol).basis
-    for _ in range(retries):
+    for _ in range(RETRY_CAP):
         R = random_unitary(rng, p - d)
         U = qb @ qa.conj().T + qb_perp @ R @ qa_perp.conj().T
         basis = (plus + minus @ U) / np.sqrt(2.0)
@@ -266,22 +259,23 @@ def gen_boundary_unitary_relation(rng, m, m2=None,
                                   tol=DEFAULT_TOL) -> LinearRelation:
     """A random unitary relation between doubled boundary spaces."""
     m2 = m if m2 is None else m2
-    metric = _pair_metric(hat_symmetry_boundary(m), hat_symmetry_boundary(m2))
+    metric = _pair_metric(hilbert_space(m), hilbert_space(m2))
     graph = hypermax_neutral(rng, metric)
     return LinearRelation(2 * m, 2 * m2, graph)
 
 
 def gen_std_unitary(rng, K_from: KreinSpace, K_to: KreinSpace = None,
-                    tol=DEFAULT_TOL, retries=RETRY_CAP) -> StdUnitaryOp:
+                    tol=DEFAULT_TOL) -> StdUnitaryOp:
     """A random standard unitary block operator between doubled Krein
-    spaces: a random unitary relation there, resampled until it is the
-    graph of an (automatically invertible) operator."""
+    spaces: a random unitary relation there, resampled up to RETRY_CAP
+    times until it is the graph of an (automatically invertible)
+    operator."""
     K_to = K_from if K_to is None else K_to
     n, n2 = K_from.dim, K_to.dim
     if n != n2:
         raise PreconditionError("an invertible block operator needs equal dims")
-    metric = _pair_metric(hat_symmetry(K_from), hat_symmetry(K_to))
-    for _ in range(retries):
+    metric = _pair_metric(K_from, K_to)
+    for _ in range(RETRY_CAP):
         graph = hypermax_neutral(rng, metric)
         rel = LinearRelation(2 * n, 2 * n, graph)
         F = rel.F

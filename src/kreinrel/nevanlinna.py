@@ -80,10 +80,10 @@ class NegSquaresReport:
     grids_used: int
 
 
-def weyl_symmetry_check(bp: BoundaryPair, z, tol=None):
+def weyl_symmetry_check(bp: BoundaryPair, z):
     """M(z)* = M_{Gamma_#}(zbar) as subspace equality; for unitary
     pairs this is the symmetry condition M(z)* = M(zbar)."""
-    tol = bp.tol if tol is None else tol
+    tol = bp.tol
     z = complex(z)
     if z.imag == 0.0:
         raise PreconditionError("z must be nonreal")
@@ -93,9 +93,9 @@ def weyl_symmetry_check(bp: BoundaryPair, z, tol=None):
     return rel_equal(lhs, rhs, tol)
 
 
-def _resolvent_vectors(bp, mt, z, tol):
+def _resolvent_vectors(bp, mt, z):
     """Columns P_H (J(Gamma) - conj(z))^{-1} (0, e_a), a = 1..m."""
-    n, m = bp.n, bp.m
+    n, m, tol = bp.n, bp.m, bp.tol
     w = complex(z).conjugate()
     if not in_resolvent(mt, w, tol):
         raise PreconditionError(
@@ -106,7 +106,7 @@ def _resolvent_vectors(bp, mt, z, tol):
     return (R @ E)[:n]
 
 
-def nev_kernel(bp: BoundaryPair, z, w, tol=None):
+def nev_kernel(bp: BoundaryPair, z, w):
     """The m x m Gram contribution G(z, w) of a pair of grid points.
 
     G(z, w)[a, b] = [P_H R(conj(w)) (0, e_b), P_H R(conj(z)) (0, e_a)]
@@ -114,19 +114,17 @@ def nev_kernel(bp: BoundaryPair, z, w, tol=None):
     main transform.  Hermitian in the sense G(z, w)* = G(w, z), and
     congruent to the difference-quotient kernel of the Weyl family.
     """
-    tol = bp.tol if tol is None else tol
     for p in (z, w):
         if complex(p).imag == 0.0:
             raise PreconditionError("kernel points must be nonreal")
     mt = main_transform(bp)
-    X = _resolvent_vectors(bp, mt, w, tol)
-    Y = _resolvent_vectors(bp, mt, z, tol)
+    X = _resolvent_vectors(bp, mt, w)
+    Y = _resolvent_vectors(bp, mt, z)
     return Y.conj().T @ bp.H.J @ X
 
 
-def block_gram(bp: BoundaryPair, grid: KernelSampleGrid, tol=None):
+def block_gram(bp: BoundaryPair, grid: KernelSampleGrid):
     """The full Gram matrix of a sample grid (points x probe vectors)."""
-    tol = bp.tol if tol is None else tol
     m = bp.m
     vectors = grid.vectors
     if vectors is None:
@@ -134,30 +132,28 @@ def block_gram(bp: BoundaryPair, grid: KernelSampleGrid, tol=None):
     V = np.column_stack(vectors)
     mt = main_transform(bp)
     # columns P_H R(conj(z_a)) (0, v_i), grouped by grid point
-    C = np.hstack([_resolvent_vectors(bp, mt, za, tol) @ V
+    C = np.hstack([_resolvent_vectors(bp, mt, za) @ V
                    for za in grid.points])
     return C.conj().T @ bp.H.J @ C
 
 
-def count_negative(G, rel_tol=1e-8):
-    """Eigenvalues of a Hermitian matrix below -rel_tol * ||G||."""
+def count_negative(G):
+    """Eigenvalues of a Hermitian matrix below -1e-8 * ||G||."""
     if G.shape[0] == 0:
         return 0
     Gh = (G + G.conj().T) / 2
     w = np.linalg.eigvalsh(Gh)
-    cut = -rel_tol * max(1e-300, np.max(np.abs(w)))
+    cut = -1e-8 * max(1e-300, np.max(np.abs(w)))
     return int(np.sum(w < cut))
 
 
-def neg_squares_estimate(bp: BoundaryPair, grids,
-                         tol=None) -> NegSquaresReport:
+def neg_squares_estimate(bp: BoundaryPair, grids) -> NegSquaresReport:
     """Max count of negative Gram eigenvalues over the sample grids."""
-    tol = bp.tol if tol is None else tol
     if bp.classification != "unitary":
         raise PreconditionError("negative squares are probed for unitary pairs")
     kappa = 0
     for grid in grids:
-        G = block_gram(bp, grid, tol)
+        G = block_gram(bp, grid)
         kappa = max(kappa, count_negative(G))
     return NegSquaresReport(kappa_prime=kappa,
                             kappa_bound=bp.H.neg_index,
@@ -174,7 +170,7 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     """
     from .transforms import scale_eps
     tol = bp.tol
-    cond1 = all(weyl_symmetry_check(bp, z, tol) for z in grid.points)
+    cond1 = all(weyl_symmetry_check(bp, z) for z in grid.points)
     scaled = scale_eps(bp, eps)
     excluded = delta_excluded_points(bp)
     admissible = [] if excluded is None else [
@@ -191,7 +187,7 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     usable = [z for z in usable if z.conjugate() in usable]
     if usable:
         subgrid = KernelSampleGrid(points=tuple(usable), vectors=grid.vectors)
-        report = neg_squares_estimate(scaled, [subgrid], tol)
+        report = neg_squares_estimate(scaled, [subgrid])
         cond3 = report.kappa_prime <= report.kappa_bound
         kappa_prime = report.kappa_prime
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
-from .spaces import KreinSpace, _classify_graph, hat_symmetry
+from .spaces import KreinSpace, _classify_graph
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -317,7 +317,7 @@ def _hat_class(T: LinearRelation, K: KreinSpace, tol):
     _require_square(T)
     if K.dim != T.from_dim:
         raise DimensionMismatchError("Krein space does not match the relation")
-    return _classify_graph(T.graph.basis, hat_symmetry(K), tol)
+    return _classify_graph(T.graph.basis, K.hat, tol)
 
 
 def is_symmetric(T: LinearRelation, K: KreinSpace, tol=DEFAULT_TOL):
@@ -407,13 +407,13 @@ def _nullity(A, rtol):
     return int(small + max(0, A.shape[1] - len(s)))
 
 
-def sigma_p_contains(T: LinearRelation, z, rtol=_EIG_RTOL):
+def sigma_p_contains(T: LinearRelation, z):
     """True iff z is an eigenvalue (N_z(T) nontrivial), with a relaxed
     rank test suitable for eigenvalues found by a pencil solver."""
     _require_square(T)
     if T.dim == 0:
         return False
-    return _nullity(T.G - z * T.F, rtol) > 0
+    return _nullity(T.G - z * T.F, _EIG_RTOL) > 0
 
 
 def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:

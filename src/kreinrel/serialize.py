@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .boundary import BoundaryPair
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .relations import LinearRelation
 from .spaces import KreinSpace, make_krein
 from .subspaces import DEFAULT_TOL, Subspace
@@ -161,8 +161,8 @@ def dump(obj, fp=None):
 def load(source):
     """Inverse of :func:`dump`; accepts a JSON string or an open file.
 
-    Undecodable JSON and missing or mistyped fields raise
-    ValidationError.
+    Undecodable JSON, missing or mistyped fields and shapes that
+    disagree raise ValidationError.
     """
     try:
         d = json.loads(source) if isinstance(source, str) else json.load(source)
@@ -176,3 +176,5 @@ def load(source):
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"malformed {tag} record: missing or mistyped field {exc}")
+    except DimensionMismatchError as exc:
+        raise ValidationError(f"malformed {tag} record: {exc}")

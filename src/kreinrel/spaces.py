@@ -6,11 +6,15 @@ doubled space C^{2n} of graph pairs carries the symmetry
 
     hat(J) = [[0, -iJ], [iJ, 0]],
 
-and a boundary (Hilbert) space C^m carries the analogous symmetry with
-J = I.  Krein adjoints of plain matrices are X+ = J_from X* J_to.
+read as ``KreinSpace.hat`` and built once per space.  A boundary
+(Hilbert) space C^m is ``hilbert_space(m)``, whose hat has J = I.
+Since hat(J)^2 = diag(J^2, J^2), the involution check of
+``make_krein`` covers the doubled symmetry too.  Krein adjoints of
+plain matrices are X+ = J_from X* J_to.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +26,6 @@ __all__ = [
     "make_krein",
     "hilbert_space",
     "indef_inner",
-    "hat_symmetry",
-    "hat_symmetry_boundary",
     "krein_adjoint_matrix",
 ]
 
@@ -42,6 +44,14 @@ class KreinSpace:
         if not isinstance(other, KreinSpace):
             return NotImplemented
         return self.dim == other.dim and np.allclose(self.J, other.J)
+
+    @cached_property
+    def hat(self):
+        """The 2n x 2n symmetry [[0, -iJ], [iJ, 0]] of the doubled space."""
+        n = self.dim
+        top = np.hstack([np.zeros((n, n)), -1j * self.J])
+        bot = np.hstack([1j * self.J, np.zeros((n, n))])
+        return np.vstack([top, bot])
 
 
 def make_krein(J) -> KreinSpace:
@@ -79,33 +89,13 @@ def indef_inner(x, y, K: KreinSpace):
     return complex(np.vdot(K.J @ y, x))
 
 
-def _hat_from_J(J):
-    n = J.shape[0]
-    top = np.hstack([np.zeros((n, n)), -1j * J])
-    bot = np.hstack([1j * J, np.zeros((n, n))])
-    return np.vstack([top, bot])
-
-
-def hat_symmetry(K: KreinSpace):
-    """The 2n x 2n symmetry [[0, -iJ], [iJ, 0]] of the doubled space."""
-    hat = _hat_from_J(K.J)
-    if np.linalg.norm(hat @ hat - np.eye(2 * K.dim)) > _SNAP_TOL:
-        raise ValidationError("doubled symmetry failed the involution check")
-    return hat
-
-
-def hat_symmetry_boundary(m):
-    """The doubled symmetry of the boundary space C^m (J = I there)."""
-    return _hat_from_J(np.eye(m, dtype=complex))
-
-
-def _pair_metric(hat_from, hat_to):
-    """diag(hat_from, -hat_to): a relation between the two doubled
+def _pair_metric(K_from: KreinSpace, K_to: KreinSpace):
+    """diag(hat J_from, -hat J_to): a relation between the two doubled
     spaces is isometric exactly when its graph is neutral here."""
-    a, b = hat_from.shape[0], hat_to.shape[0]
+    a, b = 2 * K_from.dim, 2 * K_to.dim
     out = np.zeros((a + b, a + b), dtype=complex)
-    out[:a, :a] = hat_from
-    out[a:, a:] = -hat_to
+    out[:a, :a] = K_from.hat
+    out[a:, a:] = -K_to.hat
     return out
 
 

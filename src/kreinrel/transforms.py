@@ -29,8 +29,6 @@ from .spaces import (
     KreinSpace,
     _classify_graph,
     _pair_metric,
-    hat_symmetry,
-    hat_symmetry_boundary,
     hilbert_space,
     krein_adjoint_matrix,
 )
@@ -141,7 +139,7 @@ def make_std_unitary(A, B, C, D, K_from: KreinSpace, K_to: KreinSpace,
         raise ValidationError("standard-unitary conditions violated: "
                               + "; ".join(failures))
     V = StdUnitaryOp(A=A, B=B, C=C, D=D, K_from=K_from, K_to=K_to)
-    metric = _pair_metric(hat_symmetry(K_from), hat_symmetry(K_to))
+    metric = _pair_metric(K_from, K_to)
     if _classify_graph(std_unitary_relation(V).graph.basis, metric,
                        DEFAULT_TOL) != "unitary":
         raise ValidationError("block matrix is not a unitary relation "
@@ -203,28 +201,17 @@ def std_unitary_relation(V: StdUnitaryOp) -> LinearRelation:
 # right scheme: Gamma -> Gamma V^{-1}
 # ---------------------------------------------------------------------
 
-def transform_right(bp: BoundaryPair, V, K_to=None) -> BoundaryPair:
-    """The pair with Gamma' = Gamma V^{-1} over the codomain space.
+def transform_right(bp: BoundaryPair, V: StdUnitaryOp) -> BoundaryPair:
+    """The pair with Gamma' = Gamma V^{-1} over V's codomain space.
 
-    ``V`` is a StdUnitaryOp, or a unitary relation C^{2n} -> C^{2n'}
-    together with the codomain Krein space ``K_to``.  The domain of V
-    must cover A_*.
+    V must start at the state space (PreconditionError otherwise).  Its
+    graph is then an everywhere-defined operator on the doubled state
+    space, so dom V covers A_* without a test.
     """
-    if isinstance(V, StdUnitaryOp):
-        v_rel, K_new = std_unitary_relation(V), V.K_to
-        if V.K_from != bp.H:
-            raise PreconditionError("V does not start at the state space")
-    else:
-        if K_to is None:
-            raise PreconditionError("a raw relation V needs its codomain "
-                                    "Krein space")
-        v_rel, K_new = V, K_to
-    if v_rel.from_dim != 2 * bp.n:
-        raise DimensionMismatchError("V must act on the doubled state space")
-    if not sub_contains(v_rel.dom(bp.tol), bp.a_star().graph, bp.tol):
-        raise PreconditionError("dom V does not cover A_*")
-    gamma_new = compose(bp.gamma, v_rel.inverse(), bp.tol)
-    return BoundaryPair(K_new, bp.m, gamma_new, bp.tol)
+    if V.K_from != bp.H:
+        raise PreconditionError("V does not start at the state space")
+    gamma_new = compose(bp.gamma, std_unitary_relation(V).inverse(), bp.tol)
+    return BoundaryPair(V.K_to, bp.m, gamma_new, bp.tol)
 
 
 def n_hat_v(v_rel: LinearRelation, a_star: LinearRelation, z,
@@ -290,12 +277,11 @@ def _p_pencil(V: StdUnitaryOp, z, T0: LinearRelation):
     return (z * V.A - V.C) @ F0 + (z * V.B - V.D) @ G0
 
 
-def in_rho_v(bp: BoundaryPair, V: StdUnitaryOp, z, tol=None):
+def in_rho_v(bp: BoundaryPair, V: StdUnitaryOp, z):
     """z in rho_V = res T0 ∩ res T0', the latter via the criterion
     '0 in res p_V(z; T0)'."""
-    tol = bp.tol if tol is None else tol
     T0 = bp.T0()
-    if not in_resolvent(T0, z, tol):
+    if not in_resolvent(T0, z, bp.tol):
         return False
     P = _p_pencil(V, z, T0)
     if P.shape[0] != P.shape[1]:
@@ -304,18 +290,18 @@ def in_rho_v(bp: BoundaryPair, V: StdUnitaryOp, z, tol=None):
     return bool(s.size == 0 or s[-1] > 1e-8 * max(1.0, s[0]))
 
 
-def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z, tol=None):
+def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z):
     """The Weyl correction Delta(z) = -Gamma_1 p_V(z;T0)^{-1} p_V(z)
     gamma(z), an m x m matrix, so that the transformed triple
     Gamma' = Gamma V^{-1} has M'(z) = M(z) + Delta(z)."""
-    tol = bp.tol if tol is None else tol
+    tol = bp.tol
     if not bp.is_obt():
         raise PreconditionError("Delta correction requires an ordinary "
                                 "boundary triple")
     T = bp.underlying_T()
     if T.mul(tol).dim != 0:
         raise PreconditionError("underlying T must be an operator")
-    if not in_rho_v(bp, V, z, tol):
+    if not in_rho_v(bp, V, z):
         raise PreconditionError(f"z={z} is not in rho_V")
     T0 = bp.T0()
     gamma_mat = weyl(bp, z).gamma_field.to_matrix(tol)   # m -> n
@@ -340,20 +326,20 @@ def boundary_v_classification(v_rel: LinearRelation, tol=DEFAULT_TOL):
     the Gram test of its graph in diag(hat J_m, -hat J_m')."""
     if v_rel.from_dim % 2 or v_rel.to_dim % 2:
         raise DimensionMismatchError("V must act between doubled spaces")
-    metric = _pair_metric(hat_symmetry_boundary(v_rel.from_dim // 2),
-                          hat_symmetry_boundary(v_rel.to_dim // 2))
+    metric = _pair_metric(hilbert_space(v_rel.from_dim // 2),
+                          hilbert_space(v_rel.to_dim // 2))
     return _classify_graph(v_rel.graph.basis, metric, tol)
 
 
-def transform_left(bp: BoundaryPair, v_rel: LinearRelation,
-                   require_bundle=True):
+def transform_left(bp: BoundaryPair, v_rel: LinearRelation):
     """The pair with Gamma' = V Gamma for a boundary-side relation V.
 
     One of two hypothesis bundles must hold: (i) dom V covers ran
     Gamma (then the underlying T is unchanged), or (ii) dom V is
-    contained in ran Gamma (then T grows to Gamma^{-1}(mul V+)).
-    Returns ``(pair, info)`` where info records the V classification,
-    which bundle held, and T' for bundle (ii).
+    contained in ran Gamma (then T grows to Gamma^{-1}(mul V+)); if
+    neither does, PreconditionError.  Returns ``(pair, info)`` where
+    info records the V classification, which bundle held, and T' for
+    bundle (ii).
     """
     tol = bp.tol
     if v_rel.from_dim != 2 * bp.m:
@@ -364,7 +350,6 @@ def transform_left(bp: BoundaryPair, v_rel: LinearRelation,
         raise PreconditionError("V is not an isometric boundary-side relation")
     ran_gamma = bp.gamma.ran(tol)
     dom_v = v_rel.dom(tol)
-    bundle = None
     info = {"v_classification": cls}
     if sub_contains(dom_v, ran_gamma, tol):
         bundle = "dom_v_covers_ran_gamma"
@@ -372,10 +357,10 @@ def transform_left(bp: BoundaryPair, v_rel: LinearRelation,
         bundle = "dom_v_within_ran_gamma"
         # mul V+ = (dom V)^[perp] in the doubled boundary metric
         mul_v_plus = null_space(
-            dom_v.basis.conj().T @ hat_symmetry_boundary(bp.m), tol)
+            dom_v.basis.conj().T @ hilbert_space(bp.m).hat, tol)
         t_new = shmulyan(bp.gamma.inverse(), mul_v_plus, tol)
         info["T_prime"] = t_new
-    elif require_bundle:
+    else:
         raise PreconditionError(
             "neither hypothesis bundle holds: dom V and ran Gamma are "
             "incomparable")

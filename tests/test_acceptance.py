@@ -141,7 +141,7 @@ def test_weyl_symmetry_200_pairs():
         bp = gen_unitary_boundary_pair(
             InstanceSpec(n, m, trial % (n + 1)), rng, TOL)
         for z in zs:
-            assert weyl_symmetry_check(bp, z, TOL)
+            assert weyl_symmetry_check(bp, z)
 
 
 # 6. main transform: self-adjointness, corner identity, spectra and
@@ -281,7 +281,7 @@ def test_negative_squares_bound_across_signatures():
         if not usable:
             continue
         rep = neg_squares_estimate(
-            bp, [KernelSampleGrid(points=usable)], TOL)
+            bp, [KernelSampleGrid(points=usable)])
         assert rep.kappa_prime <= rep.kappa_bound
 
 

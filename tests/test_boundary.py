@@ -49,8 +49,6 @@ from kreinrel.relations import (
     shmulyan,
 )
 from kreinrel.spaces import (
-    hat_symmetry,
-    hat_symmetry_boundary,
     hilbert_space,
     indef_inner,
     make_krein,
@@ -60,6 +58,7 @@ from kreinrel.subspaces import (
     Subspace,
     Tolerance,
     column_space,
+    null_space,
     subspace_equal,
 )
 from kreinrel.transforms import boundary_v_classification
@@ -524,11 +523,11 @@ def test_theta_extension_endpoints():
     bp = identity_obt()
     from kreinrel.relations import full_relation, rel_contains
     t_zero = theta_extension(
-        bp, rel_from_operator(np.zeros((bp.m, bp.m))), TOL)
+        bp, rel_from_operator(np.zeros((bp.m, bp.m))))
     assert rel_equal(t_zero, bp.T1(), TOL)
     mul_only = rel_from_operator(np.zeros((bp.m, bp.m))).inverse()
-    assert rel_equal(theta_extension(bp, mul_only, TOL), bp.T0(), TOL)
-    t_all = theta_extension(bp, full_relation(bp.m), TOL)
+    assert rel_equal(theta_extension(bp, mul_only), bp.T0(), TOL)
+    t_all = theta_extension(bp, full_relation(bp.m))
     assert rel_contains(t_all, t_zero, TOL)
 
 
@@ -545,8 +544,8 @@ def test_gen_obt_flags_always_hold():
 def _gamma_sharp_chain(gamma, H, m, tol):
     """Gamma_# as (Gamma+)^{-1}, the Krein adjoint between the doubled
     spaces (C^{2n}, hat J_H) and (C^{2m}, hat J_L)."""
-    return krein_adjoint(gamma, make_krein(hat_symmetry(H)),
-                         make_krein(hat_symmetry_boundary(m)), tol).inverse()
+    return krein_adjoint(gamma, make_krein(H.hat),
+                         make_krein(hilbert_space(m).hat), tol).inverse()
 
 
 def _classification_oracle(gamma, sharp, tol):
@@ -671,8 +670,8 @@ def test_gram_classification_between_tolerances():
     strict = BoundaryPair(unitary.H, 3,
                           LinearRelation(6, 6, Subspace(12, half)))
     metric = np.zeros((12, 12), dtype=complex)
-    metric[:6, :6] = hat_symmetry(unitary.H)
-    metric[6:, 6:] = -hat_symmetry_boundary(3)
+    metric[:6, :6] = unitary.H.hat
+    metric[6:, 6:] = -hilbert_space(3).hat
     rng = rng_stream(46)
     for bp, neutral in ((unitary, "unitary"), (strict, "isometric")):
         B = bp.gamma.graph.basis
@@ -700,8 +699,8 @@ def test_boundary_v_classification_matches_old_chain():
             2 * (m + m2), unitary.graph.basis @ coeff))
         for v_rel in (unitary, sub, random_relation(rng, 2 * m, 2 * m2)):
             sharp = krein_adjoint(
-                v_rel, make_krein(hat_symmetry_boundary(m)),
-                make_krein(hat_symmetry_boundary(m2))).inverse()
+                v_rel, make_krein(hilbert_space(m).hat),
+                make_krein(hilbert_space(m2).hat)).inverse()
             cls = boundary_v_classification(v_rel)
             assert cls == _classification_oracle(v_rel, sharp, DEFAULT_TOL)
             seen.add(cls)
@@ -786,6 +785,8 @@ def _assert_direct_forms_match_chains(bp):
             bp.t_plus()
         return False
     _assert_same_relation(bp.t_plus(), krein_adjoint(T, bp.H, bp.H, tol), tol)
+    _assert_same_relation(bp.t_plus(), LinearRelation(bp.n, bp.n, null_space(
+        T.graph.basis.conj().T @ bp.H.hat, tol)), tol)
     return True
 
 

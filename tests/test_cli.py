@@ -12,6 +12,7 @@ import pytest
 import kreinrel
 from kreinrel.checks import SWEEP_COLUMNS, THEOREM_IDS
 from kreinrel.cli import main
+from kreinrel.boundary import identity_obt
 from kreinrel.generators import (
     InstanceSpec,
     gen_isometric_boundary_pair,
@@ -172,6 +173,20 @@ def test_sweep_of_pair_with_missing_field_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"type": "boundary_pair", "H": {"dim": 2}}))
     assert main(["sweep", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_of_pair_with_disagreeing_shapes_exits_2(tmp_path, capsys):
+    # gamma of from_dim 1 over H = C^1, and a graph of ambient_dim 3 != 2 + 2
+    graph = {"ambient_dim": 3, "basis": {"rows": 3, "cols": 1,
+                                         "re": [1.0, 0.0, 0.0],
+                                         "im": [0.0, 0.0, 0.0]}}
+    bad = tmp_path / "bad.json"
+    for from_dim in (1, 2):
+        gamma = {"from_dim": from_dim, "to_dim": 2, "graph": graph}
+        bad.write_text(json.dumps(dict(json.loads(dump(identity_obt())),
+                                       gamma=gamma)))
+        assert main(["sweep", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_import_leaves_scipy_unloaded():

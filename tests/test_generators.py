@@ -24,8 +24,6 @@ from kreinrel.generators import (
 )
 from kreinrel.relations import is_symmetric, rel_equal
 from kreinrel.spaces import (
-    hat_symmetry,
-    hat_symmetry_boundary,
     hilbert_space,
     make_krein,
 )
@@ -153,8 +151,8 @@ def test_gen_boundary_unitary_relation_is_unitary():
         rng = rng_stream(12, trial)
         m, m2 = 1 + trial % 3, 1 + (trial + 1) % 3
         V = gen_boundary_unitary_relation(rng, m, m2, TOL)
-        Vp = krein_adjoint(V, make_krein(hat_symmetry_boundary(m)),
-                           make_krein(hat_symmetry_boundary(m2)), TOL)
+        Vp = krein_adjoint(V, make_krein(hilbert_space(m).hat),
+                           make_krein(hilbert_space(m2).hat), TOL)
         assert rel_equal(V, Vp.inverse(), TOL)
 
 
@@ -163,7 +161,7 @@ def test_gen_std_unitary_blocks_validate():
     K = random_krein(rng, 2, 1)
     V = gen_std_unitary(rng, K, K, TOL)
     M = V.block_matrix()
-    hat = hat_symmetry(K)
+    hat = K.hat
     assert np.linalg.norm(M.conj().T @ hat @ M - hat) < 1e-8
 
 

@@ -76,15 +76,15 @@ def test_nev_kernel_hermitian_pairing():
     rng = rng_stream(41)
     bp = gen_obt(InstanceSpec(3, 2, 1), rng, TOL)
     z, w = 2j, 1 + 1j
-    G1 = nev_kernel(bp, z, w, TOL)
-    G2 = nev_kernel(bp, w, z, TOL)
+    G1 = nev_kernel(bp, z, w)
+    G2 = nev_kernel(bp, w, z)
     assert np.linalg.norm(G1.conj().T - G2) < 1e-10
 
 
 def test_block_gram_is_hermitian():
     rng = rng_stream(42)
     bp = gen_obt(InstanceSpec(3, 2, 1), rng, TOL)
-    G = block_gram(bp, GRID, TOL)
+    G = block_gram(bp, GRID)
     assert G.shape == (4 * bp.m, 4 * bp.m)
     assert np.linalg.norm(G - G.conj().T) < 1e-10
 
@@ -108,7 +108,7 @@ def test_kernel_congruent_to_weyl_difference_quotient():
         Mw = weyl(bp, w).M.to_matrix(TOL)
         Mwc = weyl(bp, np.conj(w)).M.to_matrix(TOL)
         lhs = (Mz - Mw.conj().T) / (z - np.conj(w))
-        G = nev_kernel(bp, z, w, TOL)
+        G = nev_kernel(bp, z, w)
         rhs = (Mz + z * np.eye(m)) @ G @ (Mwc + np.conj(w) * np.eye(m))
         err = np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs))
         worst = max(worst, err)
@@ -125,7 +125,7 @@ def test_count_negative_on_known_matrices():
 
 def test_identity_pair_has_zero_negative_squares():
     from kreinrel.boundary import identity_obt
-    rep = neg_squares_estimate(identity_obt(), [GRID], TOL)
+    rep = neg_squares_estimate(identity_obt(), [GRID])
     assert rep.kappa_prime == 0
     assert rep.kappa_bound == 0
     assert rep.grids_used == 1
@@ -136,9 +136,9 @@ def test_one_negative_square_fixture_needs_scaling():
     # eigenvalue), so the probe demands rescaling first
     bp = _neg_index_one_pair()
     with pytest.raises(PreconditionError):
-        neg_squares_estimate(bp, [GRID], TOL)
+        neg_squares_estimate(bp, [GRID])
     from kreinrel.transforms import scale_eps
-    rep = neg_squares_estimate(scale_eps(bp, 0.5), [GRID], TOL)
+    rep = neg_squares_estimate(scale_eps(bp, 0.5), [GRID])
     assert rep.kappa_prime == 1
     assert rep.kappa_bound == 1
 
@@ -150,7 +150,7 @@ def test_neg_squares_rejects_non_unitary_pair():
     half = LinearRelation(2, 2, Subspace(4, bp.gamma.graph.basis[:, :1]))
     iso = BoundaryPair(bp.H, 1, half)
     with pytest.raises(PreconditionError):
-        neg_squares_estimate(iso, [GRID], TOL)
+        neg_squares_estimate(iso, [GRID])
 
 
 def test_kappa_prime_bounded_by_neg_index_on_random_pairs():
@@ -169,7 +169,7 @@ def test_kappa_prime_bounded_by_neg_index_on_random_pairs():
         if not usable:
             continue
         rep = neg_squares_estimate(
-            bp, [KernelSampleGrid(points=usable)], TOL)
+            bp, [KernelSampleGrid(points=usable)])
         assert rep.kappa_prime <= rep.kappa_bound
         checked += 1
     assert checked >= 10
@@ -181,9 +181,9 @@ def test_weyl_symmetry_on_random_pairs():
     for trial in range(10):
         rng = rng_stream(45, trial)
         bp = gen_obt(InstanceSpec(3, 2, trial % 4), rng, TOL)
-        assert weyl_symmetry_check(bp, 0.7 + 1.3j, TOL)
+        assert weyl_symmetry_check(bp, 0.7 + 1.3j)
     with pytest.raises(PreconditionError):
-        weyl_symmetry_check(bp, 0.5, TOL)
+        weyl_symmetry_check(bp, 0.5)
 
 
 # -------------------------------------------------------- full probe

@@ -38,7 +38,7 @@ from kreinrel.relations import (
     sigma_p_contains,
     zero_relation,
 )
-from kreinrel.spaces import hat_symmetry, hilbert_space, make_krein
+from kreinrel.spaces import hilbert_space, make_krein
 from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -472,7 +472,7 @@ def test_gram_symmetry_matches_krein_adjoint_chain():
         for kappa in range(n + 1):
             K = random_krein(rng, n, kappa)
             selfadj = LinearRelation(
-                n, n, hypermax_neutral(rng, hat_symmetry(K)))
+                n, n, hypermax_neutral(rng, K.hat))
             cases = _relation_kinds(rng, n, n) + [
                 selfadj,
                 random_symmetric_relation(rng, K),

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from kreinrel.boundary import BoundaryPair
 from kreinrel.errors import DimensionMismatchError, ValidationError
+from kreinrel.relations import identity_relation, is_symmetric, rel_from_operator
 from kreinrel.spaces import (
     KreinSpace,
-    hat_symmetry,
-    hat_symmetry_boundary,
     hilbert_space,
     indef_inner,
     krein_adjoint_matrix,
@@ -64,7 +64,7 @@ def test_indef_inner_conventions():
 
 def test_hat_symmetry_structure():
     K = make_krein(np.diag([1.0, -1.0]))
-    hat = hat_symmetry(K)
+    hat = K.hat
     assert hat.shape == (4, 4)
     assert np.allclose(hat, hat.conj().T)
     assert np.allclose(hat @ hat, np.eye(4))
@@ -73,12 +73,21 @@ def test_hat_symmetry_structure():
     assert np.allclose(hat[2:, :2], 1j * K.J)
 
 
+def test_symmetry_accepted_by_make_krein_serves_every_user():
+    # ||J^2 - I|| = 9e-9 passes make_krein; hat(J)^2 - I = diag(J^2 - I,
+    # J^2 - I) must not be checked again at a stricter bound
+    K = make_krein(np.diag([1.0 + 4.5e-9, -1.0]))
+    assert K.neg_index == 1
+    assert is_symmetric(identity_relation(2), K)
+    # (f, f') -> (f, Jf') is a unitary boundary relation
+    u_j = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), K.J]])
+    assert BoundaryPair(K, 2, rel_from_operator(u_j)).classification == "unitary"
+
+
 def test_doubled_spaces_have_balanced_signature():
     K = make_krein(np.diag([1.0, -1.0, 1.0]))
-    assert make_krein(hat_symmetry(K)).neg_index == 3
-    assert make_krein(hat_symmetry_boundary(2)).neg_index == 2
-    assert np.allclose(hat_symmetry_boundary(2),
-                       hat_symmetry(hilbert_space(2)))
+    assert make_krein(K.hat).neg_index == 3
+    assert make_krein(hilbert_space(2).hat).neg_index == 2
 
 
 def test_krein_adjoint_matrix_pairing():

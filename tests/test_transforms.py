@@ -37,8 +37,6 @@ from kreinrel.relations import (
 from kreinrel.spaces import (
     _classify_graph,
     _pair_metric,
-    hat_symmetry,
-    hat_symmetry_boundary,
     hilbert_space,
     make_krein,
 )
@@ -306,13 +304,13 @@ def _v_star_chain(v_rel, tol=TOL):
 
 def _graph_unitary_chain(rel, K_from, K_to, tol=TOL):
     """The block graph equals its own Gamma_# between the hat spaces."""
-    sharp = krein_adjoint(rel, make_krein(hat_symmetry(K_from)),
-                          make_krein(hat_symmetry(K_to)), tol)
+    sharp = krein_adjoint(rel, make_krein(K_from.hat),
+                          make_krein(K_to.hat), tol)
     return rel_equal(sharp.inverse(), rel, tol)
 
 
 def _graph_unitary(rel, K_from, K_to, tol=TOL):
-    metric = _pair_metric(hat_symmetry(K_from), hat_symmetry(K_to))
+    metric = _pair_metric(K_from, K_to)
     return _classify_graph(rel.graph.basis, metric, tol) == "unitary"
 
 
@@ -418,8 +416,8 @@ def test_transform_left_bundle_ii_matches_krein_adjoint_chain():
         _, info = transform_left(bp, V)
         assert info["bundle"] == "dom_v_within_ran_gamma"
         v_plus = krein_adjoint(
-            V, make_krein(hat_symmetry_boundary(bp.m)),
-            make_krein(hat_symmetry_boundary(V.to_dim // 2)), TOL)
+            V, make_krein(hilbert_space(bp.m).hat),
+            make_krein(hilbert_space(V.to_dim // 2).hat), TOL)
         expect = shmulyan(bp.gamma.inverse(), v_plus.mul(TOL), TOL)
         assert rel_equal(info["T_prime"], expect, TOL)
 
@@ -444,6 +442,6 @@ def test_no_krein_adjoint_in_make_std_unitary_or_transform_left(monkeypatch):
     transform_left(bp, gen_boundary_unitary_relation(rng_stream(80), bp.m))
     assert calls == []
     kreinrel.relations.krein_adjoint(
-        v_rel, make_krein(hat_symmetry_boundary(bp.m)),
-        make_krein(hat_symmetry_boundary(v_rel.to_dim // 2)))
+        v_rel, make_krein(hilbert_space(bp.m).hat),
+        make_krein(hilbert_space(v_rel.to_dim // 2).hat))
     assert len(calls) == 1
