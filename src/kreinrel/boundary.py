@@ -14,10 +14,14 @@ Everything is read from B, the graph basis of Gamma in the row blocks
 companion of Gamma in the metric W = diag(hat J_H, -hat J_L), so Gamma
 is isometric exactly when B* W B = 0 and unitary when moreover
 dim Gamma = n + m.  T = null(B_H* hat J_H), T0 = ker Gamma_0 is spanned
-by B_H null(B_l) and T1 = ker Gamma_1 by B_H null(B_l').  The Weyl
-family M(z) = Gamma(A_* ∩ zI) and the gamma-field come from one null
-space: C = B null(B_f' - z B_f) spans {(f, zf, l, l') in Gamma}; M(z)
-is spanned by the (l, l') rows of C, the gamma-field by (l, f).
+by B_H null(B_l) and T1 = ker Gamma_1 by B_H null(B_l').  The columns
+of B null(B_l) are the elements (f, f', 0, l') of Gamma, so their l'
+rows are Gamma_1 on T0.  Gamma is an operator when null(B_H) = {0},
+and an ordinary boundary triple when moreover it is unitary and onto
+C^{2m}.  The Weyl family M(z) = Gamma(A_* ∩ zI) and the gamma-field
+come from one null space: C = B null(B_f' - z B_f) spans
+{(f, zf, l, l') in Gamma}; M(z) is spanned by the (l, l') rows of C,
+the gamma-field by (l, f).
 
 Many z per pair share one split of the pencil (B_f', B_f) (the
 frequency-response reduction of Laub, IEEE TAC 1981).  Once per pair,
@@ -44,7 +48,6 @@ from .errors import DimensionMismatchError, PreconditionError
 from .relations import (
     LinearRelation,
     in_resolvent,
-    is_selfadjoint,
     is_symmetric,
     point_spectrum,
     shmulyan,
@@ -104,11 +107,6 @@ class BoundaryPair:
     gamma_sharp
         Gamma_# = (Gamma+)^{-1} = null(B* W) for Gamma's graph basis B
         and W = diag(hat J_H, -hat J_L), cached on first read.
-    flags
-        gamma_is_operator, gamma_surjective, T0_selfadjoint,
-        ran_gamma0_full - the decidable sub-classification predicates
-        (operator + surjective unitary pair = ordinary boundary
-        triple), cached on first read.
     """
 
     def __init__(self, H: KreinSpace, L_dim, gamma: LinearRelation,
@@ -137,17 +135,6 @@ class BoundaryPair:
             return None
         return _pencil_split(self.gamma.graph.basis, self.n)
 
-    @cached_property
-    def flags(self):
-        tol = self.tol
-        l_rows = self.gamma.graph.basis[2 * self.n : 2 * self.n + self.m]
-        return {
-            "gamma_is_operator": self.gamma.mul(tol).dim == 0,
-            "gamma_surjective": self.gamma.ran(tol).dim == 2 * self.m,
-            "T0_selfadjoint": is_selfadjoint(self.T0(), self.H, tol),
-            "ran_gamma0_full": column_space(l_rows, tol).dim == self.m,
-        }
-
     # -- derived objects ----------------------------------------------
     @property
     def n(self):
@@ -158,9 +145,11 @@ class BoundaryPair:
         return self.L_dim
 
     def is_obt(self):
+        """Ordinary boundary triple: Gamma unitary, an operator and onto
+        C^{2m}."""
         return (self.classification == "unitary"
-                and self.flags["gamma_is_operator"]
-                and self.flags["gamma_surjective"])
+                and self.gamma.is_operator(self.tol)
+                and self.gamma.ran(self.tol).dim == 2 * self.m)
 
     def underlying_T(self) -> LinearRelation:
         """T = ker Gamma_# = (dom Gamma)^[perp] = null(B_H* hat J_H),
@@ -195,31 +184,29 @@ class BoundaryPair:
         self.underlying_T()
         return self.a_star()
 
-    def projections(self):
-        """The components Gamma_0, Gamma_1 as relations C^{2n} -> C^m:
-        the spans of the (f, f', l) and the (f, f', l') rows of B."""
-        n, m = self.n, self.m
+    def _where_zero(self, rows):
+        """B null(B[rows]): columns spanning the elements of Gamma that
+        vanish on ``rows``."""
         B = self.gamma.graph.basis
-        g0 = column_space(B[: 2 * n + m], self.tol)
-        g1 = column_space(np.vstack([B[: 2 * n], B[2 * n + m :]]), self.tol)
-        return LinearRelation(2 * n, m, g0), LinearRelation(2 * n, m, g1)
+        return B @ null_space(B[rows], self.tol).basis
 
-    def _kernel_where_zero(self, rows):
-        """The f-hats of the elements of Gamma vanishing on ``rows``:
-        the span of B_H null(B[rows])."""
-        B = self.gamma.graph.basis
-        N = null_space(B[rows], self.tol)
-        return LinearRelation(self.n, self.n, column_space(
-            B[: 2 * self.n] @ N.basis, self.tol))
+    def _t0_elements(self):
+        """B null(B_l): the elements (f, f', 0, l') of Gamma, whose
+        (f, f') rows span T0 and whose l' rows are Gamma_1 on them."""
+        return self._where_zero(slice(2 * self.n, 2 * self.n + self.m))
+
+    def _kernel(self, X):
+        """The relation in H spanned by the (f, f') rows of X."""
+        return LinearRelation(self.n, self.n,
+                              column_space(X[: 2 * self.n], self.tol))
 
     def T0(self) -> LinearRelation:
         """T0 = ker Gamma_0, spanned by B_H null(B_l)."""
-        return self._kernel_where_zero(
-            slice(2 * self.n, 2 * self.n + self.m))
+        return self._kernel(self._t0_elements())
 
     def T1(self) -> LinearRelation:
         """T1 = ker Gamma_1, spanned by B_H null(B_l')."""
-        return self._kernel_where_zero(slice(2 * self.n + self.m, None))
+        return self._kernel(self._where_zero(slice(2 * self.n + self.m, None)))
 
 
 def identity_obt() -> BoundaryPair:

@@ -137,8 +137,8 @@ def hypermax_neutral(rng, metric) -> Subspace:
     return Subspace(metric.shape[0], basis)
 
 
-def random_symmetric_relation(rng, H: KreinSpace, graph_dim=None,
-                              tol=DEFAULT_TOL) -> LinearRelation:
+def random_symmetric_relation(rng, H: KreinSpace,
+                              graph_dim=None) -> LinearRelation:
     """A random symmetric relation in the Krein space H.
 
     Symmetric relations are exactly the neutral subspaces of the hat
@@ -205,7 +205,7 @@ def gen_obt(spec: InstanceSpec, rng=None, tol=DEFAULT_TOL) -> BoundaryPair:
     rng = rng_stream(spec.seed) if rng is None else rng
     for _ in range(RETRY_CAP):
         bp = gen_unitary_boundary_pair(spec, rng, tol)
-        if bp.flags["gamma_is_operator"] and bp.flags["gamma_surjective"]:
+        if bp.is_obt():
             return bp
     raise GenerationError("retry cap exhausted while sampling an OBT")
 
@@ -255,8 +255,7 @@ def gen_unitary_pair_with_T(T: LinearRelation, H: KreinSpace, m, rng,
 # block operators and boundary-side maps
 # ---------------------------------------------------------------------
 
-def gen_boundary_unitary_relation(rng, m, m2=None,
-                                  tol=DEFAULT_TOL) -> LinearRelation:
+def gen_boundary_unitary_relation(rng, m, m2=None) -> LinearRelation:
     """A random unitary relation between doubled boundary spaces."""
     m2 = m if m2 is None else m2
     metric = _pair_metric(hilbert_space(m), hilbert_space(m2))
@@ -264,8 +263,8 @@ def gen_boundary_unitary_relation(rng, m, m2=None,
     return LinearRelation(2 * m, 2 * m2, graph)
 
 
-def gen_std_unitary(rng, K_from: KreinSpace, K_to: KreinSpace = None,
-                    tol=DEFAULT_TOL) -> StdUnitaryOp:
+def gen_std_unitary(rng, K_from: KreinSpace,
+                    K_to: KreinSpace = None) -> StdUnitaryOp:
     """A random standard unitary block operator between doubled Krein
     spaces: a random unitary relation there, resampled up to RETRY_CAP
     times until it is the graph of an (automatically invertible)

@@ -114,7 +114,9 @@ class LinearRelation:
         return column_space(self.G @ null_space(self.F, tol).basis, tol)
 
     def is_operator(self, tol=DEFAULT_TOL):
-        return self.mul(tol).dim == 0
+        """mul T = {0}, i.e. null(F) = {0}: the graph basis is
+        orthonormal, so G null(F) has the dimension of null(F)."""
+        return null_space(self.F, tol).dim == 0
 
     # -- elementary transforms -----------------------------------------
     def inverse(self):
@@ -168,25 +170,6 @@ class LinearRelation:
         if n and s[-1] <= tol.rank_rel * max(1.0, s[0]) * n:
             raise PreconditionError("domain is not all of the input space")
         return self.G @ np.linalg.inv(F) if n else np.zeros((self.to_dim, 0))
-
-    def apply(self, x, tol=DEFAULT_TOL):
-        """One image vector of ``x`` under the relation.
-
-        Requires ``x`` to lie in the domain; if the relation is
-        multivalued the returned representative is the one of minimal
-        coefficient norm.
-        """
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        if len(x) != self.from_dim:
-            raise DimensionMismatchError("vector length != from_dim")
-        if self.dim == 0:
-            if np.linalg.norm(x) > tol.angle_tol:
-                raise PreconditionError("vector is not in the domain")
-            return np.zeros(self.to_dim, dtype=complex)
-        c, *_ = np.linalg.lstsq(self.F, x, rcond=None)
-        if np.linalg.norm(self.F @ c - x) > 1e-8 * (1.0 + np.linalg.norm(x)):
-            raise PreconditionError("vector is not in the domain")
-        return self.G @ c
 
     def resolvent_matrix(self, z, tol=DEFAULT_TOL):
         """The matrix of (T - z)^{-1} for z in the resolvent set."""

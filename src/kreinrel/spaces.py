@@ -6,15 +6,16 @@ doubled space C^{2n} of graph pairs carries the symmetry
 
     hat(J) = [[0, -iJ], [iJ, 0]],
 
-read as ``KreinSpace.hat`` and built once per space.  A boundary
-(Hilbert) space C^m is ``hilbert_space(m)``, whose hat has J = I.
-Since hat(J)^2 = diag(J^2, J^2), the involution check of
-``make_krein`` covers the doubled symmetry too.  Krein adjoints of
-plain matrices are X+ = J_from X* J_to.
+read as ``KreinSpace.hat``, built once per space and read-only.  A
+boundary (Hilbert) space C^m is ``hilbert_space(m)``: one shared
+instance per m, with a read-only J = I.  Since hat(J)^2 =
+diag(J^2, J^2), the involution check of ``make_krein`` covers the
+doubled symmetry too.  Krein adjoints of plain matrices are
+X+ = J_from X* J_to.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -51,7 +52,9 @@ class KreinSpace:
         n = self.dim
         top = np.hstack([np.zeros((n, n)), -1j * self.J])
         bot = np.hstack([1j * self.J, np.zeros((n, n))])
-        return np.vstack([top, bot])
+        out = np.vstack([top, bot])
+        out.setflags(write=False)
+        return out
 
 
 def make_krein(J) -> KreinSpace:
@@ -75,9 +78,15 @@ def make_krein(J) -> KreinSpace:
     return KreinSpace(dim=n, J=J, neg_index=neg)
 
 
+@cache
 def hilbert_space(n) -> KreinSpace:
-    """The standard Hilbert space C^n (J = I, negative index 0)."""
-    return KreinSpace(dim=n, J=np.eye(n, dtype=complex), neg_index=0)
+    """The standard Hilbert space C^n (J = I, negative index 0).
+
+    One shared instance per n, so its hat is built once; its J and
+    hat are read-only, so no caller can change the shared space."""
+    J = np.eye(n, dtype=complex)
+    J.setflags(write=False)
+    return KreinSpace(dim=int(n), J=J, neg_index=0)
 
 
 def indef_inner(x, y, K: KreinSpace):

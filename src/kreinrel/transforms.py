@@ -21,6 +21,7 @@ from .relations import (
     LinearRelation,
     compose,
     in_resolvent,
+    is_selfadjoint,
     rel_equal,
     rel_from_operator,
     shmulyan,
@@ -271,9 +272,9 @@ def p_poly(V: StdUnitaryOp, z):
     return z * z * V.B + z * (V.A - V.D) - V.C
 
 
-def _p_pencil(V: StdUnitaryOp, z, T0: LinearRelation):
-    """The coefficient-space matrix of p_V(z; T0) on the graph basis."""
-    F0, G0 = T0.F, T0.G
+def _p_pencil(V: StdUnitaryOp, z, F0, G0):
+    """p_V(z; T0) on coefficients: (zA - C) F0 + (zB - D) G0 for the
+    f and f' rows F0, G0 of columns spanning T0."""
     return (z * V.A - V.C) @ F0 + (z * V.B - V.D) @ G0
 
 
@@ -283,7 +284,7 @@ def in_rho_v(bp: BoundaryPair, V: StdUnitaryOp, z):
     T0 = bp.T0()
     if not in_resolvent(T0, z, bp.tol):
         return False
-    P = _p_pencil(V, z, T0)
+    P = _p_pencil(V, z, T0.F, T0.G)
     if P.shape[0] != P.shape[1]:
         return False
     s = np.linalg.svd(P, compute_uv=False)
@@ -293,28 +294,27 @@ def in_rho_v(bp: BoundaryPair, V: StdUnitaryOp, z):
 def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z):
     """The Weyl correction Delta(z) = -Gamma_1 p_V(z;T0)^{-1} p_V(z)
     gamma(z), an m x m matrix, so that the transformed triple
-    Gamma' = Gamma V^{-1} has M'(z) = M(z) + Delta(z)."""
+    Gamma' = Gamma V^{-1} has M'(z) = M(z) + Delta(z).
+
+    The columns of X = B null(B_l) are the elements (f, f', 0, l') of
+    Gamma: their (f, f') rows span T0 and their l' rows are Gamma_1
+    there.  With P = (zA - C) X_f + (zB - D) X_f',
+    Delta = -X_l' P^{-1} p_V(z) gamma(z).
+    """
     tol = bp.tol
     if not bp.is_obt():
         raise PreconditionError("Delta correction requires an ordinary "
                                 "boundary triple")
-    T = bp.underlying_T()
-    if T.mul(tol).dim != 0:
+    if not bp.underlying_T().is_operator(tol):
         raise PreconditionError("underlying T must be an operator")
     if not in_rho_v(bp, V, z):
         raise PreconditionError(f"z={z} is not in rho_V")
-    T0 = bp.T0()
+    n = bp.n
+    X = bp._t0_elements()
     gamma_mat = weyl(bp, z).gamma_field.to_matrix(tol)   # m -> n
-    P = _p_pencil(V, z, T0)                              # solve on T0 coeffs
+    P = _p_pencil(V, z, X[:n], X[n : 2 * n])
     rhs = p_poly(V, z) @ gamma_mat                       # n' x m
-    coeff = np.linalg.solve(P, rhs)
-    hats = T0.graph.basis @ coeff                        # columns in T0
-    _, g1 = bp.projections()
-    m = bp.m
-    delta = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        delta[:, j] = -g1.apply(hats[:, j], tol)
-    return delta
+    return -X[2 * n + bp.m :] @ np.linalg.solve(P, rhs)
 
 
 # ---------------------------------------------------------------------
@@ -455,7 +455,7 @@ def qbt_transform(bp: BoundaryPair, q: QbtMap):
         ker_gamma = LinearRelation(bp.n, bp.n, bp.gamma.ker(tol))
         if not rel_equal(ker_gamma, bp.underlying_T(), tol):
             problems.append("ker Gamma != T")
-        if not bp.flags["T0_selfadjoint"]:
+        if not is_selfadjoint(bp.T0(), bp.H, tol):
             problems.append("T0 is not self-adjoint")
         if problems:
             raise PreconditionError("QBT hypotheses fail: "

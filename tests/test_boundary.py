@@ -82,7 +82,7 @@ def test_identity_obt_is_unitary_surjective_operator():
     bp = identity_obt()
     assert bp.classification == "unitary"
     assert bp.is_obt()
-    assert all(bp.flags.values())
+    assert all(_old_chains(bp)["flags"].values())
     assert green_pairing_ok(bp)
 
 
@@ -211,7 +211,7 @@ def _weyl_oracle(bp, z):
     n, m = bp.n, bp.m
     n_hat = bp.a_star().graph_restriction(z, tol)
     M = shmulyan(bp.gamma, n_hat.graph, tol)
-    g0, _ = bp.projections()
+    g0, _ = _selection_projections(bp)
     restricted = domain_restriction(g0, n_hat.graph, tol)
     sel = np.zeros((m + n, 2 * n + m))
     sel[:m, 2 * n :] = np.eye(m)
@@ -280,7 +280,7 @@ def _assert_weyl_matches_oracle(bp, points):
 def test_weyl_matches_relation_calculus_oracle():
     pairs = list(_oracle_pairs())
     assert any(bp.classification == "isometric" for bp in pairs)
-    assert any(not bp.flags["gamma_is_operator"] for bp in pairs)
+    assert any(not bp.gamma.is_operator() for bp in pairs)
     for bp in pairs:
         _assert_weyl_matches_oracle(bp, _ORACLE_Z)
 
@@ -336,7 +336,7 @@ def test_pencil_split_matches_direct_formulas_at_desk_scale(monkeypatch):
     # the empty-resolvent pair: W = 0, left to in_resolvent
     empty = _empty_resolvent_pair()[0]
     for bp in [*_oracle_pairs(), empty]:
-        key = (bp.classification, bp.flags["gamma_is_operator"])
+        key = (bp.classification, bp.gamma.is_operator())
         decided[key] = decided.get(key, 0) + _assert_split_matches_direct(
             bp, _SPLIT_Z)
         _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
@@ -536,7 +536,7 @@ def test_gen_obt_flags_always_hold():
         bp = gen_obt(InstanceSpec(2 + trial % 3, 1 + trial % 2, trial % 3),
                      rng_stream(28, trial), TOL)
         assert bp.is_obt()
-        assert all(bp.flags.values())
+        assert all(_old_chains(bp)["flags"].values())
 
 
 # ------------------------ graph-basis derivations against the old chains
@@ -600,20 +600,35 @@ def _old_chains(bp):
     }
 
 
+def _read_facts(bp):
+    """The four predicates of the old chains' "flags", each computed as
+    its reader in the library computes it."""
+    tol = bp.tol
+    return {
+        "gamma_is_operator": bp.gamma.is_operator(tol),
+        "gamma_surjective": bp.gamma.ran(tol).dim == 2 * bp.m,
+        "T0_selfadjoint": is_selfadjoint(bp.T0(), bp.H, tol),
+        "ran_gamma0_full": column_space(bp.gamma.G[: bp.m], tol).dim == bp.m,
+    }
+
+
 def _assert_same_relation(new, old, tol):
     assert new.dim == old.dim
     assert rel_equal(new, old, tol)
 
 
 def _assert_matches_old_chains(bp):
-    """The Gram classification, the null-space T, T0, T1 and the flags
-    agree with the old chains."""
+    """The Gram classification, the null-space T, T0, T1, the OBT test
+    and the sub-classification predicates agree with the old chains."""
     tol = bp.tol
     old = _old_chains(bp)
     assert bp.classification == old["classification"]
     _assert_same_relation(bp.T0(), old["T0"], tol)
     _assert_same_relation(bp.T1(), old["T1"], tol)
-    assert bp.flags == old["flags"]
+    assert _read_facts(bp) == old["flags"]
+    assert bp.is_obt() == (old["classification"] == "unitary"
+                           and old["flags"]["gamma_is_operator"]
+                           and old["flags"]["gamma_surjective"])
     if bp.classification != "not_isometric" and old["T_symmetric"]:
         _assert_same_relation(bp.underlying_T(), old["T"], tol)
     else:
@@ -647,7 +662,7 @@ def test_gram_derivations_match_old_chains():
     for bp in _gram_oracle_pairs():
         old = _assert_matches_old_chains(bp)
         seen.add((bp.classification, old["T_symmetric"],
-                  bp.flags["T0_selfadjoint"]))
+                  old["flags"]["T0_selfadjoint"]))
     assert {c for c, _, _ in seen} == {"unitary", "isometric",
                                        "not_isometric"}
     assert {("isometric", True), ("isometric", False)} <= {
@@ -724,7 +739,7 @@ def test_constructor_makes_no_svd(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     for bp in built:
-        assert bp.flags == _old_chains(bp)["flags"]
+        assert _read_facts(bp) == _old_chains(bp)["flags"]
 
 
 def test_strictly_isometric_pair_has_no_symmetric_t():
@@ -794,7 +809,7 @@ def test_direct_forms_match_old_chains():
     seen = set()
     for bp in _gram_oracle_pairs():
         compared = _assert_direct_forms_match_chains(bp)
-        seen.add((bp.classification, bp.flags["gamma_is_operator"], compared))
+        seen.add((bp.classification, bp.gamma.is_operator(), compared))
     assert {c for c, _, _ in seen} == {"unitary", "isometric",
                                        "not_isometric"}
     assert ("unitary", False, True) in seen  # multivalued Gamma

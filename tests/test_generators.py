@@ -22,12 +22,12 @@ from kreinrel.generators import (
     random_unitary,
     rng_stream,
 )
-from kreinrel.relations import is_symmetric, rel_equal
+from kreinrel.relations import is_symmetric, krein_adjoint, rel_equal
 from kreinrel.spaces import (
     hilbert_space,
     make_krein,
 )
-from kreinrel.subspaces import DEFAULT_TOL, subspace_equal
+from kreinrel.subspaces import DEFAULT_TOL, column_space, subspace_equal
 
 TOL = DEFAULT_TOL
 
@@ -103,7 +103,14 @@ def test_gen_obt_all_flags():
         rng = rng_stream(9, trial)
         bp = gen_obt(InstanceSpec(2 + trial % 3, 1 + trial % 2, 0), rng, TOL)
         assert bp.is_obt()
-        assert all(bp.flags.values())
+        # Gamma a surjective operator, T0 self-adjoint, ran Gamma_0 full
+        n, m = bp.n, bp.m
+        T0 = bp.T0()
+        assert bp.gamma.mul(TOL).dim == 0
+        assert bp.gamma.ran(TOL).dim == 2 * m
+        assert rel_equal(T0, krein_adjoint(T0, bp.H, bp.H, TOL), TOL)
+        l_rows = bp.gamma.graph.basis[2 * n : 2 * n + m]
+        assert column_space(l_rows, TOL).dim == m
 
 
 def test_gen_obt_fully_negative_signature():
@@ -146,11 +153,10 @@ def test_gen_unitary_pair_with_t_reports_infeasible_dims():
 
 
 def test_gen_boundary_unitary_relation_is_unitary():
-    from kreinrel.relations import krein_adjoint
     for trial in range(8):
         rng = rng_stream(12, trial)
         m, m2 = 1 + trial % 3, 1 + (trial + 1) % 3
-        V = gen_boundary_unitary_relation(rng, m, m2, TOL)
+        V = gen_boundary_unitary_relation(rng, m, m2)
         Vp = krein_adjoint(V, make_krein(hilbert_space(m).hat),
                            make_krein(hilbert_space(m2).hat), TOL)
         assert rel_equal(V, Vp.inverse(), TOL)
@@ -159,7 +165,7 @@ def test_gen_boundary_unitary_relation_is_unitary():
 def test_gen_std_unitary_blocks_validate():
     rng = rng_stream(13)
     K = random_krein(rng, 2, 1)
-    V = gen_std_unitary(rng, K, K, TOL)
+    V = gen_std_unitary(rng, K, K)
     M = V.block_matrix()
     hat = K.hat
     assert np.linalg.norm(M.conj().T @ hat @ M - hat) < 1e-8
@@ -177,7 +183,7 @@ def test_gen_std_unitary_propagates_errors_other_than_validation(monkeypatch):
     monkeypatch.setattr(generators, "make_std_unitary", broken)
     K = random_krein(rng_stream(15), 2, 1)
     with pytest.raises(RuntimeError, match="broken make_std_unitary"):
-        gen_std_unitary(rng_stream(15), K, K, TOL)
+        gen_std_unitary(rng_stream(15), K, K)
 
 
 def test_gen_std_unitary_resamples_rejected_draws(monkeypatch):
@@ -193,7 +199,7 @@ def test_gen_std_unitary_resamples_rejected_draws(monkeypatch):
 
     monkeypatch.setattr(generators, "make_std_unitary", reject_first)
     K = random_krein(rng_stream(16), 2, 1)
-    gen_std_unitary(rng_stream(16), K, K, TOL)
+    gen_std_unitary(rng_stream(16), K, K)
     assert len(calls) == 2
 
 

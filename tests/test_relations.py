@@ -83,11 +83,30 @@ def test_inverse_swaps_parts():
 def test_apply_and_resolvent_matrix():
     A = np.array([[2.0, 0.0], [0.0, 3.0]])
     T = rel_from_operator(A)
-    assert np.allclose(T.apply([1.0, 1.0]), [2.0, 3.0])
     R = T.resolvent_matrix(1.0)
     assert np.allclose(R, np.diag([1.0, 0.5]))
     with pytest.raises(PreconditionError):
         T.resolvent_matrix(2.0)  # eigenvalue: not in the resolvent set
+
+
+def test_is_operator_matches_mul_oracle():
+    seen = set()
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for d in range(n + m + 1):
+                T = random_relation(rng_stream(12, 100 * n + 10 * m + d),
+                                    n, m, graph_dim=d)
+                want = T.mul().dim == 0
+                assert T.is_operator() == want
+                seen.add(want)
+    # the identity triple on the first boundary coordinate plus the
+    # purely multivalued {(0, 0, 0, t)}: mul Gamma = span(0, 1)
+    g = np.zeros((6, 3))
+    g[0, 0] = g[2, 0] = g[1, 1] = g[4, 1] = 1 / np.sqrt(2)
+    g[5, 2] = 1.0
+    gamma = LinearRelation(2, 4, Subspace(6, g))
+    assert gamma.mul().dim == 1 and not gamma.is_operator()
+    assert seen == {True, False}
 
 
 def test_zero_and_full_relations():

@@ -62,7 +62,7 @@ def test_boundary_pair_round_trip():
 def test_std_unitary_round_trip():
     rng = rng_stream(55)
     K = random_krein(rng, 2, 1)
-    V = gen_std_unitary(rng, K, K, TOL)
+    V = gen_std_unitary(rng, K, K)
     V2 = load(dump(V))
     assert np.allclose(V.block_matrix(), V2.block_matrix())
 

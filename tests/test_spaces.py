@@ -31,6 +31,17 @@ def test_hilbert_space_is_definite():
     assert np.allclose(K.J, np.eye(4))
 
 
+def test_hilbert_space_is_one_shared_read_only_instance():
+    K = hilbert_space(3)
+    assert hilbert_space(3) is K
+    assert K.hat is hilbert_space(3).hat
+    with pytest.raises(ValueError):
+        K.J[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        K.hat[0, 0] = 2.0
+    assert np.array_equal(hilbert_space(3).J, np.eye(3))
+
+
 def test_make_krein_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         make_krein(np.array([[0.0, 1.0], [0.0, 0.0]]))

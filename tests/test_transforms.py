@@ -164,7 +164,7 @@ def test_left_scheme_preserves_state_space():
     from kreinrel.generators import gen_boundary_unitary_relation
     rng = rng_stream(31)
     bp = gen_obt(InstanceSpec(2, 2, 1), rng, TOL)
-    v_rel = gen_boundary_unitary_relation(rng, 2, tol=TOL)
+    v_rel = gen_boundary_unitary_relation(rng, 2)
     bp2, _ = transform_left(bp, v_rel)
     assert bp2.H == bp.H
     assert rel_equal(bp2.underlying_T(), bp.underlying_T(), TOL)
@@ -271,6 +271,47 @@ def test_delta_correction_requires_rho_v():
     if not in_rho_v(bp, V, 1j):
         with pytest.raises(PreconditionError):
             delta_correction(bp, V, 1j)
+
+
+def _delta_chain(bp, V, z):
+    """Delta(z) by the former chain: T0's orthonormal basis, Gamma_1 as
+    the column space of the (f, f', l') rows of B, and one lstsq per
+    column for Gamma_1 of each T0 element."""
+    tol = bp.tol
+    n, m = bp.n, bp.m
+    T0 = bp.T0()
+    gamma_mat = weyl(bp, z).gamma_field.to_matrix(tol)
+    P = (z * V.A - V.C) @ T0.F + (z * V.B - V.D) @ T0.G
+    hats = T0.graph.basis @ np.linalg.solve(P, p_poly(V, z) @ gamma_mat)
+    B = bp.gamma.graph.basis
+    g1 = column_space(np.vstack([B[: 2 * n], B[2 * n + m :]]), tol).basis
+    delta = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        c = np.linalg.lstsq(g1[: 2 * n], hats[:, j], rcond=None)[0]
+        delta[:, j] = -g1[2 * n :] @ c
+    return delta
+
+
+def test_delta_correction_matches_old_chain():
+    compared = {"u_j": 0, "random": 0}
+    for n in (1, 2, 3, 4, 16):
+        for trial in range(6):
+            rng = rng_stream(81, 100 * n + trial)
+            m = 1 + trial % min(n, 3)
+            bp = gen_obt(InstanceSpec(n, m, trial % (n + 1)), rng)
+            kind = "u_j" if trial % 2 else "random"
+            V = u_j(bp.H) if kind == "u_j" else gen_std_unitary(rng, bp.H)
+            if not bp.underlying_T().is_operator():
+                continue
+            for z in (0.7 + 1.1j, -0.3 - 0.8j):
+                if not in_rho_v(bp, V, z):
+                    continue
+                new = delta_correction(bp, V, z)
+                old = _delta_chain(bp, V, z)
+                scale = max(1.0, np.linalg.norm(old))
+                assert np.linalg.norm(new - old) <= 1e-10 * scale
+                compared[kind] += 1
+    assert min(compared.values()) >= 10
 
 
 # ------------------------- single null-space forms against the old chains
