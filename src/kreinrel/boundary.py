@@ -38,7 +38,7 @@ Pairs with n below ``_SPLIT_MIN_N``, or with B_f rank deficient
 (mul T nontrivial), always use the direct formulas.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -47,6 +47,7 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 from .relations import (
     LinearRelation,
+    _MERGE_RTOL,
     in_resolvent,
     is_symmetric,
     point_spectrum,
@@ -59,7 +60,13 @@ from .spaces import (
     hilbert_space,
     make_krein,
 )
-from .subspaces import DEFAULT_TOL, Subspace, column_space, null_space
+from .subspaces import (
+    DEFAULT_TOL,
+    Subspace,
+    Tolerance,
+    column_space,
+    null_space,
+)
 
 __all__ = [
     "BoundaryPair",
@@ -224,9 +231,22 @@ def identity_obt() -> BoundaryPair:
 
 @dataclass(frozen=True)
 class WeylSample:
+    """M(z), a relation in C^m, at the nonreal point z, and the
+    gamma-field, a relation from C^m to C^n.
+
+    The gamma-field is the column space of the stacked (l, f) rows of
+    the defect elements; it is formed on first read and then cached.
+    """
     z: complex
-    M: LinearRelation          # relation in C^m
-    gamma_field: LinearRelation  # relation from C^m to C^n
+    M: LinearRelation
+    _lf: np.ndarray = field(compare=False, repr=False)
+    _tol: Tolerance = field(compare=False, repr=False)
+
+    @cached_property
+    def gamma_field(self) -> LinearRelation:
+        m = self.M.from_dim
+        return LinearRelation(m, self._lf.shape[0] - m,
+                              column_space(self._lf, self._tol))
 
 
 def _require_nonreal(z):
@@ -341,15 +361,14 @@ def _weyl_point(bp: BoundaryPair, z) -> _WeylPoint:
         in_mt = (_mt_resolvent(C, n, m, z, tol)
                  if bp.gamma.dim == n + m else False)
     M = LinearRelation(m, m, column_space(C[2 * n :], tol))
-    gamma_field = LinearRelation(
-        m, n, column_space(np.vstack([C[2 * n : 2 * n + m], C[:n]]), tol))
-    return _WeylPoint(WeylSample(z=complex(z), M=M, gamma_field=gamma_field),
-                      ran_full, in_mt)
+    lf = np.vstack([C[2 * n : 2 * n + m], C[:n]])
+    return _WeylPoint(WeylSample(complex(z), M, lf, tol), ran_full, in_mt)
 
 
 def weyl(bp: BoundaryPair, z) -> WeylSample:
     """Weyl family M(z) and gamma-field at a nonreal point: the spans of
-    the (l, l') and the (l, f) rows of C = B null(B_f' - z B_f).
+    the (l, l') and the (l, f) rows of C = B null(B_f' - z B_f); the
+    gamma-field is formed on first read.
 
     From n = _SPLIT_MIN_N on, C comes from the pair's pencil split (one
     n x n LU per z) wherever the LU passes its condition guard, and
@@ -372,7 +391,7 @@ def main_transform(bp: BoundaryPair) -> LinearRelation:
     B = bp.gamma.graph.basis
     basis = np.vstack([B[:n], B[2 * n : 2 * n + m], B[n : 2 * n],
                        -B[2 * n + m :]])
-    return LinearRelation(n + m, n + m, Subspace(2 * (n + m), basis))
+    return LinearRelation(n + m, n + m, Subspace._of(2 * (n + m), basis))
 
 
 def main_transform_space(bp: BoundaryPair) -> KreinSpace:
@@ -395,7 +414,7 @@ def inverse_main_transform(A: LinearRelation, H: KreinSpace, L_dim,
     A_basis = A.graph.basis
     basis = np.vstack([A_basis[:n], A_basis[n + m : 2 * n + m],
                        A_basis[n : n + m], -A_basis[2 * n + m :]])
-    gamma = LinearRelation(2 * n, 2 * m, Subspace(2 * (n + m), basis))
+    gamma = LinearRelation(2 * n, 2 * m, Subspace._of(2 * (n + m), basis))
     return BoundaryPair(H, m, gamma, tol)
 
 
@@ -431,8 +450,8 @@ def sigma0_points(bp: BoundaryPair):
 
 
 def _near(z, w):
-    """z lies within the merge radius 1e-8 (1 + |w|) of w."""
-    return abs(z - w) <= 1e-8 * (1 + abs(w))
+    """z lies within the merge radius _MERGE_RTOL (1 + |w|) of w."""
+    return abs(z - w) <= _MERGE_RTOL * (1 + abs(w))
 
 
 def _symmetric_closure(pts):

@@ -108,10 +108,16 @@ class LinearRelation:
         return column_space(self.G, tol)
 
     def ker(self, tol=DEFAULT_TOL):
-        return column_space(self.F @ null_space(self.G, tol).basis, tol)
+        """ker T = F null(G): [F; G] null(G) is orthonormal and G null(G)
+        lies below the rank cutoff, so F null(G) is orthonormal as it
+        stands (one SVD)."""
+        return Subspace._of(self.from_dim,
+                            self.F @ null_space(self.G, tol).basis)
 
     def mul(self, tol=DEFAULT_TOL):
-        return column_space(self.G @ null_space(self.F, tol).basis, tol)
+        """mul T = G null(F), orthonormal as it stands (see ``ker``)."""
+        return Subspace._of(self.to_dim,
+                            self.G @ null_space(self.F, tol).basis)
 
     def is_operator(self, tol=DEFAULT_TOL):
         """mul T = {0}, i.e. null(F) = {0}: the graph basis is
@@ -121,7 +127,7 @@ class LinearRelation:
     # -- elementary transforms -----------------------------------------
     def inverse(self):
         basis = np.vstack([self.G, self.F])
-        return LinearRelation(self.to_dim, self.from_dim, Subspace(
+        return LinearRelation(self.to_dim, self.from_dim, Subspace._of(
             self.to_dim + self.from_dim, basis))
 
     def shifted(self, z, tol=DEFAULT_TOL):
@@ -137,18 +143,20 @@ class LinearRelation:
         return column_space(self.G - z * self.F, tol)
 
     def eigenspace(self, z, tol=DEFAULT_TOL) -> Subspace:
-        """N_z(T) = ker(T - zI) = {f : (f, zf) in T}."""
+        """N_z(T) = ker(T - zI) = {f : (f, zf) in T}.  F null(G - zF)
+        is orthonormal only after scaling by sqrt(1 + |z|^2), with an
+        error that grows with |z|, so it is re-orthonormalised."""
         _require_square(self)
         coeff = null_space(self.G - z * self.F, tol)
         return column_space(self.F @ coeff.basis, tol)
 
     def graph_restriction(self, z, tol=DEFAULT_TOL):
-        """T ∩ zI = {(f, zf) : f in N_z(T)} as a relation."""
+        """T ∩ zI = {(f, zf) : f in N_z(T)} as a relation: the graph
+        basis times null(G - zF), which is orthonormal as it stands."""
         _require_square(self)
         coeff = null_space(self.G - z * self.F, tol)
-        vectors = self.graph.basis @ coeff.basis
-        return LinearRelation(
-            self.from_dim, self.to_dim, column_space(vectors, tol))
+        return LinearRelation(self.from_dim, self.to_dim, Subspace._of(
+            self.graph.ambient_dim, self.graph.basis @ coeff.basis))
 
     def restrict_domain(self, S: Subspace, tol=DEFAULT_TOL):
         """The restriction {(f, f') in T : f in S}: the graph basis
@@ -156,7 +164,7 @@ class LinearRelation:
         if S.ambient_dim != self.from_dim:
             raise DimensionMismatchError("restricting subspace has wrong ambient")
         coeff = null_space(orth_complement(S, tol).basis.conj().T @ self.F, tol)
-        return LinearRelation(self.from_dim, self.to_dim, Subspace(
+        return LinearRelation(self.from_dim, self.to_dim, Subspace._of(
             self.graph.ambient_dim, self.graph.basis @ coeff.basis))
 
     # -- matrix views --------------------------------------------------
@@ -371,6 +379,10 @@ _PROBE_POINTS = (0.73462815 + 1.12904873j,
                  0.20893117 - 0.87341209j)
 
 _EIG_RTOL = 1e-7
+# Merge radius _MERGE_RTOL (1 + |w|): a point this close to an eigenvalue
+# w counts as w, both among pencil candidates and for the points that
+# boundary.py keeps off sigma0_p(T).
+_MERGE_RTOL = 1e-8
 # Loose pre-filter ahead of the _EIG_RTOL rank test: a pencil candidate
 # whose eigenvector residual ||(G - zF)x|| / (||G - zF||_F ||x||) is
 # above it is not rank tested.  Eigenvalues of T leave residuals at
@@ -436,7 +448,7 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
         if not np.isfinite(z):
             continue
         z = complex(z)
-        if any(abs(z - w) <= 1e-8 * (1.0 + abs(w)) for w, _ in found):
+        if any(abs(z - w) <= _MERGE_RTOL * (1.0 + abs(w)) for w, _ in found):
             continue
         A = G - z * F
         if (np.linalg.norm(A @ x)

@@ -8,6 +8,16 @@ conjugate-linear in the second: <x, y> = sum_i x[i] * conj(y[i]).
 Numerical rank uses the standard cutoff ``rank_rel * sigma_max *
 max(rows, cols)``; subspace equality means equal dimension plus maximal
 principal angle below ``angle_tol``.
+
+Bases are validated (finite entries, orthonormal columns) where data
+enters: the public ``Subspace`` constructor, the generators and
+``serialize.load``, and the inputs of ``column_space`` and
+``null_space``.  Bases that are orthonormal by construction skip the
+check through the private ``Subspace._of``: the singular vectors of
+``column_space`` and ``null_space``, ``zero_subspace`` and
+``full_space``, signed row permutations of an orthonormal basis,
+products B N of an orthonormal basis B with an orthonormal null basis N,
+and the row blocks F null(G) and G null(F) of a graph basis [F; G].
 """
 
 from dataclasses import dataclass
@@ -61,9 +71,14 @@ def _as_matrix(M):
         A = A.reshape(-1, 1)
     if A.ndim != 2:
         raise ValidationError("expected a matrix (2d array)")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise ValidationError("matrix has non-finite entries")
     return A
+
+
+# Largest Frobenius distance of a public basis's Gram matrix from the
+# identity: bases read from files or typed by hand carry rounding.
+_ORTHONORMAL_ATOL = 1e-8
 
 
 class Subspace:
@@ -88,10 +103,19 @@ class Subspace:
             raise ValidationError("more basis vectors than ambient dimension")
         if k:
             gram = basis.conj().T @ basis
-            if np.linalg.norm(gram - np.eye(k)) > 1e-8:
+            if np.linalg.norm(gram - np.eye(k)) > _ORTHONORMAL_ATOL:
                 raise ValidationError("basis columns are not orthonormal")
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _of(cls, ambient_dim, basis):
+        """A subspace from a complex basis with ``ambient_dim`` rows that
+        is orthonormal by construction: no validation."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "ambient_dim", int(ambient_dim))
+        object.__setattr__(self, "basis", basis)
+        return self
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Subspace is immutable")
@@ -110,11 +134,11 @@ class Subspace:
 
 
 def zero_subspace(n):
-    return Subspace(n, np.zeros((n, 0), dtype=complex))
+    return Subspace._of(n, np.zeros((n, 0), dtype=complex))
 
 
 def full_space(n):
-    return Subspace(n, np.eye(n, dtype=complex))
+    return Subspace._of(n, np.eye(n, dtype=complex))
 
 
 def _rank(s, shape, tol):
@@ -125,7 +149,7 @@ def _rank(s, shape, tol):
     if len(s) == 0:
         return 0
     cutoff = tol.rank_rel * max(s[0], 1.0) * max(shape)
-    return int(np.sum(s > cutoff))
+    return int(np.count_nonzero(s > cutoff))
 
 
 def column_space(M, tol=DEFAULT_TOL):
@@ -136,7 +160,7 @@ def column_space(M, tol=DEFAULT_TOL):
         return zero_subspace(n)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     r = _rank(s, A.shape, tol)
-    return Subspace(n, u[:, :r])
+    return Subspace._of(n, u[:, :r])
 
 
 def null_space(M, tol=DEFAULT_TOL):
@@ -149,7 +173,7 @@ def null_space(M, tol=DEFAULT_TOL):
         return full_space(k)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
     r = _rank(s, A.shape, tol)
-    return Subspace(k, vh[r:].conj().T)
+    return Subspace._of(k, vh[r:].conj().T)
 
 
 def _check_ambient(U, V):

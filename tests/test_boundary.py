@@ -285,6 +285,41 @@ def test_weyl_matches_relation_calculus_oracle():
         _assert_weyl_matches_oracle(bp, _ORACLE_Z)
 
 
+def test_gamma_field_is_formed_on_first_read_and_cached(monkeypatch):
+    pairs = [gen_unitary_boundary_pair(InstanceSpec(n, m, n // 2),
+                                       rng_stream(36, n))
+             for n, m in ((1, 1), (3, 2), (4, 4), (16, 2), (64, 8))]
+    pairs += [gen_isometric_boundary_pair(InstanceSpec(3, 2, 1),
+                                          rng_stream(37)),
+              _multivalued_pair()]
+    assert any(bp._split is not None for bp in pairs)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*a, **k):
+        calls.append(a[0].shape)
+        return svd(*a, **k)
+
+    for bp in pairs:
+        n, m, tol = bp.n, bp.m, bp.tol
+        for z in _ORACLE_Z:
+            C = _defect_elements(bp.gamma, n, z, tol)
+            eager = LinearRelation(m, n, column_space(
+                np.vstack([C[2 * n : 2 * n + m], C[:n]]), tol))
+            monkeypatch.setattr(np.linalg, "svd", counting)
+            del calls[:]
+            sample = weyl(bp, z)
+            made = len(calls)
+            if bp._split is None:  # the null space and M(z) only
+                assert made == 1 + (C.shape[1] > 0)
+            gamma_field = sample.gamma_field
+            assert len(calls) == made + (C.shape[1] > 0)
+            assert sample.gamma_field is gamma_field
+            assert len(calls) == made + (C.shape[1] > 0)
+            monkeypatch.undo()
+            assert rel_equal(gamma_field, eager, tol)
+
+
 def test_weyl_matches_oracle_at_n64():
     bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), rng_stream(32))
     _assert_weyl_matches_oracle(bp, (0.7 + 1.1j, -0.4 - 1e-3j))

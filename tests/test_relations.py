@@ -45,6 +45,7 @@ from kreinrel.subspaces import (
     column_space,
     contains as sub_contains,
     intersect,
+    null_space,
     subspace_equal,
 )
 
@@ -482,6 +483,58 @@ def test_restrict_domain_matches_window_chain():
                     assert rel_equal(new, _restrict_domain_chain(T, S), TOL)
                     # the product of orthonormal bases needs no rebasing
                     assert sub_contains(S, new.dom(TOL), TOL)
+
+
+def _ker_chain(T, tol=TOL):
+    return column_space(T.F @ null_space(T.G, tol).basis, tol)
+
+
+def _mul_chain(T, tol=TOL):
+    return column_space(T.G @ null_space(T.F, tol).basis, tol)
+
+
+def _graph_restriction_chain(T, z, tol=TOL):
+    coeff = null_space(T.G - z * T.F, tol)
+    return LinearRelation(T.from_dim, T.to_dim, column_space(
+        T.graph.basis @ coeff.basis, tol))
+
+
+def _assert_orthonormal(S):
+    """A basis that skipped validation passes the public constructor."""
+    Subspace(S.ambient_dim, S.basis)
+
+
+def test_ker_and_mul_match_column_space_chains(monkeypatch):
+    rng = rng_stream(66)
+    calls = _count_svd(monkeypatch)
+    seen = set()
+    for n, m in [(n, m) for n in _DIMS for m in _DIMS] + [(64, 8), (64, 64)]:
+        for T in _relation_kinds(rng, n, m):
+            del calls[:]
+            ker, mul = T.ker(TOL), T.mul(TOL)
+            assert len(calls) <= 2  # one null space each
+            for new, old in ((ker, _ker_chain(T)), (mul, _mul_chain(T))):
+                assert subspace_equal(new, old, TOL)
+                _assert_orthonormal(new)
+            seen.add((ker.dim > 0, mul.dim > 0))
+    assert seen == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def test_graph_restriction_matches_column_space_chain():
+    rng = rng_stream(67)
+    seen = set()
+    for n in [*_DIMS, 64]:
+        lam = complex(rng.normal(), rng.normal())
+        cases = _relation_kinds(rng, n, n)
+        if n >= 3:
+            cases.append(_planted(rng, n, lam))
+        for T in cases:
+            for z in (lam, lam.conjugate()):
+                new = T.graph_restriction(z, TOL)
+                assert rel_equal(new, _graph_restriction_chain(T, z), TOL)
+                _assert_orthonormal(new.graph)
+                seen.add(new.dim)
+    assert {0, 1, 2} <= seen
 
 
 def test_gram_symmetry_matches_krein_adjoint_chain():

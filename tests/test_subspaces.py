@@ -57,6 +57,16 @@ def test_constructor_rejects_nonfinite():
         Subspace(2, np.array([[np.nan], [0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("op", [column_space, null_space])
+def test_kernel_entry_points_reject_nonfinite(op, bad):
+    # their outputs skip validation, so their inputs must not
+    A = np.eye(3, 2, dtype=complex)
+    A[1, 0] = bad
+    with pytest.raises(ValidationError):
+        op(A)
+
+
 def test_tolerance_validation():
     with pytest.raises(ValidationError):
         Tolerance(rank_rel=0.0)
