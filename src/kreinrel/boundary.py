@@ -26,16 +26,17 @@ the gamma-field by (l, f).
 Many z per pair share one split of the pencil (B_f', B_f) (the
 frequency-response reduction of Laub, IEEE TAC 1981).  Once per pair,
 Q from a QR of B_f* gives B_f Q = [L 0] with L n x n, and B_f' Q =
-[P1 P2].  At each z one LU of P1 - zL yields the null basis
-N = Q [-(P1 - zL)^{-1} P2; I], orthonormalised by a thin QR, and the
-defect elements C = B N.  The same LU decides ran(A_* - z) = C^n (it
-holds when the LU is nonsingular), and N decides z in res(main
-transform) by the m x m matrix (B_l' + z B_l) N.  Each fast decision
-carries a margin test - the LU's condition estimate (LAPACK gecon) and
-the singular values of that m x m matrix - and otherwise falls back to
-the direct formulas: the SVD null space, ran_shifted and in_resolvent.
-Pairs with n below ``_SPLIT_MIN_N``, or with B_f rank deficient
-(mul T nontrivial), always use the direct formulas.
+[P1 P2].  At each z one LU of P1 - zL, guarded by its condition
+estimate (LAPACK gecon), yields the null basis N = Q [-(P1 - zL)^{-1}
+P2; I], orthonormalised by a thin QR, and C = B N.  Where the guard
+fails, and for n below ``_SPLIT_MIN_N`` or B_f rank deficient (mul T
+nontrivial), C comes from the SVD null space.
+
+C decides every per-point test.  With k = dim Gamma and
+W = C_l' + z C_l: dim C = k - rank(B_f' - z B_f), so ran(A_* - z) = C^n
+exactly when C has k - n columns; ker(J(Gamma) - z) = C null(W), so z
+is in res(main transform) exactly when k = n + m, C has m columns and
+W is invertible, and then P_H (J(Gamma) - z)^{-1} (0, e) = -C_f W^{-1} e.
 """
 
 from dataclasses import dataclass, field
@@ -268,10 +269,8 @@ _SPLIT_MIN_N = 16
 # Least reciprocal condition estimate of the LU (and of L) that the
 # split accepts.
 _SPLIT_RCOND = 1e-6
-# Factor by which a fast rank decision must clear the cutoff of the
-# direct formula it replaces.  On random unitary pairs at n = 16..128,
-# with Im z down to 1e-8, sigma_min/sigma_max of the (n+m)-sized main
-# transform test was at least 0.04 times that of its m x m reduction.
+# Factor by which the LU's estimate of sigma_min(P1 - zL) must clear
+# the rank cutoff of the SVD null space it replaces.
 _MARGIN = 1e3
 
 
@@ -319,50 +318,53 @@ def _pencil_split(B, n):
     return _PencilSplit(R[:n].conj().T, P[:, :n], P[:, n:], B @ Q)
 
 
-class _WeylPoint(NamedTuple):
-    """The Weyl sample at one z, with ran(A_* - z) = C^n and z in
-    res(main transform), each None where the direct test must decide."""
-    sample: WeylSample
-    ran_full: bool | None
-    in_mt_resolvent: bool | None
+@dataclass(frozen=True)
+class _WeylPoint:
+    """The defect elements C at z and what they decide; the Weyl sample
+    and the main-transform test are formed on first read."""
+    bp: BoundaryPair = field(compare=False, repr=False)
+    z: complex
+    C: np.ndarray = field(compare=False, repr=False)
 
+    @cached_property
+    def sample(self) -> WeylSample:
+        n, m, tol, C = self.bp.n, self.bp.m, self.bp.tol, self.C
+        M = LinearRelation(m, m, column_space(C[2 * n :], tol))
+        lf = np.vstack([C[2 * n : 2 * n + m], C[:n]])
+        return WeylSample(self.z, M, lf, tol)
 
-def _mt_resolvent(C, n, m, z, tol):
-    """True where the split decides z in res(main transform) for an
-    (n+m)-dimensional Gamma, else None.
+    @property
+    def ran_full(self) -> bool:
+        """ran(A_* - z) = C^n: C has dim Gamma - n columns."""
+        return self.C.shape[1] == self.bp.gamma.dim - self.bp.n
 
-    With orthonormal defect elements C = B N, z is in the resolvent set
-    exactly when W = (B_l' + z B_l) N = C_l' + z C_l is invertible.
-    in_resolvent compares sigma_min with rank_rel 1e3 (n+m) sigma_max
-    on the (n+m)-sized matrix X = G - zF of the main transform, where
-    sigma_max(X) <= 1 + |z|; sigma_min(W) must clear that bound by
-    _MARGIN.  A nearly singular W is left to in_resolvent.
-    """
-    W = C[2 * n + m :] + z * C[2 * n : 2 * n + m]
-    cutoff = tol.rank_rel * 1e3 * (n + m) * (1.0 + abs(z))
-    if np.linalg.svd(W, compute_uv=False)[-1] > _MARGIN * cutoff:
-        return True
-    return None
+    @property
+    def W(self):
+        """C_l' + z C_l, with ker(J(Gamma) - z) = C null(W)."""
+        n, m, C = self.bp.n, self.bp.m, self.C
+        return C[2 * n + m :] + self.z * C[2 * n : 2 * n + m]
+
+    @cached_property
+    def in_mt_resolvent(self) -> bool:
+        """dim Gamma = n + m and W square with sigma_min above
+        rank_rel 1e3 (n+m) (1 + |z|): in_resolvent's cutoff, with 1 + |z|
+        bounding sigma_max of the main transform's G - zF."""
+        n, m = self.bp.n, self.bp.m
+        if self.bp.gamma.dim != n + m or self.C.shape[1] != m:
+            return False
+        s = np.linalg.svd(self.W, compute_uv=False)
+        cutoff = self.bp.tol.rank_rel * 1e3 * (n + m) * (1.0 + abs(self.z))
+        return not s.size or s[-1] > cutoff
 
 
 def _weyl_point(bp: BoundaryPair, z) -> _WeylPoint:
-    """The Weyl sample at z, from the pencil split where its guard
-    holds, with the two per-point tests the split decides."""
+    """The Weyl point at the nonreal z, C as in the module docstring."""
     _require_nonreal(z)
-    tol = bp.tol
-    n, m = bp.n, bp.m
     split = bp._split
-    C = None if split is None else split.defect_elements(z, tol)
+    C = None if split is None else split.defect_elements(z, bp.tol)
     if C is None:
-        ran_full = in_mt = None
-        C = _defect_elements(bp.gamma, n, z, tol)
-    else:
-        ran_full = True
-        in_mt = (_mt_resolvent(C, n, m, z, tol)
-                 if bp.gamma.dim == n + m else False)
-    M = LinearRelation(m, m, column_space(C[2 * n :], tol))
-    lf = np.vstack([C[2 * n : 2 * n + m], C[:n]])
-    return _WeylPoint(WeylSample(complex(z), M, lf, tol), ran_full, in_mt)
+        C = _defect_elements(bp.gamma, bp.n, z, bp.tol)
+    return _WeylPoint(bp, complex(z), C)
 
 
 def weyl(bp: BoundaryPair, z) -> WeylSample:
@@ -499,15 +501,13 @@ def spectral_sets(bp: BoundaryPair, eps, samples) -> SpectralSets:
 
 def _spectral_sets(bp: BoundaryPair, eps, points, point_at) -> SpectralSets:
     """spectral_sets with the Weyl point at z read from ``point_at(z)``,
-    which is called only at nonreal points off sigma0_p(T).  A_* is
-    formed only where ``ran_full`` of that point is undecided."""
+    which is called only at nonreal points off sigma0_p(T)."""
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     tol = bp.tol
     sigma0 = sigma0_points(bp)
     excluded = _symmetric_closure(sigma0)
     sigma_all = excluded is None
-    a_star = None
     notes = []
     for z in points:
         z = complex(z)
@@ -515,17 +515,10 @@ def _spectral_sets(bp: BoundaryPair, eps, points, point_at) -> SpectralSets:
         d = not sigma_all and in_delta(bp, z, excluded)
         in_O = (in_omega and not sigma_all
                 and not any(_near(z, w) for w in sigma0))
-        if in_O:
-            point = point_at(z)
-            in_O = point.ran_full
-            if in_O is None:
-                if a_star is None:
-                    a_star = bp.a_star()
-                in_O = a_star.ran_shifted(z, tol).dim == bp.n
-        in_sigma = False
-        if in_O:
-            M = point.sample.M
-            in_sigma = in_resolvent(m_plus_z(M, z, tol), 0.0, tol)
+        point = point_at(z) if in_O else None
+        in_O = in_O and point.ran_full
+        in_sigma = in_O and in_resolvent(
+            m_plus_z(point.sample.M, z, tol), 0.0, tol)
         notes.append({
             "z": z,
             "in_Omega": in_omega,

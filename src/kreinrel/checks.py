@@ -328,12 +328,12 @@ def _check_rrzz(rng, dims, tol):
         # symmetric closure
         if not any(abs(np.conj(w) - v) < 1e-7 for v in pts):
             return False, 1.0
-        if abs(complex(w).imag) > 1e-9 and in_delta(bp, w):
+        if abs(complex(w).imag) > 1e-9 and in_delta(bp, w, excluded):
             return False, 1.0
     z = _nonreal_z(rng)
     clear = all(abs(z - w) > 1e-4 and abs(np.conj(z) - w) > 1e-4
                 for w in pts)
-    if clear and not in_delta(bp, z):
+    if clear and not in_delta(bp, z, excluded):
         return False, 1.0
     return True, 0.0
 
@@ -859,10 +859,10 @@ SWEEP_COLUMNS = ("re_z", "im_z", "dim_M", "dim_mul", "dim_ker",
 def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     """CSV rows describing M(z) over a nonreal grid.
 
-    Each point is one ``boundary._weyl_point``: past the size crossover
-    (n >= 16), one n x n LU of the pair's pencil split gives M(z) and
-    decides the O and main-transform-resolvent tests, and the SVD
-    formulas take over wherever the LU's condition guard fails.
+    Each point is one ``boundary._weyl_point``, whose defect elements C
+    decide the O and main-transform-resolvent tests.  From n = 16 on, C
+    comes from one n x n LU of the pair's pencil split where its guard
+    holds, and from the SVD null space otherwise.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
@@ -874,23 +874,18 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     tol = bp.tol
     points = {z: _weyl_point(bp, z) for z in pts}
     sets = _spectral_sets(bp, eps, pts, points.__getitem__)
-    mt = None
     buf = io.StringIO() if out is None else out
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
     for z, rec in zip(pts, sets.samples):
-        sample, _, in_mt = points[z]
-        if in_mt is None:
-            if mt is None:
-                mt = main_transform(bp)
-            in_mt = in_resolvent(mt, z, tol)
-        dim_mul = sample.M.mul(tol).dim
+        M = points[z].sample.M
+        dim_mul = M.mul(tol).dim
         row = (f"{z.real:.12g}", f"{z.imag:.12g}",
-               str(sample.M.graph.dim),
+               str(M.graph.dim),
                str(dim_mul),
-               str(sample.M.ker(tol).dim),
+               str(M.ker(tol).dim),
                str(int(dim_mul == 0)),
                str(int(rec["in_Sigma"])),
-               str(int(in_mt)))
+               str(int(points[z].in_mt_resolvent)))
         buf.write(",".join(row) + "\n")
     if out is None:
         return buf.getvalue()

@@ -10,6 +10,10 @@ resolvent vectors of the main transform,
         [P_H (J(Gamma) - conj(z_beta))^{-1} (0, e_a),
          P_H (J(Gamma) - conj(z_alpha))^{-1} (0, e_b)]_J.
 
+The resolvent vectors are -C_f W^{-1} e, read from the defect elements
+C at w = conj(z) and W = C_l' + w C_l (see ``boundary``), without
+forming the main transform.
+
 Negative squares are estimated by sampling and never claimed exact;
 the report carries the grid metadata.
 """
@@ -22,13 +26,14 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
+    _require_nonreal,
+    _weyl_point,
     delta_excluded_points,
     in_delta,
     m_plus_z,
-    main_transform,
     weyl,
 )
-from .errors import PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .relations import hilbert_adjoint, in_resolvent, rel_equal
 
 __all__ = [
@@ -40,6 +45,15 @@ __all__ = [
     "neg_squares_estimate",
     "gen_nevanlinna_probe",
 ]
+
+
+# grid points z and w pair as conjugates when |conj(z) - w| < _CONJ_ATOL
+_CONJ_ATOL = 1e-12
+_NEG_RTOL = 1e-8
+
+
+def _has_conjugate(z, points):
+    return any(abs(z.conjugate() - w) < _CONJ_ATOL for w in points)
 
 
 @dataclass(frozen=True)
@@ -54,9 +68,8 @@ class KernelSampleGrid:
         pts = tuple(complex(z) for z in self.points)
         if any(z.imag == 0.0 for z in pts):
             raise PreconditionError("grid points must be nonreal")
-        for z in pts:
-            if not any(abs(z.conjugate() - w) < 1e-12 for w in pts):
-                raise PreconditionError("grid is not closed under conjugation")
+        if not all(_has_conjugate(z, pts) for z in pts):
+            raise PreconditionError("grid is not closed under conjugation")
         object.__setattr__(self, "points", pts)
         if self.vectors is not None:
             vecs = tuple(np.asarray(v, dtype=complex).reshape(-1)
@@ -85,25 +98,36 @@ def weyl_symmetry_check(bp: BoundaryPair, z):
     pairs this is the symmetry condition M(z)* = M(zbar)."""
     tol = bp.tol
     z = complex(z)
-    if z.imag == 0.0:
-        raise PreconditionError("z must be nonreal")
-    lhs = hilbert_adjoint(weyl(bp, z).M, tol)
+    lhs = hilbert_adjoint(weyl(bp, z).M, tol)  # rejects a real z
     sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, tol)
     rhs = weyl(sharp, z.conjugate()).M
     return rel_equal(lhs, rhs, tol)
 
 
-def _resolvent_vectors(bp, mt, z):
-    """Columns P_H (J(Gamma) - conj(z))^{-1} (0, e_a), a = 1..m."""
-    n, m, tol = bp.n, bp.m, bp.tol
-    w = complex(z).conjugate()
-    if not in_resolvent(mt, w, tol):
+def _resolvent_vectors(point):
+    """-C_f W^{-1} at the Weyl point w: P_H (J(Gamma) - w)^{-1} (0, e_a)."""
+    if not point.in_mt_resolvent:
         raise PreconditionError(
-            f"conj(z)={w} is not in the resolvent set of the main "
+            f"conj(z)={point.z} is not in the resolvent set of the main "
             "transform; rescale the pair (scale_eps with eps < |z|) first")
-    R = mt.resolvent_matrix(w, tol)
-    E = np.vstack([np.zeros((n, m)), np.eye(m)])
-    return (R @ E)[:n]
+    return -np.linalg.solve(point.W.T, point.C[: point.bp.n].T).T
+
+
+def _vectors_at(bp, z):
+    """The resolvent vectors at conj(z)."""
+    return _resolvent_vectors(_weyl_point(bp, complex(z).conjugate()))
+
+
+def _gram(bp, blocks, vectors):
+    """The Gram matrix of the columns X v, X the resolvent vectors of each
+    grid point in turn, v the probe vectors (default: C^m's basis)."""
+    m = bp.m
+    if vectors is not None and any(len(v) != m for v in vectors):
+        raise DimensionMismatchError(
+            f"probe vectors must lie in the boundary space C^{m}")
+    V = np.eye(m) if vectors is None else np.column_stack(vectors)
+    C = np.hstack([X @ V for X in blocks])
+    return C.conj().T @ bp.H.J @ C
 
 
 def nev_kernel(bp: BoundaryPair, z, w):
@@ -115,49 +139,37 @@ def nev_kernel(bp: BoundaryPair, z, w):
     congruent to the difference-quotient kernel of the Weyl family.
     """
     for p in (z, w):
-        if complex(p).imag == 0.0:
-            raise PreconditionError("kernel points must be nonreal")
-    mt = main_transform(bp)
-    X = _resolvent_vectors(bp, mt, w)
-    Y = _resolvent_vectors(bp, mt, z)
+        _require_nonreal(p)
+    X = _vectors_at(bp, w)
+    Y = _vectors_at(bp, z)
     return Y.conj().T @ bp.H.J @ X
 
 
 def block_gram(bp: BoundaryPair, grid: KernelSampleGrid):
     """The full Gram matrix of a sample grid (points x probe vectors)."""
-    m = bp.m
-    vectors = grid.vectors
-    if vectors is None:
-        vectors = tuple(np.eye(m)[:, a] for a in range(m))
-    V = np.column_stack(vectors)
-    mt = main_transform(bp)
-    # columns P_H R(conj(z_a)) (0, v_i), grouped by grid point
-    C = np.hstack([_resolvent_vectors(bp, mt, za) @ V
-                   for za in grid.points])
-    return C.conj().T @ bp.H.J @ C
+    return _gram(bp, [_vectors_at(bp, z) for z in grid.points], grid.vectors)
 
 
 def count_negative(G):
-    """Eigenvalues of a Hermitian matrix below -1e-8 * ||G||."""
+    """Eigenvalues of a Hermitian matrix below -_NEG_RTOL * ||G||."""
     if G.shape[0] == 0:
         return 0
     Gh = (G + G.conj().T) / 2
     w = np.linalg.eigvalsh(Gh)
-    cut = -1e-8 * max(1e-300, np.max(np.abs(w)))
+    cut = -_NEG_RTOL * max(1e-300, np.max(np.abs(w)))
     return int(np.sum(w < cut))
+
+
+def _require_unitary(bp):
+    if bp.classification != "unitary":
+        raise PreconditionError("negative squares are probed for unitary pairs")
 
 
 def neg_squares_estimate(bp: BoundaryPair, grids) -> NegSquaresReport:
     """Max count of negative Gram eigenvalues over the sample grids."""
-    if bp.classification != "unitary":
-        raise PreconditionError("negative squares are probed for unitary pairs")
-    kappa = 0
-    for grid in grids:
-        G = block_gram(bp, grid)
-        kappa = max(kappa, count_negative(G))
-    return NegSquaresReport(kappa_prime=kappa,
-                            kappa_bound=bp.H.neg_index,
-                            grids_used=len(grids))
+    _require_unitary(bp)
+    kappa = max((count_negative(block_gram(bp, g)) for g in grids), default=0)
+    return NegSquaresReport(kappa, bp.H.neg_index, len(grids))
 
 
 def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
@@ -181,15 +193,14 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
             for z in admissible)
     else:
         cond2 = None  # no admissible z on this grid (delta may be empty)
-    mt = main_transform(scaled)
-    usable = [z for z in grid.points
-              if in_resolvent(mt, complex(z).conjugate(), tol)]
-    usable = [z for z in usable if z.conjugate() in usable]
+    points = {z: _weyl_point(scaled, z.conjugate()) for z in grid.points}
+    usable = [z for z in grid.points if points[z].in_mt_resolvent]
+    usable = [z for z in usable if _has_conjugate(z, usable)]
     if usable:
-        subgrid = KernelSampleGrid(points=tuple(usable), vectors=grid.vectors)
-        report = neg_squares_estimate(scaled, [subgrid])
-        cond3 = report.kappa_prime <= report.kappa_bound
-        kappa_prime = report.kappa_prime
+        _require_unitary(scaled)
+        blocks = [_resolvent_vectors(points[z]) for z in usable]
+        kappa_prime = count_negative(_gram(scaled, blocks, grid.vectors))
+        cond3 = kappa_prime <= scaled.H.neg_index
     else:
         cond3, kappa_prime = None, None
     return {

@@ -30,6 +30,7 @@ from kreinrel.generators import (
     gen_isometric_boundary_pair,
     gen_obt,
     gen_unitary_boundary_pair,
+    gen_unitary_pair_with_T,
     random_krein,
     random_relation,
     random_unitary,
@@ -332,7 +333,7 @@ _SPLIT_Z = _ORACLE_Z + (0.8 + 1e-8j, -1.1 - 1e-8j)
 
 def _direct_point(bp, z):
     """C, ran(A_* - z) = C^n and z in res(main transform) by the SVD
-    formulas the pencil split replaces."""
+    formulas: the null space, ran_shifted of A_* and in_resolvent."""
     tol = bp.tol
     return (_defect_elements(bp.gamma, bp.n, z, tol),
             bp.a_star().ran_shifted(z, tol).dim == bp.n,
@@ -340,52 +341,89 @@ def _direct_point(bp, z):
 
 
 def _assert_split_matches_direct(bp, points):
-    """Where the split decides, it agrees with the direct formulas: equal
-    dims and rel_equal for C and M(z), identical booleans.  Returns how
-    many points it decided."""
+    """At every z the Weyl point agrees with the direct formulas: equal
+    dims and subspace_equal for C, rel_equal for M(z), identical
+    ran_full and in_mt_resolvent.  Returns at how many points C came
+    from the pencil split's LU."""
     tol = bp.tol
     decided = 0
     for z in points:
         C, ran_full, in_mt = _direct_point(bp, z)
         point = _weyl_point(bp, z)
-        fast = None if bp._split is None else bp._split.defect_elements(
-            z, tol)
-        if fast is None:
-            assert point.ran_full is None
-            assert point.in_mt_resolvent is None
-            continue
-        decided += 1
-        assert fast.shape == C.shape
-        assert subspace_equal(Subspace(len(C), fast), Subspace(len(C), C),
+        assert point.C.shape == C.shape
+        assert subspace_equal(Subspace(len(C), point.C), Subspace(len(C), C),
                               tol)
         assert point.ran_full == ran_full
-        assert point.in_mt_resolvent in (None, in_mt)
+        assert point.in_mt_resolvent == in_mt
         M = LinearRelation(bp.m, bp.m, column_space(C[2 * bp.n :], tol))
         _assert_same_relation(point.sample.M, M, tol)
+        decided += (bp._split is not None
+                    and bp._split.defect_elements(z, tol) is not None)
     return decided
 
 
+def _eigen_pair():
+    """A unitary pair over (C^2, diag(1, -1)), m = 1, with T =
+    span{(e, lam e)}, e = (1, 1)/sqrt 2 neutral: ran(A_* - z) is
+    deficient at z = conj(lam)."""
+    lam = 0.4 + 0.7j
+    e = np.array([1.0, 1.0]) / np.sqrt(2)
+    g = np.concatenate([e, lam * e]) / np.sqrt(1 + abs(lam) ** 2)
+    T = LinearRelation(2, 2, Subspace(4, g.reshape(-1, 1)))
+    bp = gen_unitary_pair_with_T(T, make_krein(np.diag([1.0, -1.0])), 1,
+                                 rng_stream(53))
+    return bp, (lam, lam.conjugate())
+
+
+def _deficient_part(bp, z):
+    """The strictly isometric part of ``bp`` spanned by one defect element
+    at z, where C has two columns, and the element of Gamma orthogonal to
+    them: dim Gamma = n + m - 1, yet its C at z has m columns."""
+    B = bp.gamma.graph.basis
+    C = _defect_elements(bp.gamma, bp.n, z, bp.tol)
+    d = B @ null_space(C.conj().T @ B).basis
+    part = LinearRelation(2 * bp.n, 2 * bp.m, Subspace(
+        len(B), np.column_stack([C[:, 0], d[:, 0]])))
+    return BoundaryPair(bp.H, bp.m, part)
+
+
+def _split_off(bp):
+    """The same pair, built anew so that its split is formed again."""
+    return BoundaryPair(bp.H, bp.m, bp.gamma, bp.tol)
+
+
 def test_pencil_split_matches_direct_formulas_at_desk_scale(monkeypatch):
+    empty = _empty_resolvent_pair()[0]  # W = 0 wherever the split decides
+    eigen, lams = _eigen_pair()
+    part = _deficient_part(eigen, lams[1])
+    assert part.classification == "isometric"
+    assert _weyl_point(part, lams[1]).C.shape[1] == part.m
+    points = _SPLIT_Z + lams
     monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 1)
-    decided = {}
-    # the empty-resolvent pair: W = 0, left to in_resolvent
-    empty = _empty_resolvent_pair()[0]
-    for bp in [*_oracle_pairs(), empty]:
+    decided, seen = {}, set()
+    for bp in [*_oracle_pairs(), empty, _mul_pair(), eigen, part]:
         key = (bp.classification, bp.gamma.is_operator())
         decided[key] = decided.get(key, 0) + _assert_split_matches_direct(
-            bp, _SPLIT_Z)
+            bp, points)
         _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
+        seen |= {(p.ran_full, p.in_mt_resolvent)
+                 for p in (_weyl_point(bp, z) for z in points)}
     # the split decided points of unitary, isometric and multivalued pairs
     assert decided[("unitary", True)] > 0
     assert decided[("unitary", False)] > 0
     assert decided[("isometric", True)] > 0
-    mt = {_weyl_point(bp, 0.3 + 0.9j).in_mt_resolvent
-          for bp in _oracle_pairs()}
-    assert {True, False} <= mt
-    assert _weyl_point(empty, 0.3 + 0.9j)[1:] == (True, None)
+    assert {(True, True), (True, False), (False, False)} <= seen
+    point = _weyl_point(empty, 0.3 + 0.9j)
+    assert (point.ran_full, point.in_mt_resolvent) == (True, False)
+    # the same points with the split off: the SVD null space everywhere
+    monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 10**9)
+    for bp in [*_oracle_pairs(), empty, _mul_pair(), eigen, part]:
+        bp = _split_off(bp)
+        assert bp._split is None
+        assert _assert_split_matches_direct(bp, points) == 0
 
 
-def test_pencil_split_matches_direct_formulas_at_n64():
+def test_pencil_split_matches_direct_formulas_at_n64(monkeypatch):
     unitary = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16),
                                         rng_stream(50))
     # a strict part of dimension n + m - 2 > n keeps the split
@@ -393,10 +431,15 @@ def test_pencil_split_matches_direct_formulas_at_n64():
     isometric = BoundaryPair(unitary.H, 8, LinearRelation(
         128, 16, Subspace(144, part)))
     assert isometric.classification == "isometric"
-    for bp in (unitary, isometric):
+    small = gen_unitary_boundary_pair(InstanceSpec(16, 2, 4), rng_stream(54))
+    pairs = (unitary, isometric, small)
+    for bp in pairs:
         assert bp._split is not None
         assert _assert_split_matches_direct(bp, _SPLIT_Z) == len(_SPLIT_Z)
         _assert_weyl_matches_oracle(bp, _SPLIT_Z[-2:])
+    monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 10**9)
+    for bp in map(_split_off, pairs):
+        assert _assert_split_matches_direct(bp, _SPLIT_Z) == 0
 
 
 def test_pencil_split_falls_back_on_an_eigenvalue_of_the_split_pencil():
@@ -407,8 +450,6 @@ def test_pencil_split_falls_back_on_an_eigenvalue_of_the_split_pencil():
     z = complex(next(w for w in eigs if abs(w.imag) > 1e-2))
     for w in (z, z.conjugate()):
         assert (split.defect_elements(w, bp.tol) is None) == (w == z)
-    point = _weyl_point(bp, z)
-    assert point.ran_full is None and point.in_mt_resolvent is None
     assert _assert_split_matches_direct(bp, (z,)) == 0
     _assert_weyl_matches_oracle(bp, (z,))
 

@@ -164,7 +164,7 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
 def test_weyl_sweep_of_a_pair_with_empty_resolvent(monkeypatch, split_min_n):
     # the main transform (graph I) x (graph I) in C^4 over H = (C, -1) is
     # self-adjoint with empty resolvent set; with the split forced on,
-    # its m x m test is W = 0 and the sweep falls back to in_resolvent
+    # its m x m test is W = 0, which the sweep reads as not invertible
     monkeypatch.setattr(kreinrel.boundary, "_SPLIT_MIN_N", split_min_n)
     g = np.zeros((4, 2))
     g[0, 0] = g[1, 0] = g[2, 1] = g[3, 1] = 1 / np.sqrt(2)
@@ -173,6 +173,14 @@ def test_weyl_sweep_of_a_pair_with_empty_resolvent(monkeypatch, split_min_n):
     assert (bp._split is None) == (split_min_n > 1)
     rows = weyl_sweep(bp, [0.3 + 0.9j, -1.2 - 1e-3j]).strip().split("\n")
     assert [r.split(",")[-1] for r in rows[1:]] == ["0", "0"]
+
+
+def test_rrzz_computes_the_point_spectrum_once_per_trial(monkeypatch):
+    calls = _counting(monkeypatch, "point_spectrum",
+                      [kreinrel.relations, kreinrel.boundary])
+    report = check_theorem("rrzz", trials=20, seed=7)
+    assert report.failures == 0
+    assert len(calls) == 20
 
 
 def _sweep_grid(seed, count):

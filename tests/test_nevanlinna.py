@@ -4,7 +4,7 @@ estimates and the three-condition probe."""
 import numpy as np
 import pytest
 
-from kreinrel.boundary import BoundaryPair, main_transform, weyl
+from kreinrel.boundary import BoundaryPair, _weyl_point, main_transform, weyl
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
@@ -14,6 +14,7 @@ from kreinrel.generators import (
 )
 from kreinrel.nevanlinna import (
     KernelSampleGrid,
+    _resolvent_vectors,
     block_gram,
     count_negative,
     gen_nevanlinna_probe,
@@ -222,9 +223,10 @@ def _sigma_p_all_pair():
 def test_probe_computes_the_point_spectrum_once(monkeypatch):
     import kreinrel.boundary as boundary
     import kreinrel.nevanlinna as nevanlinna
-    counts = {"point_spectrum": 0, "main_transform": 0}
+    assert not hasattr(nevanlinna, "main_transform")
+    counts = {"point_spectrum": 0, "_weyl_point": 0}
     for mod, name in ((boundary, "point_spectrum"),
-                      (nevanlinna, "main_transform")):
+                      (nevanlinna, "_weyl_point")):
         real = getattr(mod, name)
 
         def counting(*a, _real=real, _name=name, **k):
@@ -240,8 +242,132 @@ def test_probe_computes_the_point_spectrum_once(monkeypatch):
         for key in counts:
             counts[key] = 0
         out = gen_nevanlinna_probe(bp, 0.5, grid)
-        # one for the usable filter, one inside block_gram
+        # one resolvent evaluation per grid point, for the usable filter
+        # and the Gram matrix alike
         assert counts == {"point_spectrum": 1,
-                          "main_transform": 2 if out["condition3"] is not None
-                          else 1}
+                          "_weyl_point": len(grid.points)}
     assert out["condition2"] is None and out["admissible_points"] == 0
+
+
+# ----------------------------------------- against the main transform
+
+def _oracle_vectors(bp, z):
+    """P_H (J(Gamma) - conj(z))^{-1} (0, e_a) from the resolvent matrix
+    of the (n+m)-dimensional main transform."""
+    n, m = bp.n, bp.m
+    R = main_transform(bp).resolvent_matrix(np.conj(z), bp.tol)
+    return (R @ np.vstack([np.zeros((n, m)), np.eye(m)]))[:n]
+
+
+def _oracle_gram(bp, points):
+    C = np.hstack([_oracle_vectors(bp, z) for z in points])
+    return C.conj().T @ bp.H.J @ C
+
+
+def _empty_resolvent_pair():
+    """The main transform (graph I) x (graph I) in C^4 over (C, J = -1):
+    self-adjoint with empty resolvent set, W = 0 at every z."""
+    from kreinrel.boundary import inverse_main_transform
+    g = np.zeros((4, 2))
+    g[0, 0] = g[1, 0] = g[2, 1] = g[3, 1] = 1 / np.sqrt(2)
+    return inverse_main_transform(LinearRelation(2, 2, Subspace(4, g)),
+                                  make_krein(np.array([[-1.0]])), 1)
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b) / max(1e-300, np.linalg.norm(b))
+
+
+def test_gram_and_kernel_match_the_main_transform_resolvent():
+    from kreinrel.transforms import scale_eps
+    grid = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 0.8 + 1e-3j,
+                                    0.8 - 1e-3j, -1.1 + 1e-8j,
+                                    -1.1 - 1e-8j))
+    pairs = [scale_eps(gen_obt(InstanceSpec(n, m, kappa), rng_stream(47, n),
+                               TOL), 0.5)
+             for n, m, kappa in ((1, 1, 1), (2, 2, 1), (4, 3, 2), (16, 2, 4),
+                                 (64, 8, 16))]
+    pairs.append(_neg_index_one_pair())
+    compared = 0
+    for bp in pairs:
+        usable = [z for z in grid.points if in_resolvent(
+            main_transform(bp), np.conj(z), TOL)]
+        usable = tuple(z for z in usable if np.conj(z) in usable)
+        if not usable:
+            continue
+        for z in usable:
+            point = _weyl_point(bp, np.conj(z))
+            assert _rel_err(_resolvent_vectors(point),
+                            _oracle_vectors(bp, z)) < 1e-10
+        sub = KernelSampleGrid(points=usable)
+        assert _rel_err(block_gram(bp, sub), _oracle_gram(bp, usable)) < 1e-10
+        z, w = usable[0], usable[-1]
+        expect = _oracle_vectors(bp, z).conj().T @ bp.H.J @ _oracle_vectors(
+            bp, w)
+        assert _rel_err(nev_kernel(bp, z, w), expect) < 1e-10
+        compared += 1
+    assert compared >= 5
+    empty = _empty_resolvent_pair()
+    for call in (lambda: block_gram(empty, GRID),
+                 lambda: nev_kernel(empty, 2j, 1 + 1j),
+                 lambda: _oracle_vectors(empty, 2j)):
+        with pytest.raises(PreconditionError):
+            call()
+
+
+def test_block_gram_at_n64_makes_no_n_sized_svd(monkeypatch):
+    from kreinrel.transforms import scale_eps
+    n = 64
+    bp = scale_eps(gen_obt(InstanceSpec(n, 8, 16), rng_stream(48), TOL), 0.5)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    G = block_gram(bp, GRID)
+    assert G.shape == (4 * bp.m, 4 * bp.m)
+    assert len(shapes) > 0
+    assert [s for s in shapes if min(s) >= n // 2] == []
+
+
+# --------------------------------------------------- grids and probes
+
+def test_probe_pairs_near_conjugate_points(monkeypatch):
+    import kreinrel.nevanlinna as nevanlinna
+    near = 1 - 1.0000000000001j
+    assert near != np.conj(1 + 1j)
+    sizes = []
+    real = nevanlinna.count_negative
+
+    def recording(G):
+        sizes.append(G.shape[0])
+        return real(G)
+
+    monkeypatch.setattr(nevanlinna, "count_negative", recording)
+    bp = gen_obt(InstanceSpec(3, 2, 1), rng_stream(49), TOL)
+    out = gen_nevanlinna_probe(bp, 0.5, KernelSampleGrid(
+        points=(2j, -2j, 1 + 1j, near)))
+    assert sizes == [4 * bp.m]
+    exact = gen_nevanlinna_probe(bp, 0.5, GRID)
+    assert out["condition3"] == exact["condition3"]
+    assert out["kappa_prime"] == exact["kappa_prime"]
+    out = gen_nevanlinna_probe(bp, 0.5, KernelSampleGrid(
+        points=(1 + 1j, near)))
+    assert out["condition3"] is not None
+    assert sizes[-1] == 2 * bp.m
+
+
+def test_probe_vectors_of_the_wrong_length_are_rejected():
+    from kreinrel.boundary import identity_obt
+    from kreinrel.errors import DimensionMismatchError
+    bp = identity_obt()
+    grid = KernelSampleGrid(points=(1j, -1j), vectors=([1.0, 0.0],))
+    with pytest.raises(DimensionMismatchError):
+        block_gram(bp, grid)
+    with pytest.raises(DimensionMismatchError):
+        gen_nevanlinna_probe(bp, 0.5, grid)
+    ok = KernelSampleGrid(points=(1j, -1j), vectors=([2.0],))
+    assert block_gram(bp, ok).shape == (2, 2)
