@@ -49,6 +49,8 @@ from .errors import DimensionMismatchError, PreconditionError
 from .relations import (
     LinearRelation,
     _MERGE_RTOL,
+    _RESOLVENT_SLACK,
+    _SPLIT_RCOND,
     in_resolvent,
     is_symmetric,
     point_spectrum,
@@ -266,9 +268,6 @@ def _defect_elements(gamma: LinearRelation, n, z, tol):
 # the LU route and the SVD null space both cost about 0.13 ms at n = 8;
 # at n = 4 the LU route is 0.12 ms against 0.08 ms.
 _SPLIT_MIN_N = 16
-# Least reciprocal condition estimate of the LU (and of L) that the
-# split accepts.
-_SPLIT_RCOND = 1e-6
 # Factor by which the LU's estimate of sigma_min(P1 - zL) must clear
 # the rank cutoff of the SVD null space it replaces.
 _MARGIN = 1e3
@@ -347,13 +346,14 @@ class _WeylPoint:
     @cached_property
     def in_mt_resolvent(self) -> bool:
         """dim Gamma = n + m and W square with sigma_min above
-        rank_rel 1e3 (n+m) (1 + |z|): in_resolvent's cutoff, with 1 + |z|
-        bounding sigma_max of the main transform's G - zF."""
+        rank_rel _RESOLVENT_SLACK (n+m) (1 + |z|): in_resolvent's cutoff,
+        with 1 + |z| bounding sigma_max of the main transform's G - zF."""
         n, m = self.bp.n, self.bp.m
         if self.bp.gamma.dim != n + m or self.C.shape[1] != m:
             return False
         s = np.linalg.svd(self.W, compute_uv=False)
-        cutoff = self.bp.tol.rank_rel * 1e3 * (n + m) * (1.0 + abs(self.z))
+        cutoff = (self.bp.tol.rank_rel * _RESOLVENT_SLACK * (n + m)
+                  * (1.0 + abs(self.z)))
         return not s.size or s[-1] > cutoff
 
 

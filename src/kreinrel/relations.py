@@ -383,23 +383,66 @@ _EIG_RTOL = 1e-7
 # w counts as w, both among pencil candidates and for the points that
 # boundary.py keeps off sigma0_p(T).
 _MERGE_RTOL = 1e-8
+# Slack on rank_rel shared by the resolvent-type rank tests, whose
+# verdicts must agree: in_resolvent, point_spectrum's singular-pencil
+# probes and boundary's main-transform resolvent test all cut at
+# rank_rel * _RESOLVENT_SLACK (times their size and scale factors).
+_RESOLVENT_SLACK = 1e3
+# Least reciprocal condition estimate (LAPACK gecon) of an LU that is
+# solved with: boundary's pencil split (P1 - zL, and L) and
+# point_spectrum's screen (Fc).
+_SPLIT_RCOND = 1e-6
 # Loose pre-filter ahead of the _EIG_RTOL rank test: a pencil candidate
-# whose eigenvector residual ||(G - zF)x|| / (||G - zF||_F ||x||) is
-# above it is not rank tested.  Eigenvalues of T leave residuals at
+# whose eigenvector residual ||(G - zF)x|| / (max(1, ||G - zF||_F) ||x||)
+# is above it is not rank tested.  Eigenvalues of T leave residuals at
 # rounding level, Jordan blocks included (eig is backward stable);
 # candidates that only the compression adds left 0.03 and more on the
-# random n = 4..128 relations.
+# random n = 4..128 relations.  The same filter is point_spectrum's
+# screen: where no eigenvalue of Fc^{-1} Gc passes it, T has none and
+# the QZ is skipped.
 _EIG_RESIDUAL = 1e-4
 
 
 def _nullity(A, rtol):
+    """dim null(A), counting singular values at or below
+    rtol max(1, sigma_max) max(A.shape).  The reference scale is floored
+    at 1 as in subspaces._rank: A is a combination of graph-basis rows,
+    so a G - zF that is rounding noise is rank zero, not full rank."""
     if min(A.shape) == 0:
         return A.shape[1]
     s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return A.shape[1]
-    small = np.sum(s <= rtol * s[0] * max(A.shape))
+    small = np.sum(s <= rtol * max(1.0, s[0]) * max(A.shape))
     return int(small + max(0, A.shape[1] - len(s)))
+
+
+def _residual_ok(F, G, z, X):
+    """The _EIG_RESIDUAL pre-filter for all candidates z at once, with
+    pencil eigenvectors the columns of X.  ||G - zF||_F^2 is expanded as
+    ||G||^2 + |z|^2 ||F||^2 - 2 Re(conj(z) tr(F* G)); where G - zF ~ 0
+    that is cancellation noise, which the floor at 1 makes harmless."""
+    R = G @ X - (F @ X) * z
+    FF, GG, FG = np.vdot(F, F).real, np.vdot(G, G).real, np.vdot(F, G)
+    norm2 = GG + np.abs(z) ** 2 * FF - 2.0 * (z.conj() * FG).real
+    scale = np.maximum(1.0, np.sqrt(np.maximum(norm2, 0.0)))
+    return (np.linalg.norm(R, axis=0)
+            <= _EIG_RESIDUAL * scale * np.linalg.norm(X, axis=0))
+
+
+def _screen_rejects(F, G, Fc, Gc):
+    """True when one standard eigenproblem shows that T has no
+    eigenvalue: the LU of Fc passes the _SPLIT_RCOND guard and no
+    eigenvalue of Fc^{-1} Gc passes the residual pre-filter against the
+    full G - zF."""
+    from scipy.linalg import lapack
+    lu, piv, info = lapack.zgetrf(Fc)
+    if info:
+        return False
+    rcond, _ = lapack.zgecon(lu, np.linalg.norm(Fc, 1))
+    if rcond < _SPLIT_RCOND:
+        return False
+    X, _ = lapack.zgetrs(lu, piv, Gc)
+    candidates, vectors = np.linalg.eig(X)
+    return not _residual_ok(F, G, candidates, vectors).any()
 
 
 def sigma_p_contains(T: LinearRelation, z):
@@ -414,22 +457,28 @@ def sigma_p_contains(T: LinearRelation, z):
 def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
     """Finite point spectrum of a square relation.
 
-    Eigenvalue candidates come from the generalized eigenvalues of the
-    pencil (G, F) built from the graph basis (after a unitary
-    compression when the pencil is rectangular); each candidate whose
-    pencil eigenvector x leaves G - zF a residual below
-    ``_EIG_RESIDUAL`` is verified by a rank test of G - zF.  Infinite
-    generalized eigenvalues (pencil null vectors with Fc = 0) belong to
-    mul T and are discarded.  If the pencil is singular - rank
-    deficient at three generic probe points - every z is an eigenvalue
-    and the all-of-C flag is set.
+    Eigenvalue candidates come from the pencil (G, F) built from the
+    graph basis, after a unitary compression to (Gc, Fc) when the
+    pencil is rectangular.  A screen runs first: where the LU of Fc
+    passes the _SPLIT_RCOND guard, the candidates are the eigenvalues
+    of Fc^{-1} Gc (one standard eigenproblem), and if none leaves
+    G - zF an eigenvector residual below ``_EIG_RESIDUAL``, T has no
+    eigenvalue.  Otherwise - a candidate survives, or Fc fails the
+    guard (mul T != {0}, for one) - the generalized eigenvalues of
+    (Gc, Fc) (QZ) are the candidates, and each one that passes the same
+    residual filter is verified by a rank test of G - zF, so every
+    reported eigenvalue comes from the QZ.  Infinite generalized
+    eigenvalues (pencil null vectors with Fc = 0) belong to mul T and
+    are discarded.  If the pencil is singular - rank deficient at three
+    generic probe points - every z is an eigenvalue and the all-of-C
+    flag is set.
     """
     _require_square(T)
     n, k = T.from_dim, T.dim
     if k == 0:
         return SpectrumReport((), False)
     F, G = T.F, T.G
-    singular = all(_nullity(G - z * F, tol.rank_rel * 1e3) > 0
+    singular = all(_nullity(G - z * F, tol.rank_rel * _RESOLVENT_SLACK) > 0
                    for z in _PROBE_POINTS)
     if k > n or singular:
         return SpectrumReport((), True)
@@ -440,21 +489,19 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
         U = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
         U, _ = np.linalg.qr(U)
         Fc, Gc = U.conj().T @ F, U.conj().T @ G
+    if _screen_rejects(F, G, Fc, Gc):
+        return SpectrumReport((), False)
     import scipy.linalg
     with np.errstate(all="ignore"):
         candidates, vectors = scipy.linalg.eig(Gc, Fc)
+    finite = np.isfinite(candidates)
+    candidates, vectors = candidates[finite], vectors[:, finite]
     found = []
-    for z, x in zip(candidates, vectors.T):
-        if not np.isfinite(z):
-            continue
+    for z in candidates[_residual_ok(F, G, candidates, vectors)]:
         z = complex(z)
         if any(abs(z - w) <= _MERGE_RTOL * (1.0 + abs(w)) for w, _ in found):
             continue
-        A = G - z * F
-        if (np.linalg.norm(A @ x)
-                > _EIG_RESIDUAL * np.linalg.norm(A) * np.linalg.norm(x)):
-            continue
-        d = _nullity(A, _EIG_RTOL)
+        d = _nullity(G - z * F, _EIG_RTOL)
         if d > 0:
             found.append((z, d))
     found.sort(key=lambda p: (round(p[0].real, 10), round(p[0].imag, 10)))
@@ -468,7 +515,7 @@ def in_resolvent(T: LinearRelation, z, tol=DEFAULT_TOL):
         return False
     if T.from_dim == 0:
         return True
-    return _nullity(T.G - z * T.F, tol.rank_rel * 1e3) == 0
+    return _nullity(T.G - z * T.F, tol.rank_rel * _RESOLVENT_SLACK) == 0
 
 
 def classify_point(T: LinearRelation, z, tol=DEFAULT_TOL):

@@ -190,6 +190,22 @@ def _sweep_grid(seed, count):
     return pts + [0.3 + 1e-3j, -0.7 - 1e-3j, 1.1 + 1e-8j, -0.2 - 1e-8j]
 
 
+# One 50-point sweep over a seeded n = 64 pair, where T has no
+# eigenvalue: point_spectrum's screen (one standard eigenproblem)
+# decides that alone, so no QZ runs.  The SVD count is measured.
+_SWEEP64_SVDS = 302
+
+
+def test_generic_sweep_screens_the_point_spectrum_without_qz(monkeypatch):
+    import scipy.linalg
+    bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), rng_stream(35))
+    qz = _counting(monkeypatch, "eig", [scipy.linalg])
+    eig = _counting(monkeypatch, "eig", [np.linalg])
+    svd = _counting(monkeypatch, "svd", [np.linalg])
+    weyl_sweep(bp, _sweep_grid(35, 46))
+    assert (len(qz), len(eig), len(svd)) == (0, 1, _SWEEP64_SVDS)
+
+
 def test_weyl_sweep_with_the_pencil_split_equals_the_direct_formulas(
         monkeypatch):
     pairs = [gen_unitary_boundary_pair(InstanceSpec(n, m, kappa),

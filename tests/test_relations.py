@@ -341,6 +341,90 @@ def test_point_spectrum_keeps_the_known_jordan_splitting():
     assert all(d == 1 for _, d in rep.eigenvalues)
 
 
+def test_rank_tests_hold_where_g_minus_zf_is_rounding_noise():
+    # at an exact eigenvalue of these relations G - zF is ~1e-16 in every
+    # direction; a cutoff relative to its own sigma_max read it as full
+    # rank, so the eigenvalue was missed
+    lam = 0.4 + 0.7j
+    T = rel_from_operator(lam * np.eye(2))
+    assert not in_resolvent(T, lam)
+    assert sigma_p_contains(T, lam)
+    e = np.array([1.0, 1.0]) / np.sqrt(2)
+    line = LinearRelation(2, 2, column_space(np.concatenate([e, lam * e])))
+    rep = point_spectrum(line)
+    assert not rep.all_flag
+    assert len(rep.eigenvalues) == 1
+    z, d = rep.eigenvalues[0]
+    assert d == 1 and abs(z - lam) < 1e-12
+
+
+def _with_mul(rng, n, k):
+    """The graph of a random A on a (k-1)-dimensional domain plus a
+    one-dimensional multivalued part: Fc is singular, so the screen's
+    guard fails and the QZ decides."""
+    X = rng.normal(size=(n, k - 1)) + 1j * rng.normal(size=(n, k - 1))
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+    return LinearRelation(n, n, column_space(np.vstack([
+        np.hstack([X, np.zeros((n, 1))]), np.hstack([A @ X, g])])))
+
+
+def _screen_cases():
+    """Desk draws (T, T0 and T1 at n <= 4), the planted, Jordan and
+    singular cases above, relations with mul T != {0}, and unitary
+    pairs at n = 16 and 64."""
+    for s in range(60):
+        n = 1 + s % 4
+        bp = gen_unitary_boundary_pair(
+            InstanceSpec(n, 1 + s % n, s % (n + 1)), rng_stream(62, s))
+        yield "desk", bp.underlying_T()
+        yield "desk", bp.T0()
+        yield "desk", bp.T1()
+    for T in _spectrum_cases():
+        yield "spectrum", T
+    rng = rng_stream(63)
+    for n, k in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (4, 4)):
+        yield "mul", _with_mul(rng, n, k)
+    yield "mul", LinearRelation(1, 1, Subspace(2, np.array([[0.0], [1.0]])))
+    for n in (16, 64):
+        bp = gen_unitary_boundary_pair(InstanceSpec(n, n // 8, n // 4),
+                                       rng_stream(64, n))
+        for T in (bp.underlying_T(), bp.T0(), bp.T1()):
+            yield "unitary", T
+
+
+def test_point_spectrum_screen_matches_the_qz_route(monkeypatch):
+    import kreinrel.relations as relations
+    screen, eig = relations._screen_rejects, np.linalg.eig
+    seen = []
+
+    def recording_screen(*args):
+        seen[-1]["rejected"] = screen(*args)
+        return seen[-1]["rejected"]
+
+    def recording_eig(*args):
+        seen[-1]["eig"] = True
+        return eig(*args)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    for kind, T in _screen_cases():
+        seen.append({"kind": kind, "rejected": None, "eig": False})
+        monkeypatch.setattr(relations, "_screen_rejects", recording_screen)
+        rep = point_spectrum(T)
+        monkeypatch.setattr(relations, "_screen_rejects", lambda *a: False)
+        assert rep == point_spectrum(T)
+        seen[-1]["eigenvalues"] = len(rep.eigenvalues)
+    # the screen decided some cases alone, passed others with surviving
+    # candidates to the QZ, and never solved with a singular Fc
+    assert any(r["rejected"] for r in seen)
+    assert any(r["eig"] and not r["rejected"] and r["eigenvalues"]
+               for r in seen)
+    mul = [r for r in seen if r["kind"] == "mul"]
+    assert mul and not any(r["eig"] for r in mul)
+    assert all(r["rejected"] for r in seen
+               if r["kind"] == "unitary" and r["eigenvalues"] == 0)
+
+
 # ------------------------------------------------------ property tests
 
 @settings(max_examples=40, deadline=None)
