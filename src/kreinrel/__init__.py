@@ -29,21 +29,17 @@ from .subspaces import (
 from .spaces import (
     KreinSpace,
     hilbert_space,
-    indef_inner,
     krein_adjoint_matrix,
     make_krein,
 )
 from .relations import (
     LinearRelation,
     SpectrumReport,
-    classify_point,
     compose,
     cw_sum,
-    domain_restriction,
     full_relation,
     hilbert_adjoint,
     identity_relation,
-    image_of,
     in_resolvent,
     is_selfadjoint,
     is_symmetric,
@@ -55,19 +51,15 @@ from .relations import (
     rel_from_operator,
     shmulyan,
     sigma_p_contains,
-    zero_relation,
 )
 from .boundary import (
     BoundaryPair,
     SpectralSets,
     WeylSample,
-    defect_numbers,
     delta_excluded_points,
     gamma_sharp,
-    green_pairing_ok,
     identity_obt,
     in_delta,
-    inverse_main_transform,
     m_plus_z,
     main_transform,
     main_transform_space,
@@ -92,7 +84,6 @@ from .transforms import (
     scale_eps,
     scaled_obt,
     std_unitary_relation,
-    symplectic_flip,
     transform_left,
     transform_right,
     u_j,
@@ -104,7 +95,6 @@ from .generators import (
     InstanceSpec,
     conditioned_matrix,
     gen_boundary_unitary_relation,
-    gen_isometric_boundary_pair,
     gen_obt,
     gen_qbt_map,
     gen_std_unitary,
@@ -113,7 +103,6 @@ from .generators import (
     random_hermitian,
     random_krein,
     random_relation,
-    random_symmetric_relation,
     random_unitary,
     rng_stream,
 )
@@ -122,7 +111,6 @@ from .nevanlinna import (
     NegSquaresReport,
     block_gram,
     gen_nevanlinna_probe,
-    nev_kernel,
     neg_squares_estimate,
     weyl_symmetry_check,
 )

@@ -82,12 +82,9 @@ __all__ = [
     "m_plus_z",
     "delta_excluded_points",
     "main_transform",
-    "inverse_main_transform",
     "main_transform_space",
     "theta_extension",
     "spectral_sets",
-    "defect_numbers",
-    "green_pairing_ok",
 ]
 
 
@@ -406,20 +403,6 @@ def main_transform_space(bp: BoundaryPair) -> KreinSpace:
     return make_krein(J)
 
 
-def inverse_main_transform(A: LinearRelation, H: KreinSpace, L_dim,
-                           tol=DEFAULT_TOL) -> BoundaryPair:
-    """Recover the boundary pair whose main transform is A."""
-    n, m = H.dim, L_dim
-    if A.from_dim != n + m or A.to_dim != n + m:
-        raise PreconditionError("relation does not live in C^{n+m}")
-    # A-graph rows are (f, l, f', -l'); undo the reshuffle and the sign
-    A_basis = A.graph.basis
-    basis = np.vstack([A_basis[:n], A_basis[n + m : 2 * n + m],
-                       A_basis[n : n + m], -A_basis[2 * n + m :]])
-    gamma = LinearRelation(2 * n, 2 * m, Subspace._of(2 * (n + m), basis))
-    return BoundaryPair(H, m, gamma, tol)
-
-
 # ---------------------------------------------------------------------
 # extensions and spectral bookkeeping
 # ---------------------------------------------------------------------
@@ -436,7 +419,6 @@ def theta_extension(bp: BoundaryPair, theta: LinearRelation) -> LinearRelation:
 @dataclass(frozen=True)
 class SpectralSets:
     excluded_points: tuple       # sigma0_p(T) with conjugates
-    delta_is_all_nonreal: bool
     sigma_p_all: bool            # T has sigma_p = C (degenerate)
     samples: tuple               # per-z membership dicts
 
@@ -529,25 +511,7 @@ def _spectral_sets(bp: BoundaryPair, eps, points, point_at) -> SpectralSets:
         })
     return SpectralSets(
         excluded_points=() if sigma_all else excluded,
-        delta_is_all_nonreal=(not sigma_all and len(excluded) == 0),
         sigma_p_all=sigma_all,
         samples=tuple(notes),
     )
 
-
-def defect_numbers(bp: BoundaryPair, z):
-    """(n_z, n_zbar) = eigenspace dimensions of T+ at zbar and z."""
-    _require_nonreal(z)
-    tp = bp.t_plus()
-    z = complex(z)
-    return (tp.eigenspace(z.conjugate(), bp.tol).dim,
-            tp.eigenspace(z, bp.tol).dim)
-
-
-def green_pairing_ok(bp: BoundaryPair, atol=1e-8):
-    """The abstract Green identity on the graph basis of Gamma:
-    [f', g] - [f, g'] = <l', k> - <l, k'> for all basis pairs, whose
-    defects are i times the entries of B* diag(hat J_H, -hat J_L) B."""
-    B = bp.gamma.graph.basis
-    metric = _pair_metric(bp.H, hilbert_space(bp.m))
-    return bool(np.all(np.abs(B.conj().T @ metric @ B) <= atol))

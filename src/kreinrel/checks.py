@@ -51,7 +51,6 @@ from .relations import (
     LinearRelation,
     compose,
     cw_sum,
-    domain_restriction,
     full_relation,
     hilbert_adjoint,
     in_resolvent,
@@ -258,9 +257,9 @@ def _check_wie(rng, dims, tol):
     n, m = _dim(rng, dims), _dim(rng, dims)
     V = random_relation(rng, 2 * n, 2 * m)
     T = random_relation(rng, n, n)
-    lhs = domain_restriction(V, T.graph, tol)
+    lhs = V.restrict_domain(T.graph, tol)
     cut = intersect(T.graph, V.dom(tol), tol)
-    rhs = domain_restriction(V, cut, tol)
+    rhs = V.restrict_domain(cut, tol)
     res = _rel_residual(lhs, rhs)
     return res <= tol.angle_tol, res
 

@@ -34,9 +34,7 @@ __all__ = [
     "random_hermitian",
     "random_krein",
     "random_relation",
-    "random_symmetric_relation",
     "gen_unitary_boundary_pair",
-    "gen_isometric_boundary_pair",
     "gen_obt",
     "gen_unitary_pair_with_T",
     "gen_boundary_unitary_relation",
@@ -137,24 +135,6 @@ def hypermax_neutral(rng, metric) -> Subspace:
     return Subspace(metric.shape[0], basis)
 
 
-def random_symmetric_relation(rng, H: KreinSpace,
-                              graph_dim=None) -> LinearRelation:
-    """A random symmetric relation in the Krein space H.
-
-    Symmetric relations are exactly the neutral subspaces of the hat
-    symmetry; a random one of dimension d <= n is a random subspace of
-    a random maximal neutral subspace.
-    """
-    n = H.dim
-    if graph_dim is None:
-        graph_dim = int(rng.integers(0, n + 1))
-    if graph_dim > n:
-        raise PreconditionError("a symmetric relation has graph dim <= n")
-    maximal = hypermax_neutral(rng, H.hat)
-    coeff = random_unitary(rng, n)[:, :graph_dim]
-    return LinearRelation(n, n, Subspace(2 * n, maximal.basis @ coeff))
-
-
 # ---------------------------------------------------------------------
 # boundary pairs
 # ---------------------------------------------------------------------
@@ -171,28 +151,6 @@ def gen_unitary_boundary_pair(spec: InstanceSpec, rng=None,
     graph = hypermax_neutral(rng, _pair_metric(H, hilbert_space(spec.m)))
     gamma = LinearRelation(2 * spec.n, 2 * spec.m, graph)
     return BoundaryPair(H, spec.m, gamma, tol)
-
-
-def gen_isometric_boundary_pair(spec: InstanceSpec, rng=None, graph_dim=None,
-                                tol=DEFAULT_TOL) -> BoundaryPair:
-    """A random isometric pair: a random subspace of a unitary Gamma's
-    graph (strictly isometric when proper).
-
-    A strictly isometric draw need not have a symmetric T: its
-    ker Gamma_# = (dom Gamma)^[perp] is in general larger than
-    ker Gamma and not neutral, and then ``underlying_T`` raises
-    PreconditionError.
-    """
-    rng = rng_stream(spec.seed) if rng is None else rng
-    full = gen_unitary_boundary_pair(spec, rng, tol)
-    total = spec.n + spec.m
-    if graph_dim is None:
-        graph_dim = int(rng.integers(1, total))
-    coeff = random_unitary(rng, total)[:, :graph_dim]
-    gamma = LinearRelation(
-        2 * spec.n, 2 * spec.m,
-        Subspace(2 * (spec.n + spec.m), full.gamma.graph.basis @ coeff))
-    return BoundaryPair(full.H, spec.m, gamma, tol)
 
 
 def gen_obt(spec: InstanceSpec, rng=None, tol=DEFAULT_TOL) -> BoundaryPair:

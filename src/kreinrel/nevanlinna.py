@@ -26,7 +26,6 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
-    _require_nonreal,
     _weyl_point,
     delta_excluded_points,
     in_delta,
@@ -40,7 +39,6 @@ __all__ = [
     "KernelSampleGrid",
     "NegSquaresReport",
     "weyl_symmetry_check",
-    "nev_kernel",
     "block_gram",
     "neg_squares_estimate",
     "gen_nevanlinna_probe",
@@ -128,21 +126,6 @@ def _gram(bp, blocks, vectors):
     V = np.eye(m) if vectors is None else np.column_stack(vectors)
     C = np.hstack([X @ V for X in blocks])
     return C.conj().T @ bp.H.J @ C
-
-
-def nev_kernel(bp: BoundaryPair, z, w):
-    """The m x m Gram contribution G(z, w) of a pair of grid points.
-
-    G(z, w)[a, b] = [P_H R(conj(w)) (0, e_b), P_H R(conj(z)) (0, e_a)]
-    in the Krein metric of the state space, R the resolvent of the
-    main transform.  Hermitian in the sense G(z, w)* = G(w, z), and
-    congruent to the difference-quotient kernel of the Weyl family.
-    """
-    for p in (z, w):
-        _require_nonreal(p)
-    X = _vectors_at(bp, w)
-    Y = _vectors_at(bp, z)
-    return Y.conj().T @ bp.H.J @ X
 
 
 def block_gram(bp: BoundaryPair, grid: KernelSampleGrid):

@@ -10,7 +10,7 @@ graph bases, followed by at most one column space: the null space
 holds the coefficients of the graph elements that meet the defining
 constraints, and the result is spanned by row blocks of the bases
 times those coefficients.  Compositions, operatorwise sums, domain
-restrictions (and through them images and Shmul'yan transforms),
+restrictions (and through them Shmul'yan transforms),
 adjoints, kernels, multivalued parts and eigenspaces are all of this
 form; the point spectrum rank-tests the candidates of the pencil
 (G, F).  Symmetry and self-adjointness in a Krein space are one Gram
@@ -26,6 +26,7 @@ from .spaces import KreinSpace, _classify_graph
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _rank,
     column_space,
     contains,
     full_space,
@@ -33,7 +34,6 @@ from .subspaces import (
     orth_complement,
     subspace_equal,
     subspace_sum,
-    zero_subspace,
 )
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "SpectrumReport",
     "rel_from_operator",
     "identity_relation",
-    "zero_relation",
     "full_relation",
     "rel_equal",
     "rel_contains",
@@ -50,13 +49,10 @@ __all__ = [
     "op_sum",
     "hilbert_adjoint",
     "krein_adjoint",
-    "domain_restriction",
     "shmulyan",
-    "image_of",
     "point_spectrum",
     "in_resolvent",
     "sigma_p_contains",
-    "classify_point",
     "is_symmetric",
     "is_selfadjoint",
 ]
@@ -130,13 +126,6 @@ class LinearRelation:
         return LinearRelation(self.to_dim, self.from_dim, Subspace._of(
             self.to_dim + self.from_dim, basis))
 
-    def shifted(self, z, tol=DEFAULT_TOL):
-        """The relation T - zI (square relations only)."""
-        _require_square(self)
-        n = self.from_dim
-        basis = np.vstack([self.F, self.G - z * self.F])
-        return LinearRelation(n, n, column_space(basis, tol))
-
     def ran_shifted(self, z, tol=DEFAULT_TOL):
         """ran(T - zI) as a subspace, without forming the relation."""
         _require_square(self)
@@ -173,23 +162,9 @@ class LinearRelation:
         n = self.from_dim
         if self.dim != n:
             raise PreconditionError("relation is not an everywhere-defined operator")
-        F = self.F
-        s = np.linalg.svd(F, compute_uv=False) if n else np.zeros(0)
-        if n and s[-1] <= tol.rank_rel * max(1.0, s[0]) * n:
+        if n and _rank_of(self.F, tol.rank_rel) < n:
             raise PreconditionError("domain is not all of the input space")
-        return self.G @ np.linalg.inv(F) if n else np.zeros((self.to_dim, 0))
-
-    def resolvent_matrix(self, z, tol=DEFAULT_TOL):
-        """The matrix of (T - z)^{-1} for z in the resolvent set."""
-        _require_square(self)
-        n = self.from_dim
-        if self.dim != n:
-            raise PreconditionError("graph dimension != n: resolvent set is empty")
-        X = self.G - z * self.F
-        s = np.linalg.svd(X, compute_uv=False) if n else np.zeros(0)
-        if n and s[-1] <= tol.rank_rel * max(1.0, s[0]) * n:
-            raise PreconditionError(f"z={z} is not in the resolvent set")
-        return self.F @ np.linalg.inv(X) if n else np.zeros((0, 0))
+        return self.G @ np.linalg.inv(self.F) if n else np.zeros((self.to_dim, 0))
 
 
 def _require_square(T):
@@ -212,12 +187,6 @@ def rel_from_operator(M, tol=DEFAULT_TOL) -> LinearRelation:
 
 def identity_relation(n) -> LinearRelation:
     return rel_from_operator(np.eye(n, dtype=complex))
-
-
-def zero_relation(n, m=None) -> LinearRelation:
-    """The trivial relation {(0, 0)}."""
-    m = n if m is None else m
-    return LinearRelation(n, m, zero_subspace(n + m))
 
 
 def full_relation(n, m=None) -> LinearRelation:
@@ -325,32 +294,9 @@ def is_selfadjoint(T: LinearRelation, K: KreinSpace, tol=DEFAULT_TOL):
 # Shmul'yan transform
 # ---------------------------------------------------------------------
 
-def _as_domain_subspace(V, T):
-    S = T.graph if isinstance(T, LinearRelation) else T
-    if S.ambient_dim != V.from_dim:
-        raise DimensionMismatchError(
-            "restriction argument does not live in the domain space of V")
-    return S
-
-
-def domain_restriction(V: LinearRelation, T, tol=DEFAULT_TOL):
-    """V|_T = V ∩ (T x full codomain).
-
-    ``T`` may be a relation living in the doubled space V maps from, or
-    a plain subspace of that space.
-    """
-    S = _as_domain_subspace(V, T)
-    return V.restrict_domain(S, tol)
-
-
-def image_of(V: LinearRelation, T, tol=DEFAULT_TOL) -> Subspace:
-    """ran(V|_T): the image of a subspace (or relation graph) under V."""
-    restricted = domain_restriction(V, T, tol)
-    return restricted.ran(tol)
-
-
-def shmulyan(V: LinearRelation, T, tol=DEFAULT_TOL) -> LinearRelation:
-    """The Shmul'yan transform V(T) = ran(V|_T) as a relation.
+def shmulyan(V: LinearRelation, S: Subspace, tol=DEFAULT_TOL) -> LinearRelation:
+    """The Shmul'yan transform V(S) = ran(V|_S) as a relation, for a
+    subspace S of the space V maps from.
 
     The codomain of V must be a doubled space C^{2m'}; the image
     subspace is read as a graph there.
@@ -359,7 +305,7 @@ def shmulyan(V: LinearRelation, T, tol=DEFAULT_TOL) -> LinearRelation:
         raise PreconditionError(
             "Shmul'yan transform needs an even (doubled) codomain")
     half = V.to_dim // 2
-    return LinearRelation(half, half, image_of(V, T, tol))
+    return LinearRelation(half, half, V.restrict_domain(S, tol).ran(tol))
 
 
 # ---------------------------------------------------------------------
@@ -403,16 +349,12 @@ _SPLIT_RCOND = 1e-6
 _EIG_RESIDUAL = 1e-4
 
 
-def _nullity(A, rtol):
-    """dim null(A), counting singular values at or below
-    rtol max(1, sigma_max) max(A.shape).  The reference scale is floored
-    at 1 as in subspaces._rank: A is a combination of graph-basis rows,
-    so a G - zF that is rounding noise is rank zero, not full rank."""
-    if min(A.shape) == 0:
-        return A.shape[1]
-    s = np.linalg.svd(A, compute_uv=False)
-    small = np.sum(s <= rtol * max(1.0, s[0]) * max(A.shape))
-    return int(small + max(0, A.shape[1] - len(s)))
+def _rank_of(A, rtol):
+    """The numerical rank of a nonempty A by subspaces._rank, whose
+    reference scale is floored at 1: A is a combination of graph-basis
+    rows, so a G - zF that is rounding noise is rank zero, not full
+    rank."""
+    return _rank(np.linalg.svd(A, compute_uv=False), A.shape, rtol)
 
 
 def _residual_ok(F, G, z, X):
@@ -451,7 +393,7 @@ def sigma_p_contains(T: LinearRelation, z):
     _require_square(T)
     if T.dim == 0:
         return False
-    return _nullity(T.G - z * T.F, _EIG_RTOL) > 0
+    return _rank_of(T.G - z * T.F, _EIG_RTOL) < T.dim
 
 
 def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
@@ -478,7 +420,7 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
     if k == 0:
         return SpectrumReport((), False)
     F, G = T.F, T.G
-    singular = all(_nullity(G - z * F, tol.rank_rel * _RESOLVENT_SLACK) > 0
+    singular = all(_rank_of(G - z * F, tol.rank_rel * _RESOLVENT_SLACK) < k
                    for z in _PROBE_POINTS)
     if k > n or singular:
         return SpectrumReport((), True)
@@ -501,7 +443,7 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
         z = complex(z)
         if any(abs(z - w) <= _MERGE_RTOL * (1.0 + abs(w)) for w, _ in found):
             continue
-        d = _nullity(G - z * F, _EIG_RTOL)
+        d = k - _rank_of(G - z * F, _EIG_RTOL)
         if d > 0:
             found.append((z, d))
     found.sort(key=lambda p: (round(p[0].real, 10), round(p[0].imag, 10)))
@@ -515,20 +457,5 @@ def in_resolvent(T: LinearRelation, z, tol=DEFAULT_TOL):
         return False
     if T.from_dim == 0:
         return True
-    return _nullity(T.G - z * T.F, tol.rank_rel * _RESOLVENT_SLACK) == 0
-
-
-def classify_point(T: LinearRelation, z, tol=DEFAULT_TOL):
-    """Classify z for T as one of 'p1', 'p2', 'r', 'resolvent'.
-
-    'p1'/'p2': eigenvalue with deficient/full range of T - z;
-    'r': residual-type point (trivial eigenspace, deficient range);
-    'resolvent': trivial eigenspace and full range.
-    """
-    _require_square(T)
-    eig = T.eigenspace(z, tol).dim > 0
-    full_range = T.ran_shifted(z, tol).dim == T.from_dim
-    if eig:
-        return "p2" if full_range else "p1"
-    return "resolvent" if full_range else "r"
+    return _rank_of(T.G - z * T.F, tol.rank_rel * _RESOLVENT_SLACK) == T.dim
 

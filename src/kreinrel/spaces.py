@@ -26,7 +26,6 @@ __all__ = [
     "KreinSpace",
     "make_krein",
     "hilbert_space",
-    "indef_inner",
     "krein_adjoint_matrix",
 ]
 
@@ -87,15 +86,6 @@ def hilbert_space(n) -> KreinSpace:
     J = np.eye(n, dtype=complex)
     J.setflags(write=False)
     return KreinSpace(dim=int(n), J=J, neg_index=0)
-
-
-def indef_inner(x, y, K: KreinSpace):
-    """The indefinite metric [x, y] = <x, Jy>, linear in ``x``."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    if len(x) != K.dim or len(y) != K.dim:
-        raise DimensionMismatchError("vector length does not match the space")
-    return complex(np.vdot(K.J @ y, x))
 
 
 def _pair_metric(K_from: KreinSpace, K_to: KreinSpace):

@@ -141,14 +141,16 @@ def full_space(n):
     return Subspace._of(n, np.eye(n, dtype=complex))
 
 
-def _rank(s, shape, tol):
+def _rank(s, shape, rtol):
+    """The count of singular values ``s`` (descending) of a matrix of
+    ``shape`` above rtol max(1, sigma_max) max(shape)."""
     # The reference scale is floored at 1: bases here are orthonormal,
     # so a block whose largest singular value is far below 1 is noise
     # (e.g. the domain slice of a purely multivalued graph), and a
     # relative cutoff would promote that noise to full rank.
     if len(s) == 0:
         return 0
-    cutoff = tol.rank_rel * max(s[0], 1.0) * max(shape)
+    cutoff = rtol * max(s[0], 1.0) * max(shape)
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -159,7 +161,7 @@ def column_space(M, tol=DEFAULT_TOL):
     if k == 0 or n == 0:
         return zero_subspace(n)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = _rank(s, A.shape, tol)
+    r = _rank(s, A.shape, tol.rank_rel)
     return Subspace._of(n, u[:, :r])
 
 
@@ -172,7 +174,7 @@ def null_space(M, tol=DEFAULT_TOL):
     if n == 0:
         return full_space(k)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    r = _rank(s, A.shape, tol)
+    r = _rank(s, A.shape, tol.rank_rel)
     return Subspace._of(k, vh[r:].conj().T)
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "make_std_unitary",
     "make_commuting_unitary",
     "u_j",
-    "symplectic_flip",
     "rotation_op",
     "std_unitary_relation",
     "transform_right",
@@ -84,14 +83,6 @@ class StdUnitaryOp:
     D: np.ndarray
     K_from: KreinSpace
     K_to: KreinSpace
-
-    @property
-    def n_from(self):
-        return self.K_from.dim
-
-    @property
-    def n_to(self):
-        return self.K_to.dim
 
     def block_matrix(self):
         return np.block([[self.A, self.B], [self.C, self.D]])
@@ -178,13 +169,6 @@ def u_j(K: KreinSpace) -> StdUnitaryOp:
                                   K, hilbert_space(n))
 
 
-def symplectic_flip(n) -> StdUnitaryOp:
-    """(0, I; -I, 0) on the Hilbert space C^n."""
-    H = hilbert_space(n)
-    Z, I = np.zeros((n, n)), np.eye(n)
-    return make_std_unitary(Z, I, -I, Z, H, H)
-
-
 def rotation_op(theta, n=1) -> StdUnitaryOp:
     """The rotation family (cos t·I, sin t·I; ...) on Hilbert C^n."""
     H = hilbert_space(n)
@@ -244,7 +228,6 @@ def w_rel(A, B, T: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
 @dataclass(frozen=True)
 class LftResult:
     T_prime: LinearRelation
-    W_forward: LinearRelation
     invertible: bool
     composition: LinearRelation | None
 
@@ -263,8 +246,8 @@ def lft(V: StdUnitaryOp, T: LinearRelation, tol=DEFAULT_TOL) -> LftResult:
     if invertible:
         w_cd = w_rel(V.C, V.D, T, tol)
         comp = compose(w_cd, w_fwd.inverse(), tol)
-    return LftResult(T_prime=t_prime, W_forward=w_fwd,
-                     invertible=invertible, composition=comp)
+    return LftResult(T_prime=t_prime, invertible=invertible,
+                     composition=comp)
 
 
 def p_poly(V: StdUnitaryOp, z):

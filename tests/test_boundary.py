@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 import kreinrel.boundary as boundary
+from _oracles import (
+    defect_numbers,
+    gen_isometric_boundary_pair,
+    indef_inner,
+    inverse_main_transform,
+)
 from kreinrel.boundary import (
     BoundaryPair,
     _defect_elements,
     _weyl_point,
-    defect_numbers,
     delta_excluded_points,
     gamma_sharp,
-    green_pairing_ok,
     identity_obt,
     in_delta,
-    inverse_main_transform,
     m_plus_z,
     main_transform,
     main_transform_space,
@@ -27,7 +30,6 @@ from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
     gen_boundary_unitary_relation,
-    gen_isometric_boundary_pair,
     gen_obt,
     gen_unitary_boundary_pair,
     gen_unitary_pair_with_T,
@@ -38,7 +40,6 @@ from kreinrel.generators import (
 )
 from kreinrel.relations import (
     LinearRelation,
-    domain_restriction,
     identity_relation,
     in_resolvent,
     is_selfadjoint,
@@ -50,8 +51,9 @@ from kreinrel.relations import (
     shmulyan,
 )
 from kreinrel.spaces import (
+    _classify_graph,
+    _pair_metric,
     hilbert_space,
-    indef_inner,
     make_krein,
 )
 from kreinrel.subspaces import (
@@ -84,7 +86,7 @@ def test_identity_obt_is_unitary_surjective_operator():
     assert bp.classification == "unitary"
     assert bp.is_obt()
     assert all(_old_chains(bp)["flags"].values())
-    assert green_pairing_ok(bp)
+    assert _green_defect_loop(bp) <= TOL.angle_tol
 
 
 def test_identity_gamma_on_negative_space_is_not_isometric():
@@ -92,7 +94,7 @@ def test_identity_gamma_on_negative_space_is_not_isometric():
     bp = BoundaryPair(make_krein(np.array([[-1.0]])), 1,
                       identity_relation(2))
     assert bp.classification == "not_isometric"
-    assert not green_pairing_ok(bp)
+    assert _green_defect_loop(bp) > TOL.angle_tol
 
 
 def test_flip_gamma_on_negative_space_is_obt():
@@ -100,7 +102,7 @@ def test_flip_gamma_on_negative_space_is_obt():
     bp = BoundaryPair(make_krein(np.array([[-1.0]])), 1, flip)
     assert bp.classification == "unitary"
     assert bp.is_obt()
-    assert green_pairing_ok(bp)
+    assert _green_defect_loop(bp) <= TOL.angle_tol
 
 
 def test_restricted_gamma_is_strictly_isometric():
@@ -139,10 +141,14 @@ def test_green_pairing_matches_loop_oracle():
                               random_relation(rng, 2 * n, 2 * m))]
         for bp in pairs:
             worst = _green_defect_loop(bp)
-            assert green_pairing_ok(bp) == (worst <= 1e-8)
+            isometric = bp.classification != "not_isometric"
+            assert isometric == (worst <= TOL.angle_tol)
             if worst > 1e-3:
-                assert green_pairing_ok(bp, atol=worst * (1 + 1e-9))
-                assert not green_pairing_ok(bp, atol=worst * (1 - 1e-9))
+                metric = _pair_metric(bp.H, hilbert_space(bp.m))
+                for scale, want in ((1 + 1e-9, True), (1 - 1e-9, False)):
+                    cls = _classify_graph(bp.gamma.graph.basis, metric,
+                                          Tolerance(angle_tol=worst * scale))
+                    assert (cls != "not_isometric") == want
 
 
 def test_gamma_sharp_of_unitary_pair_equals_gamma():
@@ -213,7 +219,7 @@ def _weyl_oracle(bp, z):
     n_hat = bp.a_star().graph_restriction(z, tol)
     M = shmulyan(bp.gamma, n_hat.graph, tol)
     g0, _ = _selection_projections(bp)
-    restricted = domain_restriction(g0, n_hat.graph, tol)
+    restricted = g0.restrict_domain(n_hat.graph, tol)
     sel = np.zeros((m + n, 2 * n + m))
     sel[:m, 2 * n :] = np.eye(m)
     sel[m :, :n] = np.eye(n)

@@ -8,10 +8,10 @@ import pytest
 import kreinrel.boundary
 import kreinrel.checks
 import kreinrel.relations
+from _oracles import inverse_main_transform
 from kreinrel.boundary import (
     BoundaryPair,
     identity_obt,
-    inverse_main_transform,
     main_transform,
     spectral_sets,
     weyl,

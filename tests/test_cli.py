@@ -6,18 +6,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import kreinrel
+from _oracles import gen_isometric_boundary_pair
 from kreinrel.checks import SWEEP_COLUMNS, THEOREM_IDS
 from kreinrel.cli import main
 from kreinrel.boundary import identity_obt
-from kreinrel.generators import (
-    InstanceSpec,
-    gen_isometric_boundary_pair,
-    rng_stream,
-)
+from kreinrel.generators import InstanceSpec, rng_stream
 from kreinrel.serialize import dump, load
 
 
@@ -219,3 +217,24 @@ def test_no_unused_module_level_imports():
         if bound - read:
             unused[path.name] = sorted(bound - read)
     assert unused == {}
+
+
+def test_every_public_object_has_a_caller():
+    # each public non-module object of kreinrel is read (as a name or an
+    # attribute) by the package itself, a demo or the benchmark; names
+    # only tests need live in tests/_oracles.py
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    package = pathlib.Path(kreinrel.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(repo / "demos").rglob("*.py"), *(repo / "perfbench").rglob("*.py")]
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    public = [name for name in dir(kreinrel) if not name.startswith("_")
+              and not isinstance(getattr(kreinrel, name), types.ModuleType)]
+    assert sorted(set(public) - read) == []

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from _oracles import (
+    gen_isometric_boundary_pair,
+    random_symmetric_relation,
+    zero_relation,
+)
 from kreinrel.errors import GenerationError, PreconditionError, ValidationError
 from kreinrel.generators import (
     RETRY_CAP,
     InstanceSpec,
     conditioned_matrix,
     gen_boundary_unitary_relation,
-    gen_isometric_boundary_pair,
     gen_obt,
     gen_qbt_map,
     gen_std_unitary,
@@ -18,7 +22,6 @@ from kreinrel.generators import (
     random_hermitian,
     random_krein,
     random_relation,
-    random_symmetric_relation,
     random_unitary,
     rng_stream,
 )
@@ -145,7 +148,6 @@ def test_gen_unitary_pair_with_prescribed_t():
 
 def test_gen_unitary_pair_with_t_reports_infeasible_dims():
     # the trivial T cannot be ker Gamma when n > m
-    from kreinrel.relations import zero_relation
     rng = rng_stream(15)
     K = random_krein(rng, 3, 1)
     with pytest.raises(GenerationError):

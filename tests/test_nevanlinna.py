@@ -4,6 +4,7 @@ estimates and the three-condition probe."""
 import numpy as np
 import pytest
 
+from _oracles import inverse_main_transform, nev_kernel, resolvent_matrix
 from kreinrel.boundary import BoundaryPair, _weyl_point, main_transform, weyl
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
@@ -19,7 +20,6 @@ from kreinrel.nevanlinna import (
     count_negative,
     gen_nevanlinna_probe,
     neg_squares_estimate,
-    nev_kernel,
     weyl_symmetry_check,
 )
 from kreinrel.relations import LinearRelation, in_resolvent, rel_from_operator
@@ -255,7 +255,7 @@ def _oracle_vectors(bp, z):
     """P_H (J(Gamma) - conj(z))^{-1} (0, e_a) from the resolvent matrix
     of the (n+m)-dimensional main transform."""
     n, m = bp.n, bp.m
-    R = main_transform(bp).resolvent_matrix(np.conj(z), bp.tol)
+    R = resolvent_matrix(main_transform(bp), np.conj(z), bp.tol)
     return (R @ np.vstack([np.zeros((n, m)), np.eye(m)]))[:n]
 
 
@@ -267,7 +267,6 @@ def _oracle_gram(bp, points):
 def _empty_resolvent_pair():
     """The main transform (graph I) x (graph I) in C^4 over (C, J = -1):
     self-adjoint with empty resolvent set, W = 0 at every z."""
-    from kreinrel.boundary import inverse_main_transform
     g = np.zeros((4, 2))
     g[0, 0] = g[1, 0] = g[2, 1] = g[3, 1] = 1 / np.sqrt(2)
     return inverse_main_transform(LinearRelation(2, 2, Subspace(4, g)),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import random_symmetric_relation, resolvent_matrix, zero_relation
 from kreinrel.errors import DimensionMismatchError, PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
@@ -11,20 +12,17 @@ from kreinrel.generators import (
     hypermax_neutral,
     random_krein,
     random_relation,
-    random_symmetric_relation,
     random_unitary,
     rng_stream,
 )
 from kreinrel.relations import (
     LinearRelation,
     SpectrumReport,
-    classify_point,
     compose,
     cw_sum,
     full_relation,
     hilbert_adjoint,
     identity_relation,
-    image_of,
     in_resolvent,
     is_selfadjoint,
     is_symmetric,
@@ -36,7 +34,6 @@ from kreinrel.relations import (
     rel_from_operator,
     shmulyan,
     sigma_p_contains,
-    zero_relation,
 )
 from kreinrel.spaces import hilbert_space, make_krein
 from kreinrel.subspaces import (
@@ -84,10 +81,10 @@ def test_inverse_swaps_parts():
 def test_apply_and_resolvent_matrix():
     A = np.array([[2.0, 0.0], [0.0, 3.0]])
     T = rel_from_operator(A)
-    R = T.resolvent_matrix(1.0)
+    R = resolvent_matrix(T, 1.0)
     assert np.allclose(R, np.diag([1.0, 0.5]))
     with pytest.raises(PreconditionError):
-        T.resolvent_matrix(2.0)  # eigenvalue: not in the resolvent set
+        resolvent_matrix(T, 2.0)  # eigenvalue: not in the resolvent set
 
 
 def test_is_operator_matches_mul_oracle():
@@ -147,7 +144,7 @@ def test_shmulyan_image_of_operator_graph():
     A = np.array([[1.0, 0.0], [1.0, 1.0]])
     V = rel_from_operator(A)
     S = Subspace(2, np.array([[1.0], [0.0]]))
-    img = image_of(V, S)
+    img = V.restrict_domain(S).ran()
     assert img.dim == 1
     assert sub_contains(img, Subspace(2, np.array([[1.0], [1.0]]) / np.sqrt(2)))
 
@@ -244,7 +241,6 @@ def test_in_resolvent_and_classification():
     T = rel_from_operator(A)
     assert in_resolvent(T, 0.0)
     assert not in_resolvent(T, 1.0)
-    assert classify_point(T, 1.0) != classify_point(T, 0.0)
 
 
 def test_pure_mul_relation_has_empty_point_spectrum():
@@ -256,11 +252,21 @@ def test_pure_mul_relation_has_empty_point_spectrum():
     assert in_resolvent(T, 0.5)
 
 
+def _nullity(A, rtol):
+    """dim null(A), counting singular values at or below
+    rtol max(1, sigma_max) max(A.shape)."""
+    if min(A.shape) == 0:
+        return A.shape[1]
+    s = np.linalg.svd(A, compute_uv=False)
+    small = np.sum(s <= rtol * max(1.0, s[0]) * max(A.shape))
+    return int(small + max(0, A.shape[1] - len(s)))
+
+
 def _point_spectrum_oracle(T, tol=TOL):
     """point_spectrum without the eigenvector pre-filter: every finite
     candidate of the compressed pencil goes to the rank test."""
     import scipy.linalg
-    from kreinrel.relations import _EIG_RTOL, _PROBE_POINTS, _nullity
+    from kreinrel.relations import _EIG_RTOL, _PROBE_POINTS
     n, k = T.from_dim, T.dim
     if k == 0:
         return SpectrumReport((), False)
@@ -331,6 +337,27 @@ def test_point_spectrum_prefilter_matches_unfiltered_oracle():
         seen.add((rep.all_flag, max((d for _, d in rep.eigenvalues),
                                     default=0)))
     assert {(True, 0), (False, 1), (False, 2)} <= seen
+
+
+def test_rank_verdicts_match_the_nullity_oracle():
+    # sigma_p_contains, in_resolvent and to_matrix count rank with
+    # subspaces._rank; the singular-value count they replaced agrees
+    # at eigenvalues (where G - zF can be rounding noise) and off them
+    from kreinrel.relations import _EIG_RTOL
+    for T in _spectrum_cases():
+        eigs = [z for z, _ in point_spectrum(T).eigenvalues]
+        for z in eigs + [0.0, 0.3 + 0.2j, -1.1 - 0.5j]:
+            X = T.G - z * T.F
+            assert sigma_p_contains(T, z) == (_nullity(X, _EIG_RTOL) > 0)
+            assert in_resolvent(T, z) == (
+                T.dim == T.from_dim and _nullity(X, TOL.rank_rel * 1e3) == 0)
+        if T.dim == T.from_dim:
+            onto = _nullity(T.F, TOL.rank_rel) == 0
+            if onto:
+                T.to_matrix()
+            else:
+                with pytest.raises(PreconditionError):
+                    T.to_matrix()
 
 
 def test_point_spectrum_keeps_the_known_jordan_splitting():

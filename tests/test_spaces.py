@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from _oracles import indef_inner
 from kreinrel.boundary import BoundaryPair
 from kreinrel.errors import DimensionMismatchError, ValidationError
 from kreinrel.relations import identity_relation, is_symmetric, rel_from_operator
 from kreinrel.spaces import (
     KreinSpace,
     hilbert_space,
-    indef_inner,
     krein_adjoint_matrix,
     make_krein,
 )
