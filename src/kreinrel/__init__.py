@@ -68,7 +68,6 @@ from .boundary import (
     weyl,
 )
 from .transforms import (
-    LftResult,
     QbtMap,
     StdUnitaryOp,
     delta_correction,
@@ -88,7 +87,6 @@ from .transforms import (
     transform_right,
     u_j,
     v_star,
-    w_rel,
 )
 from .generators import (
     RETRY_CAP,

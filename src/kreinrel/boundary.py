@@ -32,11 +32,14 @@ P2; I], orthonormalised by a thin QR, and C = B N.  Where the guard
 fails, and for n below ``_SPLIT_MIN_N`` or B_f rank deficient (mul T
 nontrivial), C comes from the SVD null space.
 
-C decides every per-point test.  With k = dim Gamma and
-W = C_l' + z C_l: dim C = k - rank(B_f' - z B_f), so ran(A_* - z) = C^n
-exactly when C has k - n columns; ker(J(Gamma) - z) = C null(W), so z
-is in res(main transform) exactly when k = n + m, C has m columns and
-W is invertible, and then P_H (J(Gamma) - z)^{-1} (0, e) = -C_f W^{-1} e.
+A Weyl sample (``weyl``) holds C at one z and decides every per-point
+test.  With k = dim Gamma and W = C_l' + z C_l: dim C = k - rank(B_f' -
+z B_f), so ran(A_* - z) = C^n exactly when C has k - n columns;
+ker(J(Gamma) - z) = C null(W), so z is in res(main transform) exactly
+when k = n + m, C has m columns and W is invertible, and then
+P_H (J(Gamma) - z)^{-1} (0, e) = -C_f W^{-1} e.  M(z) and the
+gamma-field are formed from C on first read.  Only this module indexes
+C.
 """
 
 from dataclasses import dataclass, field
@@ -66,7 +69,6 @@ from .spaces import (
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
-    Tolerance,
     column_space,
     null_space,
 )
@@ -153,10 +155,13 @@ class BoundaryPair:
 
     def is_obt(self):
         """Ordinary boundary triple: Gamma unitary, an operator and onto
-        C^{2m}."""
+        C^{2m}.
+
+        Onto needs no test of its own: for a unitary Gamma,
+        (ran Gamma)^[perp] = ker Gamma+ = ker Gamma^{-1} = mul Gamma, so
+        Gamma is onto C^{2m} exactly when it is an operator."""
         return (self.classification == "unitary"
-                and self.gamma.is_operator(self.tol)
-                and self.gamma.ran(self.tol).dim == 2 * self.m)
+                and self.gamma.is_operator(self.tol))
 
     def underlying_T(self) -> LinearRelation:
         """T = ker Gamma_# = (dom Gamma)^[perp] = null(B_H* hat J_H),
@@ -229,26 +234,6 @@ def identity_obt() -> BoundaryPair:
 # Weyl family
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeylSample:
-    """M(z), a relation in C^m, at the nonreal point z, and the
-    gamma-field, a relation from C^m to C^n.
-
-    The gamma-field is the column space of the stacked (l, f) rows of
-    the defect elements; it is formed on first read and then cached.
-    """
-    z: complex
-    M: LinearRelation
-    _lf: np.ndarray = field(compare=False, repr=False)
-    _tol: Tolerance = field(compare=False, repr=False)
-
-    @cached_property
-    def gamma_field(self) -> LinearRelation:
-        m = self.M.from_dim
-        return LinearRelation(m, self._lf.shape[0] - m,
-                              column_space(self._lf, self._tol))
-
-
 def _require_nonreal(z):
     if abs(complex(z).imag) == 0.0:
         raise PreconditionError("spectral parameter must be nonreal")
@@ -315,19 +300,26 @@ def _pencil_split(B, n):
 
 
 @dataclass(frozen=True)
-class _WeylPoint:
-    """The defect elements C at z and what they decide; the Weyl sample
-    and the main-transform test are formed on first read."""
+class WeylSample:
+    """The defect elements C of a pair at the nonreal z, and what they
+    decide (see the module docstring).  M(z), a relation in C^m, and
+    the gamma-field, a relation from C^m to C^n, are the spans of C's
+    (l, l') and stacked (l, f) rows, each formed on first read and then
+    cached."""
     bp: BoundaryPair = field(compare=False, repr=False)
     z: complex
     C: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
-    def sample(self) -> WeylSample:
-        n, m, tol, C = self.bp.n, self.bp.m, self.bp.tol, self.C
-        M = LinearRelation(m, m, column_space(C[2 * n :], tol))
+    def M(self) -> LinearRelation:
+        n, m = self.bp.n, self.bp.m
+        return LinearRelation(m, m, column_space(self.C[2 * n :], self.bp.tol))
+
+    @cached_property
+    def gamma_field(self) -> LinearRelation:
+        n, m, C = self.bp.n, self.bp.m, self.C
         lf = np.vstack([C[2 * n : 2 * n + m], C[:n]])
-        return WeylSample(self.z, M, lf, tol)
+        return LinearRelation(m, n, column_space(lf, self.bp.tol))
 
     @property
     def ran_full(self) -> bool:
@@ -353,26 +345,29 @@ class _WeylPoint:
                   * (1.0 + abs(self.z)))
         return not s.size or s[-1] > cutoff
 
+    def resolvent_vectors(self):
+        """-C_f W^{-1}, the columns P_H (J(Gamma) - z)^{-1} (0, e_a);
+        PreconditionError where z is not in res(main transform)."""
+        if not self.in_mt_resolvent:
+            raise PreconditionError(
+                f"conj(z)={self.z} is not in the resolvent set of the main "
+                "transform; rescale the pair (scale_eps with eps < |z|) first")
+        return -np.linalg.solve(self.W.T, self.C[: self.bp.n].T).T
 
-def _weyl_point(bp: BoundaryPair, z) -> _WeylPoint:
-    """The Weyl point at the nonreal z, C as in the module docstring."""
+
+def weyl(bp: BoundaryPair, z) -> WeylSample:
+    """The Weyl sample at a nonreal point: C = B null(B_f' - z B_f),
+    from which M(z) and the gamma-field are read.
+
+    From n = _SPLIT_MIN_N on, C comes from the pair's pencil split (one
+    n x n LU per z) wherever the LU passes its condition guard, and
+    from the SVD null space otherwise (see the module docstring)."""
     _require_nonreal(z)
     split = bp._split
     C = None if split is None else split.defect_elements(z, bp.tol)
     if C is None:
         C = _defect_elements(bp.gamma, bp.n, z, bp.tol)
-    return _WeylPoint(bp, complex(z), C)
-
-
-def weyl(bp: BoundaryPair, z) -> WeylSample:
-    """Weyl family M(z) and gamma-field at a nonreal point: the spans of
-    the (l, l') and the (l, f) rows of C = B null(B_f' - z B_f); the
-    gamma-field is formed on first read.
-
-    From n = _SPLIT_MIN_N on, C comes from the pair's pencil split (one
-    n x n LU per z) wherever the LU passes its condition guard, and
-    from the SVD null space otherwise (see the module docstring)."""
-    return _weyl_point(bp, z).sample
+    return WeylSample(bp, complex(z), C)
 
 
 # ---------------------------------------------------------------------
@@ -471,19 +466,15 @@ def m_plus_z(M: LinearRelation, z, tol=DEFAULT_TOL):
 
 
 def spectral_sets(bp: BoundaryPair, eps, samples) -> SpectralSets:
-    """Membership bookkeeping for Omega, delta, O, Sigma and B^eps.
+    """Membership bookkeeping for Omega, delta, O, Sigma and B^eps at
+    the Weyl samples ``samples`` of ``bp``.
 
     In finite dimensions Omega_Gamma is all of C_* (every range is
-    closed); delta_Gamma is C_* minus the symmetric closure of
-    sigma0_p(T); O requires ran(A_* - z) = H; Sigma additionally
-    0 in res(M(z) + z); B^eps is the |z| > eps part of delta.
+    closed), and every sample is nonreal; delta_Gamma is C_* minus the
+    symmetric closure of sigma0_p(T); O requires ran(A_* - z) = H;
+    Sigma additionally 0 in res(M(z) + z); B^eps is the |z| > eps part
+    of delta.
     """
-    return _spectral_sets(bp, eps, samples, lambda z: _weyl_point(bp, z))
-
-
-def _spectral_sets(bp: BoundaryPair, eps, points, point_at) -> SpectralSets:
-    """spectral_sets with the Weyl point at z read from ``point_at(z)``,
-    which is called only at nonreal points off sigma0_p(T)."""
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     tol = bp.tol
@@ -491,19 +482,15 @@ def _spectral_sets(bp: BoundaryPair, eps, points, point_at) -> SpectralSets:
     excluded = _symmetric_closure(sigma0)
     sigma_all = excluded is None
     notes = []
-    for z in points:
-        z = complex(z)
-        in_omega = z.imag != 0.0
+    for sample in samples:
+        z = sample.z
         d = not sigma_all and in_delta(bp, z, excluded)
-        in_O = (in_omega and not sigma_all
-                and not any(_near(z, w) for w in sigma0))
-        point = point_at(z) if in_O else None
-        in_O = in_O and point.ran_full
-        in_sigma = in_O and in_resolvent(
-            m_plus_z(point.sample.M, z, tol), 0.0, tol)
+        in_O = (not sigma_all and not any(_near(z, w) for w in sigma0)
+                and sample.ran_full)
+        in_sigma = in_O and in_resolvent(m_plus_z(sample.M, z, tol), 0.0, tol)
         notes.append({
             "z": z,
-            "in_Omega": in_omega,
+            "in_Omega": True,
             "in_delta": d,
             "in_O": in_O,
             "in_Sigma": in_sigma,
@@ -514,4 +501,3 @@ def _spectral_sets(bp: BoundaryPair, eps, points, point_at) -> SpectralSets:
         sigma_p_all=sigma_all,
         samples=tuple(notes),
     )
-

@@ -19,8 +19,6 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
-    _spectral_sets,
-    _weyl_point,
     delta_excluded_points,
     gamma_sharp,
     in_delta,
@@ -390,7 +388,7 @@ def _check_mrTG_selfadjoint(rng, dims, tol):
 
 def _check_lemma_r(rng, dims, tol):
     bp = _rand_bp(rng, dims, tol)
-    samples = [_nonreal_z(rng) for _ in range(5)]
+    samples = [weyl(bp, _nonreal_z(rng)) for _ in range(5)]
     sets = spectral_sets(bp, 0.5, samples)
     mt = main_transform(bp)
     for rec in sets.samples:
@@ -520,7 +518,7 @@ def _check_delta0b(rng, dims, tol):
         zero = np.linalg.norm(delta) <= 1e-7 * max(1.0, abs(z))
         nz = bp.t_plus().eigenspace(z, tol)
         Wz = V.A + z * V.B
-        phi = lft(V, rel_from_operator(z * np.eye(bp.n)), tol).T_prime
+        phi = lft(V, rel_from_operator(z * np.eye(bp.n)), tol)
         image = column_space(Wz @ nz.basis, tol)
         inside = sub_contains(phi.eigenspace(z, tol), image, tol)
         if inside != zero:
@@ -858,10 +856,10 @@ SWEEP_COLUMNS = ("re_z", "im_z", "dim_M", "dim_mul", "dim_ker",
 def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     """CSV rows describing M(z) over a nonreal grid.
 
-    Each point is one ``boundary._weyl_point``, whose defect elements C
-    decide the O and main-transform-resolvent tests.  From n = 16 on, C
-    comes from one n x n LU of the pair's pencil split where its guard
-    holds, and from the SVD null space otherwise.
+    Each point is one Weyl sample (``weyl``), whose defect elements C
+    give M(z) and decide the O and main-transform-resolvent tests.  From
+    n = 16 on, C comes from one n x n LU of the pair's pencil split where
+    its guard holds, and from the SVD null space otherwise.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
@@ -871,12 +869,12 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     if any(z.imag == 0.0 for z in pts):
         raise PreconditionError("sweep grid must avoid the real axis")
     tol = bp.tol
-    points = {z: _weyl_point(bp, z) for z in pts}
-    sets = _spectral_sets(bp, eps, pts, points.__getitem__)
+    samples = [weyl(bp, z) for z in pts]
+    sets = spectral_sets(bp, eps, samples)
     buf = io.StringIO() if out is None else out
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
-    for z, rec in zip(pts, sets.samples):
-        M = points[z].sample.M
+    for sample, rec in zip(samples, sets.samples):
+        z, M = sample.z, sample.M
         dim_mul = M.mul(tol).dim
         row = (f"{z.real:.12g}", f"{z.imag:.12g}",
                str(M.graph.dim),
@@ -884,7 +882,7 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
                str(M.ker(tol).dim),
                str(int(dim_mul == 0)),
                str(int(rec["in_Sigma"])),
-               str(int(points[z].in_mt_resolvent)))
+               str(int(sample.in_mt_resolvent)))
         buf.write(",".join(row) + "\n")
     if out is None:
         return buf.getvalue()

@@ -10,9 +10,9 @@ resolvent vectors of the main transform,
         [P_H (J(Gamma) - conj(z_beta))^{-1} (0, e_a),
          P_H (J(Gamma) - conj(z_alpha))^{-1} (0, e_b)]_J.
 
-The resolvent vectors are -C_f W^{-1} e, read from the defect elements
-C at w = conj(z) and W = C_l' + w C_l (see ``boundary``), without
-forming the main transform.
+The resolvent vectors are those of the Weyl sample at w = conj(z)
+(``WeylSample.resolvent_vectors``), read from its defect elements
+without forming the main transform.
 
 Negative squares are estimated by sampling and never claimed exact;
 the report carries the grid metadata.
@@ -26,7 +26,6 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
-    _weyl_point,
     delta_excluded_points,
     in_delta,
     m_plus_z,
@@ -102,20 +101,6 @@ def weyl_symmetry_check(bp: BoundaryPair, z):
     return rel_equal(lhs, rhs, tol)
 
 
-def _resolvent_vectors(point):
-    """-C_f W^{-1} at the Weyl point w: P_H (J(Gamma) - w)^{-1} (0, e_a)."""
-    if not point.in_mt_resolvent:
-        raise PreconditionError(
-            f"conj(z)={point.z} is not in the resolvent set of the main "
-            "transform; rescale the pair (scale_eps with eps < |z|) first")
-    return -np.linalg.solve(point.W.T, point.C[: point.bp.n].T).T
-
-
-def _vectors_at(bp, z):
-    """The resolvent vectors at conj(z)."""
-    return _resolvent_vectors(_weyl_point(bp, complex(z).conjugate()))
-
-
 def _gram(bp, blocks, vectors):
     """The Gram matrix of the columns X v, X the resolvent vectors of each
     grid point in turn, v the probe vectors (default: C^m's basis)."""
@@ -130,7 +115,8 @@ def _gram(bp, blocks, vectors):
 
 def block_gram(bp: BoundaryPair, grid: KernelSampleGrid):
     """The full Gram matrix of a sample grid (points x probe vectors)."""
-    return _gram(bp, [_vectors_at(bp, z) for z in grid.points], grid.vectors)
+    blocks = [weyl(bp, z.conjugate()).resolvent_vectors() for z in grid.points]
+    return _gram(bp, blocks, grid.vectors)
 
 
 def count_negative(G):
@@ -176,12 +162,12 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
             for z in admissible)
     else:
         cond2 = None  # no admissible z on this grid (delta may be empty)
-    points = {z: _weyl_point(scaled, z.conjugate()) for z in grid.points}
-    usable = [z for z in grid.points if points[z].in_mt_resolvent]
+    samples = {z: weyl(scaled, z.conjugate()) for z in grid.points}
+    usable = [z for z in grid.points if samples[z].in_mt_resolvent]
     usable = [z for z in usable if _has_conjugate(z, usable)]
     if usable:
         _require_unitary(scaled)
-        blocks = [_resolvent_vectors(points[z]) for z in usable]
+        blocks = [samples[z].resolvent_vectors() for z in usable]
         kappa_prime = count_negative(_gram(scaled, blocks, grid.vectors))
         cond3 = kappa_prime <= scaled.H.neg_index
     else:

@@ -45,7 +45,6 @@ from .subspaces import (
 __all__ = [
     "StdUnitaryOp",
     "QbtMap",
-    "LftResult",
     "make_std_unitary",
     "make_commuting_unitary",
     "u_j",
@@ -53,7 +52,6 @@ __all__ = [
     "std_unitary_relation",
     "transform_right",
     "n_hat_v",
-    "w_rel",
     "lft",
     "p_poly",
     "in_rho_v",
@@ -215,39 +213,12 @@ def n_hat_v(v_rel: LinearRelation, a_star: LinearRelation, z,
 
 # -- linear fractional transformations --------------------------------
 
-def w_rel(A, B, T: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
-    """W(A, B; T) = {(f, Af + Bf') : (f, f') in T}."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape[1] != T.from_dim or B.shape[1] != T.to_dim:
-        raise DimensionMismatchError("blocks do not match the relation")
-    basis = np.vstack([T.F, A @ T.F + B @ T.G])
-    return LinearRelation(T.from_dim, A.shape[0], column_space(basis, tol))
+def lft(V: StdUnitaryOp, T: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
+    """phi_V(T), the Shmul'yan transform V(T) of T by V's graph.
 
-
-@dataclass(frozen=True)
-class LftResult:
-    T_prime: LinearRelation
-    invertible: bool
-    composition: LinearRelation | None
-
-
-def lft(V: StdUnitaryOp, T: LinearRelation, tol=DEFAULT_TOL) -> LftResult:
-    """phi_V(T) = W(C,D;T) W(A,B;T)^{-1}, alongside the Shmul'yan form.
-
-    The Shmul'yan transform V(T) is always returned as ``T_prime``;
-    the explicit composition is provided when 0 is not an eigenvalue
-    of W(A, B; T).
-    """
-    t_prime = shmulyan(std_unitary_relation(V), T.graph, tol)
-    w_fwd = w_rel(V.A, V.B, T, tol)
-    invertible = w_fwd.ker(tol).dim == 0
-    comp = None
-    if invertible:
-        w_cd = w_rel(V.C, V.D, T, tol)
-        comp = compose(w_cd, w_fwd.inverse(), tol)
-    return LftResult(T_prime=t_prime, invertible=invertible,
-                     composition=comp)
+    Where 0 is not an eigenvalue of W(A, B; T) = {(f, Af + Bf')}, it
+    equals the composition W(C, D; T) W(A, B; T)^{-1}."""
+    return shmulyan(std_unitary_relation(V), T.graph, tol)
 
 
 def p_poly(V: StdUnitaryOp, z):

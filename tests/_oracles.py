@@ -3,13 +3,15 @@
 Fixtures (the trivial relation, the symplectic flip, random symmetric
 relations and random isometric pairs) and oracles (the indefinite
 metric, the defect numbers, the resolvent matrix, the inverse of the
-main transform and the Gram contribution of two grid points), each
-written from its definition rather than from the package's fast paths.
+main transform, the Gram contribution of two grid points, the linear
+fractional transformation as an explicit composition and the
+three-clause ordinary-boundary-triple test), each written from its
+definition rather than from the package's fast paths.
 """
 
 import numpy as np
 
-from kreinrel.boundary import BoundaryPair, _require_nonreal
+from kreinrel.boundary import BoundaryPair, _require_nonreal, weyl
 from kreinrel.errors import DimensionMismatchError, PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
@@ -18,10 +20,14 @@ from kreinrel.generators import (
     random_unitary,
     rng_stream,
 )
-from kreinrel.nevanlinna import _vectors_at
-from kreinrel.relations import LinearRelation, _require_square
+from kreinrel.relations import LinearRelation, _require_square, compose
 from kreinrel.spaces import KreinSpace, hilbert_space
-from kreinrel.subspaces import DEFAULT_TOL, Subspace, zero_subspace
+from kreinrel.subspaces import (
+    DEFAULT_TOL,
+    Subspace,
+    column_space,
+    zero_subspace,
+)
 from kreinrel.transforms import StdUnitaryOp, make_std_unitary
 
 
@@ -133,6 +139,33 @@ def nev_kernel(bp: BoundaryPair, z, w):
     """
     for p in (z, w):
         _require_nonreal(p)
-    X = _vectors_at(bp, w)
-    Y = _vectors_at(bp, z)
+    X = weyl(bp, np.conj(w)).resolvent_vectors()
+    Y = weyl(bp, np.conj(z)).resolvent_vectors()
     return Y.conj().T @ bp.H.J @ X
+
+
+def w_rel(A, B, T: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
+    """W(A, B; T) = {(f, Af + Bf') : (f, f') in T}."""
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    if A.shape[1] != T.from_dim or B.shape[1] != T.to_dim:
+        raise DimensionMismatchError("blocks do not match the relation")
+    basis = np.vstack([T.F, A @ T.F + B @ T.G])
+    return LinearRelation(T.from_dim, A.shape[0], column_space(basis, tol))
+
+
+def lft_composition(V: StdUnitaryOp, T: LinearRelation, tol=DEFAULT_TOL):
+    """phi_V(T) = W(C,D;T) W(A,B;T)^{-1}, or None when 0 is an
+    eigenvalue of W(A, B; T)."""
+    w_fwd = w_rel(V.A, V.B, T, tol)
+    if w_fwd.ker(tol).dim:
+        return None
+    return compose(w_rel(V.C, V.D, T, tol), w_fwd.inverse(), tol)
+
+
+def is_obt_three_clauses(bp: BoundaryPair):
+    """Ordinary boundary triple by its definition: Gamma unitary, an
+    operator and onto C^{2m}."""
+    return (bp.classification == "unitary"
+            and bp.gamma.is_operator(bp.tol)
+            and bp.gamma.ran(bp.tol).dim == 2 * bp.m)

@@ -12,12 +12,11 @@ import pytest
 from _oracles import inverse_main_transform
 from kreinrel.boundary import (
     BoundaryPair,
-    identity_obt,
     main_transform,
     main_transform_space,
     weyl,
 )
-from kreinrel.checks import THEOREM_IDS, check_theorem
+from kreinrel.checks import check_theorem
 from kreinrel.cli import main as cli_main
 from kreinrel.generators import (
     InstanceSpec,
@@ -39,7 +38,6 @@ from kreinrel.relations import (
     in_resolvent,
     is_selfadjoint,
     krein_adjoint,
-    rel_contains,
     rel_equal,
     rel_from_operator,
     sigma_p_contains,
@@ -50,7 +48,6 @@ from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
     column_space,
-    contains as sub_contains,
     intersect,
     subspace_equal,
     subspace_sum,

@@ -10,11 +10,11 @@ from _oracles import (
     gen_isometric_boundary_pair,
     indef_inner,
     inverse_main_transform,
+    is_obt_three_clauses,
 )
 from kreinrel.boundary import (
     BoundaryPair,
     _defect_elements,
-    _weyl_point,
     delta_excluded_points,
     gamma_sharp,
     identity_obt,
@@ -103,6 +103,30 @@ def test_flip_gamma_on_negative_space_is_obt():
     assert bp.classification == "unitary"
     assert bp.is_obt()
     assert _green_defect_loop(bp) <= TOL.angle_tol
+
+
+def test_is_obt_agrees_with_the_three_clause_definition():
+    # for a unitary Gamma, onto C^{2m} follows from being an operator:
+    # the fixtures (multivalued Gamma among them), 1,000 random desk
+    # draws and their direct sums with the multivalued-Gamma fixture
+    flip = BoundaryPair(make_krein(np.array([[-1.0]])), 1, rel_from_operator(
+        np.array([[0.0, 1.0], [1.0, 0.0]])))
+    pairs = [identity_obt(), flip, _multivalued_pair(), _mul_pair(),
+             _empty_resolvent_pair()[0], _eigen_pair()[0],
+             *_oracle_pairs(), *_gram_oracle_pairs()]
+    for i in range(1000):
+        rng = rng_stream(62, i)
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, min(n, 3) + 1))
+        pairs.append(gen_unitary_boundary_pair(
+            InstanceSpec(n, m, int(rng.integers(0, n + 1))), rng))
+    pairs += [_direct_sum(bp, _multivalued_pair()) for bp in pairs[-100:]]
+    multivalued = [bp for bp in pairs if bp.classification == "unitary"
+                   and not bp.gamma.is_operator()]
+    assert len(multivalued) > 100
+    assert any(bp.is_obt() for bp in pairs)
+    for bp in pairs:
+        assert bp.is_obt() == is_obt_three_clauses(bp)
 
 
 def test_restricted_gamma_is_strictly_isometric():
@@ -311,20 +335,25 @@ def test_gamma_field_is_formed_on_first_read_and_cached(monkeypatch):
         n, m, tol = bp.n, bp.m, bp.tol
         for z in _ORACLE_Z:
             C = _defect_elements(bp.gamma, n, z, tol)
+            eager_M = LinearRelation(m, m, column_space(C[2 * n :], tol))
             eager = LinearRelation(m, n, column_space(
                 np.vstack([C[2 * n : 2 * n + m], C[:n]]), tol))
             monkeypatch.setattr(np.linalg, "svd", counting)
             del calls[:]
             sample = weyl(bp, z)
             made = len(calls)
-            if bp._split is None:  # the null space and M(z) only
-                assert made == 1 + (C.shape[1] > 0)
-            gamma_field = sample.gamma_field
-            assert len(calls) == made + (C.shape[1] > 0)
-            assert sample.gamma_field is gamma_field
-            assert len(calls) == made + (C.shape[1] > 0)
+            if bp._split is None:  # the null space only
+                assert made == 1
+            read = made
+            for name in ("M", "gamma_field"):
+                value = getattr(sample, name)
+                read += C.shape[1] > 0
+                assert len(calls) == read
+                assert getattr(sample, name) is value
+                assert len(calls) == read
             monkeypatch.undo()
-            assert rel_equal(gamma_field, eager, tol)
+            assert rel_equal(sample.M, eager_M, tol)
+            assert rel_equal(sample.gamma_field, eager, tol)
 
 
 def test_weyl_matches_oracle_at_n64():
@@ -347,7 +376,7 @@ def _direct_point(bp, z):
 
 
 def _assert_split_matches_direct(bp, points):
-    """At every z the Weyl point agrees with the direct formulas: equal
+    """At every z the Weyl sample agrees with the direct formulas: equal
     dims and subspace_equal for C, rel_equal for M(z), identical
     ran_full and in_mt_resolvent.  Returns at how many points C came
     from the pencil split's LU."""
@@ -355,14 +384,14 @@ def _assert_split_matches_direct(bp, points):
     decided = 0
     for z in points:
         C, ran_full, in_mt = _direct_point(bp, z)
-        point = _weyl_point(bp, z)
-        assert point.C.shape == C.shape
-        assert subspace_equal(Subspace(len(C), point.C), Subspace(len(C), C),
+        sample = weyl(bp, z)
+        assert sample.C.shape == C.shape
+        assert subspace_equal(Subspace(len(C), sample.C), Subspace(len(C), C),
                               tol)
-        assert point.ran_full == ran_full
-        assert point.in_mt_resolvent == in_mt
+        assert sample.ran_full == ran_full
+        assert sample.in_mt_resolvent == in_mt
         M = LinearRelation(bp.m, bp.m, column_space(C[2 * bp.n :], tol))
-        _assert_same_relation(point.sample.M, M, tol)
+        _assert_same_relation(sample.M, M, tol)
         decided += (bp._split is not None
                     and bp._split.defect_elements(z, tol) is not None)
     return decided
@@ -403,7 +432,7 @@ def test_pencil_split_matches_direct_formulas_at_desk_scale(monkeypatch):
     eigen, lams = _eigen_pair()
     part = _deficient_part(eigen, lams[1])
     assert part.classification == "isometric"
-    assert _weyl_point(part, lams[1]).C.shape[1] == part.m
+    assert weyl(part, lams[1]).C.shape[1] == part.m
     points = _SPLIT_Z + lams
     monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 1)
     decided, seen = {}, set()
@@ -413,14 +442,14 @@ def test_pencil_split_matches_direct_formulas_at_desk_scale(monkeypatch):
             bp, points)
         _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
         seen |= {(p.ran_full, p.in_mt_resolvent)
-                 for p in (_weyl_point(bp, z) for z in points)}
+                 for p in (weyl(bp, z) for z in points)}
     # the split decided points of unitary, isometric and multivalued pairs
     assert decided[("unitary", True)] > 0
     assert decided[("unitary", False)] > 0
     assert decided[("isometric", True)] > 0
     assert {(True, True), (True, False), (False, False)} <= seen
-    point = _weyl_point(empty, 0.3 + 0.9j)
-    assert (point.ran_full, point.in_mt_resolvent) == (True, False)
+    sample = weyl(empty, 0.3 + 0.9j)
+    assert (sample.ran_full, sample.in_mt_resolvent) == (True, False)
     # the same points with the split off: the SVD null space everywhere
     monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 10**9)
     for bp in [*_oracle_pairs(), empty, _mul_pair(), eigen, part]:
@@ -567,7 +596,7 @@ def test_identity_obt_main_transform_has_resolvent_points():
 def test_spectral_sets_identity_obt():
     bp = identity_obt()
     pts = [1j, 2j, 0.5 + 0.5j]
-    sets = spectral_sets(bp, 0.75, pts)
+    sets = spectral_sets(bp, 0.75, [weyl(bp, z) for z in pts])
     assert not sets.sigma_p_all
     assert sets.excluded_points == ()
     for rec in sets.samples:
@@ -580,8 +609,9 @@ def test_spectral_sets_identity_obt():
 
 
 def test_spectral_sets_rejects_bad_eps():
+    bp = identity_obt()
     with pytest.raises(PreconditionError):
-        spectral_sets(identity_obt(), 0.0, [1j])
+        spectral_sets(bp, 0.0, [weyl(bp, 1j)])
 
 
 def test_delta_excluded_points_conjugate_closed():

@@ -138,7 +138,7 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
     bp = gen_unitary_boundary_pair(InstanceSpec(4, 2, 1), rng_stream(31))
     pts = [complex(a, b) for a in (-1.5, 0.0, 1.2) for b in (0.7, -1.1)]
     eps = 0.5
-    weyl_calls = _counting(monkeypatch, "_weyl_point",
+    weyl_calls = _counting(monkeypatch, "weyl",
                            [kreinrel.boundary, kreinrel.checks])
     spectrum_calls = _counting(monkeypatch, "point_spectrum",
                                [kreinrel.relations, kreinrel.boundary])
@@ -148,7 +148,7 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
     monkeypatch.undo()
 
     tol = bp.tol
-    sets = spectral_sets(bp, eps, pts)
+    sets = spectral_sets(bp, eps, [weyl(bp, z) for z in pts])
     mt = main_transform(bp)
     rows = [",".join(SWEEP_COLUMNS)]
     for z, rec in zip(pts, sets.samples):

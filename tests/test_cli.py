@@ -200,12 +200,14 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_no_unused_module_level_imports():
-    # every name a module imports at module level is read somewhere in
-    # that module; __init__.py re-exports and is exempt
+    # every name a module of the package or of the tests imports at
+    # module level is read somewhere in that module; the package's
+    # __init__.py re-exports and is exempt
+    package = pathlib.Path(kreinrel.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += pathlib.Path(__file__).resolve().parent.glob("*.py")
     unused = {}
-    for path in sorted(pathlib.Path(kreinrel.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in sorted(paths):
         tree = ast.parse(path.read_text())
         bound = {alias.asname or alias.name.split(".")[0]
                  for node in tree.body

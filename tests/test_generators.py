@@ -10,7 +10,6 @@ from _oracles import (
 )
 from kreinrel.errors import GenerationError, PreconditionError, ValidationError
 from kreinrel.generators import (
-    RETRY_CAP,
     InstanceSpec,
     conditioned_matrix,
     gen_boundary_unitary_relation,
@@ -30,7 +29,7 @@ from kreinrel.spaces import (
     hilbert_space,
     make_krein,
 )
-from kreinrel.subspaces import DEFAULT_TOL, column_space, subspace_equal
+from kreinrel.subspaces import DEFAULT_TOL, column_space
 
 TOL = DEFAULT_TOL
 

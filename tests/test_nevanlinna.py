@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import inverse_main_transform, nev_kernel, resolvent_matrix
-from kreinrel.boundary import BoundaryPair, _weyl_point, main_transform, weyl
+from kreinrel.boundary import BoundaryPair, main_transform, weyl
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
@@ -15,7 +15,6 @@ from kreinrel.generators import (
 )
 from kreinrel.nevanlinna import (
     KernelSampleGrid,
-    _resolvent_vectors,
     block_gram,
     count_negative,
     gen_nevanlinna_probe,
@@ -223,17 +222,29 @@ def _sigma_p_all_pair():
 def test_probe_computes_the_point_spectrum_once(monkeypatch):
     import kreinrel.boundary as boundary
     import kreinrel.nevanlinna as nevanlinna
+    import kreinrel.transforms as transforms
     assert not hasattr(nevanlinna, "main_transform")
-    counts = {"point_spectrum": 0, "_weyl_point": 0}
-    for mod, name in ((boundary, "point_spectrum"),
-                      (nevanlinna, "_weyl_point")):
-        real = getattr(mod, name)
+    counts = {"point_spectrum": 0, "weyl": 0}
+    scaled = []
 
-        def counting(*a, _real=real, _name=name, **k):
-            counts[_name] += 1
-            return _real(*a, **k)
+    def counting_spectrum(*a, _real=boundary.point_spectrum, **k):
+        counts["point_spectrum"] += 1
+        return _real(*a, **k)
 
-        monkeypatch.setattr(mod, name, counting)
+    def counting_weyl(bp, z, _real=nevanlinna.weyl):
+        # weyl_symmetry_check calls weyl on the pair and on its Gamma_#
+        # pair; count the calls on the scaled pair only
+        if scaled and bp is scaled[-1]:
+            counts["weyl"] += 1
+        return _real(bp, z)
+
+    def recording_scale_eps(*a, _real=transforms.scale_eps, **k):
+        scaled.append(_real(*a, **k))
+        return scaled[-1]
+
+    monkeypatch.setattr(boundary, "point_spectrum", counting_spectrum)
+    monkeypatch.setattr(nevanlinna, "weyl", counting_weyl)
+    monkeypatch.setattr(transforms, "scale_eps", recording_scale_eps)
     grid = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 3 + 0.5j,
                                     3 - 0.5j, -1 + 2j, -1 - 2j))
     degenerate = _sigma_p_all_pair()
@@ -242,10 +253,11 @@ def test_probe_computes_the_point_spectrum_once(monkeypatch):
         for key in counts:
             counts[key] = 0
         out = gen_nevanlinna_probe(bp, 0.5, grid)
-        # one resolvent evaluation per grid point, for the usable filter
-        # and the Gram matrix alike
+        # one Weyl sample of the scaled pair per grid point, for the
+        # usable filter and the Gram matrix alike, and one per
+        # admissible point for condition 2
         assert counts == {"point_spectrum": 1,
-                          "_weyl_point": len(grid.points)}
+                          "weyl": len(grid.points) + out["admissible_points"]}
     assert out["condition2"] is None and out["admissible_points"] == 0
 
 
@@ -295,8 +307,7 @@ def test_gram_and_kernel_match_the_main_transform_resolvent():
         if not usable:
             continue
         for z in usable:
-            point = _weyl_point(bp, np.conj(z))
-            assert _rel_err(_resolvent_vectors(point),
+            assert _rel_err(weyl(bp, np.conj(z)).resolvent_vectors(),
                             _oracle_vectors(bp, z)) < 1e-10
         sub = KernelSampleGrid(points=usable)
         assert _rel_err(block_gram(bp, sub), _oracle_gram(bp, usable)) < 1e-10

@@ -32,7 +32,6 @@ from kreinrel.relations import (
     rel_contains,
     rel_equal,
     rel_from_operator,
-    shmulyan,
     sigma_p_contains,
 )
 from kreinrel.spaces import hilbert_space, make_krein

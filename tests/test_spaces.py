@@ -8,7 +8,6 @@ from kreinrel.boundary import BoundaryPair
 from kreinrel.errors import DimensionMismatchError, ValidationError
 from kreinrel.relations import identity_relation, is_symmetric, rel_from_operator
 from kreinrel.spaces import (
-    KreinSpace,
     hilbert_space,
     krein_adjoint_matrix,
     make_krein,

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from kreinrel.errors import DimensionMismatchError, ValidationError
 from kreinrel.subspaces import (
-    DEFAULT_TOL,
     Subspace,
     Tolerance,
     column_space,
