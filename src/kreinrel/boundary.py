@@ -13,33 +13,35 @@ Everything is read from B, the graph basis of Gamma in the row blocks
 (f, f', l, l'), with B_H the (f, f') rows.  Gamma_# is the orthogonal
 companion of Gamma in the metric W = diag(hat J_H, -hat J_L), so Gamma
 is isometric exactly when B* W B = 0 and unitary when moreover
-dim Gamma = n + m.  T = null(B_H* hat J_H), T0 = ker Gamma_0 is spanned
-by B_H null(B_l) and T1 = ker Gamma_1 by B_H null(B_l').  The columns
-of B null(B_l) are the elements (f, f', 0, l') of Gamma, so their l'
-rows are Gamma_1 on T0.  Gamma is an operator when null(B_H) = {0},
-and an ordinary boundary triple when moreover it is unitary and onto
-C^{2m}.  The Weyl family M(z) = Gamma(A_* ∩ zI) and the gamma-field
-come from one null space: C = B null(B_f' - z B_f) spans
-{(f, zf, l, l') in Gamma}; M(z) is spanned by the (l, l') rows of C,
-the gamma-field by (l, f).
+dim Gamma = n + m.  With B_# the graph basis of Gamma_# (B itself when
+Gamma is unitary), T = ker Gamma_# is spanned by the (f, f') rows of
+B_# null(B_#[2n:]), T0 = ker Gamma_0 by B_H null(B_l) and
+T1 = ker Gamma_1 by B_H null(B_l').  The columns of B null(B_l) are
+the elements (f, f', 0, l') of Gamma, so their l' rows are Gamma_1 on
+T0.  Gamma is an operator when null(B_H) = {0}, and an ordinary
+boundary triple when moreover it is unitary and onto C^{2m}.  The Weyl
+family M(z) = Gamma(A_* ∩ zI) and the gamma-field come from one null
+space: C = B null(B_f' - z B_f) spans {(f, zf, l, l') in Gamma}; M(z)
+is spanned by the (l, l') rows of C, the gamma-field by (l, f).
 
 Many z per pair share one split of the pencil (B_f', B_f) (the
 frequency-response reduction of Laub, IEEE TAC 1981).  Once per pair,
 Q from a QR of B_f* gives B_f Q = [L 0] with L n x n, and B_f' Q =
 [P1 P2].  At each z one LU of P1 - zL, guarded by its condition
-estimate (LAPACK gecon), yields the null basis N = Q [-(P1 - zL)^{-1}
-P2; I], orthonormalised by a thin QR, and C = B N.  Where the guard
-fails, and for n below ``_SPLIT_MIN_N`` or B_f rank deficient (mul T
-nontrivial), C comes from the SVD null space.
+estimate (LAPACK gecon), yields the null basis Q Y with Y the thin QR
+of [-(P1 - zL)^{-1} P2; I], and C = (BQ) Y.  Where the guard fails,
+and for n below ``_SPLIT_MIN_N`` or B_f rank deficient (mul T
+nontrivial), C = B N with N the SVD null space.
 
-A Weyl sample (``weyl``) holds C at one z and decides every per-point
-test.  With k = dim Gamma and W = C_l' + z C_l: dim C = k - rank(B_f' -
-z B_f), so ran(A_* - z) = C^n exactly when C has k - n columns;
-ker(J(Gamma) - z) = C null(W), so z is in res(main transform) exactly
-when k = n + m, C has m columns and W is invertible, and then
-P_H (J(Gamma) - z)^{-1} (0, e) = -C_f W^{-1} e.  M(z) and the
-gamma-field are formed from C on first read.  Only this module indexes
-C.
+A Weyl sample (``weyl``) holds C as the product S Y (S = BQ and Y as
+above, or S = B and Y = N) and decides every per-point test.  With
+k = dim Gamma and W = C_l' + z C_l: dim C = k - rank(B_f' - z B_f), so
+ran(A_* - z) = C^n exactly when Y has k - n columns; ker(J(Gamma) - z)
+= C null(W), so z is in res(main transform) exactly when k = n + m,
+Y has m columns and W is invertible, and then P_H (J(Gamma) - z)^{-1}
+(0, e) = -C_f W^{-1} e.  M(z) and W read only the 2m boundary rows
+S[2n:] Y; C, its f rows and the gamma-field are formed on first read.
+Only this module indexes C.
 """
 
 from dataclasses import dataclass, field
@@ -164,19 +166,25 @@ class BoundaryPair:
                 and self.gamma.is_operator(self.tol))
 
     def underlying_T(self) -> LinearRelation:
-        """T = ker Gamma_# = (dom Gamma)^[perp] = null(B_H* hat J_H),
-        checked symmetric in H by its Gram matrix.
+        """T = ker Gamma_#, the (f, f') rows of B_# null(B_#[2n:]) for
+        the graph basis B_# of Gamma_# (B itself when the pair is
+        unitary), checked symmetric in H by its Gram matrix.
 
-        A unitary pair always passes the check.  A strictly isometric
-        pair need not: there ker Gamma_# can be larger than ker Gamma
-        and fail to be neutral, and then the pair is not associated
-        with a symmetric T (PreconditionError).
+        B_# null(B_#[2n:]) is orthonormal and its boundary rows lie
+        below the rank cutoff, so its (f, f') rows are orthonormal as
+        they stand (one SVD of 2m rows).  A unitary pair always passes
+        the check.  A strictly isometric pair need not: there ker
+        Gamma_# = (dom Gamma)^[perp] can be larger than ker Gamma and
+        fail to be neutral, and then the pair is not associated with a
+        symmetric T (PreconditionError).
         """
         if self.classification == "not_isometric":
             raise PreconditionError("pair is not isometric; T is undefined")
-        B_H = self.gamma.graph.basis[: 2 * self.n]
-        T = LinearRelation(self.n, self.n,
-                           null_space(B_H.conj().T @ self.H.hat, self.tol))
+        sharp = (self.gamma if self.classification == "unitary"
+                 else self.gamma_sharp)
+        B, n2 = sharp.graph.basis, 2 * self.n
+        T = LinearRelation(self.n, self.n, Subspace._of(
+            n2, B[:n2] @ null_space(B[n2:], self.tol).basis))
         if not is_symmetric(T, self.H, self.tol):
             raise PreconditionError(
                 "ker Gamma_# = (dom Gamma)^[perp] is not symmetric: the "
@@ -239,13 +247,6 @@ def _require_nonreal(z):
         raise PreconditionError("spectral parameter must be nonreal")
 
 
-def _defect_elements(gamma: LinearRelation, n, z, tol):
-    """C = B null(B_f' - z B_f): columns spanning {(f, zf, l, l') in Gamma}."""
-    B = gamma.graph.basis
-    N = null_space(B[n : 2 * n] - z * B[:n], tol)
-    return B @ N.basis
-
-
 # Smallest n that gets the pencil split.  One BLAS thread, per point:
 # the LU route and the SVD null space both cost about 0.13 ms at n = 8;
 # at n = 4 the LU route is 0.12 ms against 0.08 ms.
@@ -262,9 +263,9 @@ class _PencilSplit(NamedTuple):
     P2: np.ndarray
     BQ: np.ndarray
 
-    def defect_elements(self, z, tol):
-        """C = BQ [-(P1 - zL)^{-1} P2; I], orthonormalised by a thin QR,
-        or None when the LU of P1 - zL fails the guard."""
+    def defect_coefficients(self, z, tol):
+        """Y, the thin QR of [-(P1 - zL)^{-1} P2; I], with C = BQ Y, or
+        None when the LU of P1 - zL fails the guard."""
         from scipy.linalg import lapack
         n, k = self.P2.shape[0], self.BQ.shape[1]
         A = self.P1 - z * self.L
@@ -280,8 +281,7 @@ class _PencilSplit(NamedTuple):
                 or rcond * anorm / np.sqrt(n) <= _MARGIN * cutoff):
             return None
         X, _ = lapack.zgetrs(lu, piv, self.P2)
-        Y = np.vstack([-X, np.eye(k - n)])
-        return self.BQ @ np.linalg.qr(Y)[0]
+        return np.linalg.qr(np.vstack([-X, np.eye(k - n)]))[0]
 
 
 def _pencil_split(B, n):
@@ -301,36 +301,51 @@ def _pencil_split(B, n):
 
 @dataclass(frozen=True)
 class WeylSample:
-    """The defect elements C of a pair at the nonreal z, and what they
-    decide (see the module docstring).  M(z), a relation in C^m, and
-    the gamma-field, a relation from C^m to C^n, are the spans of C's
-    (l, l') and stacked (l, f) rows, each formed on first read and then
-    cached."""
+    """The defect elements C = S Y of a pair at the nonreal z, and what
+    they decide (see the module docstring).  M(z), a relation in C^m,
+    and the gamma-field, a relation from C^m to C^n, are the spans of
+    C's (l, l') and stacked (l, f) rows, each formed on first read and
+    then cached."""
     bp: BoundaryPair = field(compare=False, repr=False)
     z: complex
-    C: np.ndarray = field(compare=False, repr=False)
+    S: np.ndarray = field(compare=False, repr=False)
+    Y: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def C(self):
+        """S Y in full, formed on first read."""
+        return self.S @ self.Y
+
+    @cached_property
+    def _boundary_rows(self):
+        """C's (l, l') rows, S[2n:] Y."""
+        return self.S[2 * self.bp.n :] @ self.Y
+
+    def _f_rows(self):
+        return self.S[: self.bp.n] @ self.Y
 
     @cached_property
     def M(self) -> LinearRelation:
-        n, m = self.bp.n, self.bp.m
-        return LinearRelation(m, m, column_space(self.C[2 * n :], self.bp.tol))
+        m = self.bp.m
+        return LinearRelation(m, m, column_space(self._boundary_rows,
+                                                 self.bp.tol))
 
     @cached_property
     def gamma_field(self) -> LinearRelation:
-        n, m, C = self.bp.n, self.bp.m, self.C
-        lf = np.vstack([C[2 * n : 2 * n + m], C[:n]])
-        return LinearRelation(m, n, column_space(lf, self.bp.tol))
+        m = self.bp.m
+        lf = np.vstack([self._boundary_rows[:m], self._f_rows()])
+        return LinearRelation(m, self.bp.n, column_space(lf, self.bp.tol))
 
     @property
     def ran_full(self) -> bool:
         """ran(A_* - z) = C^n: C has dim Gamma - n columns."""
-        return self.C.shape[1] == self.bp.gamma.dim - self.bp.n
+        return self.Y.shape[1] == self.bp.gamma.dim - self.bp.n
 
     @property
     def W(self):
         """C_l' + z C_l, with ker(J(Gamma) - z) = C null(W)."""
-        n, m, C = self.bp.n, self.bp.m, self.C
-        return C[2 * n + m :] + self.z * C[2 * n : 2 * n + m]
+        m, lr = self.bp.m, self._boundary_rows
+        return lr[m:] + self.z * lr[:m]
 
     @cached_property
     def in_mt_resolvent(self) -> bool:
@@ -338,7 +353,7 @@ class WeylSample:
         rank_rel _RESOLVENT_SLACK (n+m) (1 + |z|): in_resolvent's cutoff,
         with 1 + |z| bounding sigma_max of the main transform's G - zF."""
         n, m = self.bp.n, self.bp.m
-        if self.bp.gamma.dim != n + m or self.C.shape[1] != m:
+        if self.bp.gamma.dim != n + m or self.Y.shape[1] != m:
             return False
         s = np.linalg.svd(self.W, compute_uv=False)
         cutoff = (self.bp.tol.rank_rel * _RESOLVENT_SLACK * (n + m)
@@ -352,22 +367,25 @@ class WeylSample:
             raise PreconditionError(
                 f"conj(z)={self.z} is not in the resolvent set of the main "
                 "transform; rescale the pair (scale_eps with eps < |z|) first")
-        return -np.linalg.solve(self.W.T, self.C[: self.bp.n].T).T
+        return -np.linalg.solve(self.W.T, self._f_rows().T).T
 
 
 def weyl(bp: BoundaryPair, z) -> WeylSample:
     """The Weyl sample at a nonreal point: C = B null(B_f' - z B_f),
-    from which M(z) and the gamma-field are read.
+    held as S Y, from which M(z) and the gamma-field are read.
 
-    From n = _SPLIT_MIN_N on, C comes from the pair's pencil split (one
-    n x n LU per z) wherever the LU passes its condition guard, and
-    from the SVD null space otherwise (see the module docstring)."""
+    From n = _SPLIT_MIN_N on, S = BQ and Y come from the pair's pencil
+    split (one n x n LU per z) wherever the LU passes its condition
+    guard; otherwise S = B and Y is the SVD null space (see the module
+    docstring)."""
     _require_nonreal(z)
-    split = bp._split
-    C = None if split is None else split.defect_elements(z, bp.tol)
-    if C is None:
-        C = _defect_elements(bp.gamma, bp.n, z, bp.tol)
-    return WeylSample(bp, complex(z), C)
+    n, split = bp.n, bp._split
+    Y = None if split is None else split.defect_coefficients(z, bp.tol)
+    if Y is not None:
+        return WeylSample(bp, complex(z), split.BQ, Y)
+    B = bp.gamma.graph.basis
+    N = null_space(B[n : 2 * n] - z * B[:n], bp.tol)
+    return WeylSample(bp, complex(z), B, N.basis)
 
 
 # ---------------------------------------------------------------------

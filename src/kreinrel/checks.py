@@ -67,6 +67,7 @@ from .spaces import hilbert_space, make_krein
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _null_dim,
     column_space,
     contains as sub_contains,
     intersect,
@@ -169,6 +170,19 @@ def _rel_residual(T, S):
     if T.graph.dim == 0:
         return 0.0
     return float(np.max(principal_angles(T.graph, S.graph)))
+
+
+# Largest _mat_residual between the two sides of a matrix identity of
+# Weyl functions: each side comes from a few SVDs and solves of
+# unit-scale bases, whose rounding lies orders of magnitude below it.
+_MAT_RTOL = 1e-8
+# Delta(z) counts as zero below _DELTA_ZERO_RTOL max(1, |z|): its blocks
+# grow like |z|, and the unaligned fixture's nonzero Delta has norm of
+# order one.
+_DELTA_ZERO_RTOL = 1e-7
+# An eigenvalue of a Hermitian boundary Gram matrix within
+# _SIGN_RTOL max(1, max |eigenvalue|) of zero counts as neutral.
+_SIGN_RTOL = 1e-10
 
 
 def _mat_residual(A, B):
@@ -460,7 +474,7 @@ def _check_IUBP3(rng, dims, tol):
     m_new = weyl(bp2, z).M.to_matrix(tol)
     m_old = weyl(bp, z).M.to_matrix(tol)
     res = _mat_residual(m_new, m_old + delta)
-    return res <= 1e-8, res
+    return res <= _MAT_RTOL, res
 
 
 def _delta0_fixture(rng, tol, aligned):
@@ -502,7 +516,7 @@ def _check_delta0(rng, dims, tol):
         nz = bp.t_plus().eigenspace(z, tol)
         kerp = null_space(p_poly(V, z), tol)
         inside = sub_contains(kerp, nz, tol)
-        zero = np.linalg.norm(delta) <= 1e-7 * max(1.0, abs(z))
+        zero = np.linalg.norm(delta) <= _DELTA_ZERO_RTOL * max(1.0, abs(z))
         if inside != zero:
             return False, 1.0
     return True, 0.0
@@ -515,7 +529,7 @@ def _check_delta0b(rng, dims, tol):
         if not in_rho_v(bp, V, z):
             return True, 0.0
         delta = delta_correction(bp, V, z)
-        zero = np.linalg.norm(delta) <= 1e-7 * max(1.0, abs(z))
+        zero = np.linalg.norm(delta) <= _DELTA_ZERO_RTOL * max(1.0, abs(z))
         nz = bp.t_plus().eigenspace(z, tol)
         Wz = V.A + z * V.B
         phi = lft(V, rel_from_operator(z * np.eye(bp.n)), tol)
@@ -540,7 +554,7 @@ def _check_scaled_obt(rng, dims, tol):
         else:
             scale = rel_from_operator(kappa ** 2 * np.eye(bp.m))
             worst = max(worst, _rel_residual(M2, compose(scale, M, tol)))
-    return worst <= 1e-8, worst
+    return worst <= _MAT_RTOL, worst
 
 
 def _check_fTex(rng, dims, tol):
@@ -571,7 +585,7 @@ def _check_fTex(rng, dims, tol):
                             rcond=None)[0]
     alt = z * bp.gamma.G[bp.m :] @ coeff
     res = _mat_residual(delta, alt)
-    return res <= 1e-8, res
+    return res <= _MAT_RTOL, res
 
 
 # ---------------------------------------------------------------------
@@ -616,9 +630,9 @@ def _check_GunTp(rng, dims, tol):
     A = B.conj().T @ Jb @ B
     w_eig, U_eig = np.linalg.eigh((A + A.conj().T) / 2)
     scale = max(1.0, float(np.max(np.abs(w_eig))))
-    pos = [i for i in range(len(w_eig)) if w_eig[i] > 1e-10 * scale]
-    neg = [i for i in range(len(w_eig)) if w_eig[i] < -1e-10 * scale]
-    nul = [i for i in range(len(w_eig)) if abs(w_eig[i]) <= 1e-10 * scale]
+    pos = [i for i in range(len(w_eig)) if w_eig[i] > _SIGN_RTOL * scale]
+    neg = [i for i in range(len(w_eig)) if w_eig[i] < -_SIGN_RTOL * scale]
+    nul = [i for i in range(len(w_eig)) if abs(w_eig[i]) <= _SIGN_RTOL * scale]
     if nul:
         u = B @ U_eig[:, nul[0]]
     elif pos and neg:
@@ -674,7 +688,7 @@ def _check_propVVV(rng, dims, tol):
     M = weyl(bp, z).M.to_matrix(tol)
     M2 = weyl(bp2, z).M.to_matrix(tol)
     res = _mat_residual(M2, q.E + q.G.conj().T @ M @ q.G)
-    return res <= 1e-8, res
+    return res <= _MAT_RTOL, res
 
 
 def _check_QBTex(rng, dims, tol):
@@ -709,7 +723,7 @@ def _check_thmVVV(rng, dims, tol):
     M = weyl(bp, z).M.to_matrix(tol)
     M2 = weyl(bp2, z).M.to_matrix(tol)
     res = _mat_residual(M2, q.E + q.G.conj().T @ M @ q.G)
-    return res <= 1e-8, res
+    return res <= _MAT_RTOL, res
 
 
 # ---------------------------------------------------------------------
@@ -859,7 +873,10 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     Each point is one Weyl sample (``weyl``), whose defect elements C
     give M(z) and decide the O and main-transform-resolvent tests.  From
     n = 16 on, C comes from one n x n LU of the pair's pencil split where
-    its guard holds, and from the SVD null space otherwise.
+    its guard holds, and from the SVD null space otherwise.  Only C's 2m
+    boundary rows are formed.  dim mul M(z) and dim ker M(z) are the
+    null-space dimensions of M's F and G blocks, counted from their
+    singular values with null_space's rank cutoff.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
@@ -875,11 +892,12 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
     for sample, rec in zip(samples, sets.samples):
         z, M = sample.z, sample.M
-        dim_mul = M.mul(tol).dim
+        # dim mul M = dim null(F), dim ker M = dim null(G): see ``mul``
+        dim_mul = _null_dim(M.F, tol)
         row = (f"{z.real:.12g}", f"{z.imag:.12g}",
                str(M.graph.dim),
                str(dim_mul),
-               str(M.ker(tol).dim),
+               str(_null_dim(M.G, tol)),
                str(int(dim_mul == 0)),
                str(int(rec["in_Sigma"])),
                str(int(sample.in_mt_resolvent)))

@@ -4,8 +4,9 @@ Fixtures (the trivial relation, the symplectic flip, random symmetric
 relations and random isometric pairs) and oracles (the indefinite
 metric, the defect numbers, the resolvent matrix, the inverse of the
 main transform, the Gram contribution of two grid points, the linear
-fractional transformation as an explicit composition and the
-three-clause ordinary-boundary-triple test), each written from its
+fractional transformation as an explicit composition, the
+three-clause ordinary-boundary-triple test, T as (dom Gamma)^[perp]
+and the defect elements C formed in full), each written from its
 definition rather than from the package's fast paths.
 """
 
@@ -20,12 +21,18 @@ from kreinrel.generators import (
     random_unitary,
     rng_stream,
 )
-from kreinrel.relations import LinearRelation, _require_square, compose
+from kreinrel.relations import (
+    LinearRelation,
+    _require_square,
+    compose,
+    is_symmetric,
+)
 from kreinrel.spaces import KreinSpace, hilbert_space
 from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
     column_space,
+    null_space,
     zero_subspace,
 )
 from kreinrel.transforms import StdUnitaryOp, make_std_unitary
@@ -169,3 +176,24 @@ def is_obt_three_clauses(bp: BoundaryPair):
     return (bp.classification == "unitary"
             and bp.gamma.is_operator(bp.tol)
             and bp.gamma.ran(bp.tol).dim == 2 * bp.m)
+
+
+def underlying_t_perp(bp: BoundaryPair) -> LinearRelation:
+    """T = (dom Gamma)^[perp] = null(B_H* hat J_H), checked symmetric in
+    H; PreconditionError where the pair is not isometric or that
+    relation is not symmetric."""
+    if bp.classification == "not_isometric":
+        raise PreconditionError("pair is not isometric; T is undefined")
+    B_H = bp.gamma.graph.basis[: 2 * bp.n]
+    T = LinearRelation(bp.n, bp.n,
+                       null_space(B_H.conj().T @ bp.H.hat, bp.tol))
+    if not is_symmetric(T, bp.H, bp.tol):
+        raise PreconditionError("(dom Gamma)^[perp] is not symmetric")
+    return T
+
+
+def defect_elements(gamma: LinearRelation, n, z, tol=DEFAULT_TOL):
+    """C = B null(B_f' - z B_f) in full: columns spanning
+    {(f, zf, l, l') in Gamma}."""
+    B = gamma.graph.basis
+    return B @ null_space(B[n : 2 * n] - z * B[:n], tol).basis

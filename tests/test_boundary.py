@@ -6,15 +6,16 @@ import pytest
 
 import kreinrel.boundary as boundary
 from _oracles import (
+    defect_elements,
     defect_numbers,
     gen_isometric_boundary_pair,
     indef_inner,
     inverse_main_transform,
     is_obt_three_clauses,
+    underlying_t_perp,
 )
 from kreinrel.boundary import (
     BoundaryPair,
-    _defect_elements,
     delta_excluded_points,
     gamma_sharp,
     identity_obt,
@@ -255,7 +256,7 @@ def _weyl_of_gamma(gamma, n, m, z, tol):
     """M(z) of a raw boundary relation, as the deleted
     ``boundary.weyl_of_gamma`` formed it: the span of the (l, l') rows
     of C = B null(B_f' - z B_f)."""
-    C = _defect_elements(gamma, n, z, tol)
+    C = defect_elements(gamma, n, z, tol)
     return LinearRelation(m, m, column_space(C[2 * n :], tol))
 
 
@@ -334,7 +335,7 @@ def test_gamma_field_is_formed_on_first_read_and_cached(monkeypatch):
     for bp in pairs:
         n, m, tol = bp.n, bp.m, bp.tol
         for z in _ORACLE_Z:
-            C = _defect_elements(bp.gamma, n, z, tol)
+            C = defect_elements(bp.gamma, n, z, tol)
             eager_M = LinearRelation(m, m, column_space(C[2 * n :], tol))
             eager = LinearRelation(m, n, column_space(
                 np.vstack([C[2 * n : 2 * n + m], C[:n]]), tol))
@@ -370,7 +371,7 @@ def _direct_point(bp, z):
     """C, ran(A_* - z) = C^n and z in res(main transform) by the SVD
     formulas: the null space, ran_shifted of A_* and in_resolvent."""
     tol = bp.tol
-    return (_defect_elements(bp.gamma, bp.n, z, tol),
+    return (defect_elements(bp.gamma, bp.n, z, tol),
             bp.a_star().ran_shifted(z, tol).dim == bp.n,
             in_resolvent(main_transform(bp), z, tol))
 
@@ -393,7 +394,7 @@ def _assert_split_matches_direct(bp, points):
         M = LinearRelation(bp.m, bp.m, column_space(C[2 * bp.n :], tol))
         _assert_same_relation(sample.M, M, tol)
         decided += (bp._split is not None
-                    and bp._split.defect_elements(z, tol) is not None)
+                    and bp._split.defect_coefficients(z, tol) is not None)
     return decided
 
 
@@ -415,7 +416,7 @@ def _deficient_part(bp, z):
     at z, where C has two columns, and the element of Gamma orthogonal to
     them: dim Gamma = n + m - 1, yet its C at z has m columns."""
     B = bp.gamma.graph.basis
-    C = _defect_elements(bp.gamma, bp.n, z, bp.tol)
+    C = defect_elements(bp.gamma, bp.n, z, bp.tol)
     d = B @ null_space(C.conj().T @ B).basis
     part = LinearRelation(2 * bp.n, 2 * bp.m, Subspace(
         len(B), np.column_stack([C[:, 0], d[:, 0]])))
@@ -484,7 +485,7 @@ def test_pencil_split_falls_back_on_an_eigenvalue_of_the_split_pencil():
     eigs = scipy.linalg.eigvals(split.P1, split.L)
     z = complex(next(w for w in eigs if abs(w.imag) > 1e-2))
     for w in (z, z.conjugate()):
-        assert (split.defect_elements(w, bp.tol) is None) == (w == z)
+        assert (split.defect_coefficients(w, bp.tol) is None) == (w == z)
     assert _assert_split_matches_direct(bp, (z,)) == 0
     _assert_weyl_matches_oracle(bp, (z,))
 
@@ -539,6 +540,99 @@ def test_multivalued_pair_weyl_family():
         expect = column_space(np.array([[1, 0, z, 0], [0, 0, 0, 1]]).T)
         assert rel_equal(M, LinearRelation(2, 2, expect), TOL)
         assert M.mul(TOL).dim == 1
+
+
+# -------------------------- T and the Weyl sample against eager formulas
+
+def _t_oracle_pairs():
+    for n in range(1, 5):
+        for kappa in sorted({0, n // 2, n}):
+            spec, seed = InstanceSpec(n, min(n, 3), kappa), 10 * n + kappa
+            yield gen_unitary_boundary_pair(spec, rng_stream(55, seed))
+    for n, m in ((16, 3), (64, 8)):
+        yield gen_unitary_boundary_pair(InstanceSpec(n, m, n // 4),
+                                        rng_stream(55, n))
+    yield _multivalued_pair()
+    yield _direct_sum(  # n = 17 with mul T = C
+        gen_unitary_boundary_pair(InstanceSpec(16, 3, 4), rng_stream(52)),
+        _mul_pair())
+    for s in range(24):
+        n = 1 + s % 4
+        yield gen_isometric_boundary_pair(
+            InstanceSpec(n, 1 + s % 3, s % (n + 1)), rng_stream(56, s))
+    yield gen_isometric_boundary_pair(InstanceSpec(16, 3, 4), rng_stream(57))
+
+
+def test_underlying_t_matches_the_perp_of_dom_gamma():
+    seen = set()
+    for bp in _t_oracle_pairs():
+        try:
+            T = underlying_t_perp(bp)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                bp.underlying_T()
+            seen.add((bp.classification, "raises"))
+            continue
+        new = bp.underlying_T()
+        _assert_same_relation(new, T, bp.tol)
+        seen.add((bp.classification,
+                  "multivalued" if new.mul(bp.tol).dim else "operator"))
+    assert {("unitary", "operator"), ("unitary", "multivalued"),
+            ("isometric", "operator"), ("isometric", "raises")} <= seen
+
+
+def _assert_sample_matches_eager(sample):
+    """M, W, the gamma-field, the resolvent vectors, ran_full and
+    in_mt_resolvent of a Weyl sample against the same readings of its
+    defect elements C = S Y formed in full."""
+    bp, z = sample.bp, sample.z
+    n, m, tol = bp.n, bp.m, bp.tol
+    C = sample.S @ sample.Y
+    assert np.array_equal(sample.C, C)
+    W = C[2 * n + m :] + z * C[2 * n : 2 * n + m]
+    assert np.allclose(sample.W, W, rtol=0, atol=1e-13)
+    _assert_same_relation(sample.M, LinearRelation(
+        m, m, column_space(C[2 * n :], tol)), tol)
+    lf = np.vstack([C[2 * n : 2 * n + m], C[:n]])
+    _assert_same_relation(sample.gamma_field,
+                          LinearRelation(m, n, column_space(lf, tol)), tol)
+    assert sample.ran_full == (C.shape[1] == bp.gamma.dim - n)
+    assert sample.in_mt_resolvent == in_resolvent(main_transform(bp), z, tol)
+    if not sample.in_mt_resolvent:
+        with pytest.raises(PreconditionError):
+            sample.resolvent_vectors()
+        return False
+    eager = -C[:n] @ np.linalg.inv(W)
+    assert np.allclose(sample.resolvent_vectors(), eager, rtol=1e-10,
+                       atol=1e-10 * np.linalg.norm(eager))
+    return True
+
+
+def test_weyl_sample_matches_its_eager_defect_elements():
+    split = [gen_unitary_boundary_pair(InstanceSpec(n, m, kappa),
+                                       rng_stream(34, n))
+             for n, m, kappa in ((16, 2, 4), (17, 3, 0), (64, 8, 16))]
+    routes, resolvent = set(), set()
+    for bp in [*split, *_oracle_pairs(), _mul_pair()]:
+        for z in _SPLIT_Z:
+            sample = weyl(bp, z)
+            split_route = sample.S is not bp.gamma.graph.basis
+            assert split_route == (bp._split is not None
+                                   and bp._split.defect_coefficients(
+                                       z, bp.tol) is not None)
+            routes.add((bp.n, split_route))
+            resolvent.add(_assert_sample_matches_eager(sample))
+    assert {(16, True), (17, True), (64, True)} <= routes
+    assert all((n, False) in routes for n in range(1, 5))
+    assert resolvent == {True, False}
+    # z on an eigenvalue of the split pencil (P1, L): the SVD fallback
+    import scipy.linalg
+    bp = gen_unitary_boundary_pair(InstanceSpec(16, 4, 2), rng_stream(51))
+    eigs = scipy.linalg.eigvals(bp._split.P1, bp._split.L)
+    z = complex(next(w for w in eigs if abs(w.imag) > 1e-2))
+    sample = weyl(bp, z)
+    assert sample.S is bp.gamma.graph.basis
+    _assert_sample_matches_eager(sample)
 
 
 def test_m_plus_z_shifts_operator_values():

@@ -221,16 +221,33 @@ def test_weyl_sweep_with_the_pencil_split_equals_the_direct_formulas(
 
 
 def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
+    # the one n-sized SVD is point_spectrum's values-only probe; T comes
+    # from the 2m boundary rows of B and M(z) from its own 2m x m rows
     n, m = 64, 8
     bp = gen_unitary_boundary_pair(InstanceSpec(n, m, 16), rng_stream(35))
-    shapes = []
+    calls = []
     svd = np.linalg.svd
 
     def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     weyl_sweep(bp, _sweep_grid(35, 46))
-    assert len(shapes) > 0
-    assert sum(min(s) >= n // 2 for s in shapes) <= 8
+    assert len(calls) > 0
+    large = [uv for shape, uv in calls if min(shape) >= n // 2]
+    assert len(large) <= 1
+    assert not any(large)
+
+
+def test_weyl_sweep_never_forms_the_full_defect_elements(monkeypatch):
+    formed = []
+    monkeypatch.setattr(kreinrel.boundary.WeylSample, "C", property(
+        lambda sample: formed.append(sample.z)))
+    pairs = [gen_unitary_boundary_pair(InstanceSpec(n, m, kappa),
+                                       rng_stream(34, n))
+             for n, m, kappa in ((3, 2, 1), (16, 2, 4), (64, 8, 16))]
+    assert [bp._split is None for bp in pairs] == [True, False, False]
+    for bp in pairs:
+        weyl_sweep(bp, _sweep_grid(34, 20))
+    assert formed == []
