@@ -54,7 +54,6 @@ from .relations import (
 )
 from .boundary import (
     BoundaryPair,
-    SpectralSets,
     WeylSample,
     delta_excluded_points,
     gamma_sharp,
@@ -63,7 +62,6 @@ from .boundary import (
     m_plus_z,
     main_transform,
     main_transform_space,
-    spectral_sets,
     theta_extension,
     weyl,
 )

@@ -42,6 +42,11 @@ Y has m columns and W is invertible, and then P_H (J(Gamma) - z)^{-1}
 (0, e) = -C_f W^{-1} e.  M(z) and W read only the 2m boundary rows
 S[2n:] Y; C, its f rows and the gamma-field are formed on first read.
 Only this module indexes C.
+
+sigma0_p(T) and its symmetric closure (kept out of delta_Gamma) come
+from one point_spectrum of T per pair.  The sample decides Sigma_Gamma:
+z off sigma0_p(T), ran(A_* - z) = C^n and 0 in res(M(z) + z), that is
+dim M(z) = m and G + zF of M's basis invertible (one m x m SVD).
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +61,7 @@ from .relations import (
     _MERGE_RTOL,
     _RESOLVENT_SLACK,
     _SPLIT_RCOND,
-    in_resolvent,
+    _rank_of,
     is_symmetric,
     point_spectrum,
     shmulyan,
@@ -78,17 +83,16 @@ from .subspaces import (
 __all__ = [
     "BoundaryPair",
     "WeylSample",
-    "SpectralSets",
     "gamma_sharp",
     "identity_obt",
     "weyl",
     "in_delta",
     "m_plus_z",
+    "sigma0_points",
     "delta_excluded_points",
     "main_transform",
     "main_transform_space",
     "theta_extension",
-    "spectral_sets",
 ]
 
 
@@ -118,6 +122,9 @@ class BoundaryPair:
     gamma_sharp
         Gamma_# = (Gamma+)^{-1} = null(B* W) for Gamma's graph basis B
         and W = diag(hat J_H, -hat J_L), cached on first read.
+    sigma0_p(T)
+        and its symmetric closure, from one point_spectrum of T, cached
+        on first read.
     """
 
     def __init__(self, H: KreinSpace, L_dim, gamma: LinearRelation,
@@ -136,6 +143,17 @@ class BoundaryPair:
     @cached_property
     def gamma_sharp(self) -> LinearRelation:
         return gamma_sharp(self.gamma, self.H, self.L_dim, self.tol)
+
+    @cached_property
+    def _sigma0(self):
+        """(sigma0_p(T), its symmetric closure), or (None, None) when
+        sigma_p(T) = C; raises where ``underlying_T`` does."""
+        rep = point_spectrum(self.underlying_T(), self.tol)
+        if rep.all_flag:
+            return None, None
+        pts = tuple(complex(z) for z, _ in rep.eigenvalues
+                    if complex(z).imag != 0.0)
+        return pts, _symmetric_closure(pts)
 
     @cached_property
     def _split(self):
@@ -360,6 +378,24 @@ class WeylSample:
                   * (1.0 + abs(self.z)))
         return not s.size or s[-1] > cutoff
 
+    @cached_property
+    def shift_invertible(self) -> bool:
+        """0 in res(M(z) + z): dim M(z) = m and G + zF of M's basis has
+        full rank at in_resolvent's cutoff rank_rel _RESOLVENT_SLACK."""
+        M, m = self.M, self.bp.m
+        cutoff = self.bp.tol.rank_rel * _RESOLVENT_SLACK
+        return M.dim == m and (
+            m == 0 or _rank_of(M.G + self.z * M.F, cutoff) == m)
+
+    @property
+    def in_sigma(self) -> bool:
+        """z in Sigma_Gamma: in O (sigma_p(T) is not all of C, z is off
+        sigma0_p(T) and ran(A_* - z) = C^n) and 0 in res(M(z) + z)."""
+        sigma0, _ = self.bp._sigma0
+        return (sigma0 is not None
+                and not any(_near(self.z, w) for w in sigma0)
+                and self.ran_full and self.shift_invertible)
+
     def resolvent_vectors(self):
         """-C_f W^{-1}, the columns P_H (J(Gamma) - z)^{-1} (0, e_a);
         PreconditionError where z is not in res(main transform)."""
@@ -429,21 +465,10 @@ def theta_extension(bp: BoundaryPair, theta: LinearRelation) -> LinearRelation:
     return shmulyan(bp.gamma.inverse(), theta.graph, bp.tol)
 
 
-@dataclass(frozen=True)
-class SpectralSets:
-    excluded_points: tuple       # sigma0_p(T) with conjugates
-    sigma_p_all: bool            # T has sigma_p = C (degenerate)
-    samples: tuple               # per-z membership dicts
-
-
 def sigma0_points(bp: BoundaryPair):
     """sigma0_p(T) = the nonreal point spectrum of T, or None when
     sigma_p(T) covers the whole plane."""
-    rep = point_spectrum(bp.underlying_T(), bp.tol)
-    if rep.all_flag:
-        return None
-    return tuple(complex(z) for z, _ in rep.eigenvalues
-                 if complex(z).imag != 0.0)
+    return bp._sigma0[0]
 
 
 def _near(z, w):
@@ -453,8 +478,6 @@ def _near(z, w):
 
 def _symmetric_closure(pts):
     """pts with their conjugates, near-duplicates merged, sorted."""
-    if pts is None:
-        return None
     out = []
     for p in list(pts) + [p.conjugate() for p in pts]:
         if not any(_near(p, q) for q in out):
@@ -464,58 +487,18 @@ def _symmetric_closure(pts):
 
 def delta_excluded_points(bp: BoundaryPair):
     """The symmetric closure of sigma0_p(T); None when delta is empty."""
-    return _symmetric_closure(sigma0_points(bp))
+    return bp._sigma0[1]
 
 
-def in_delta(bp: BoundaryPair, z, excluded=None):
+def in_delta(bp: BoundaryPair, z):
     """z in delta_Gamma: nonreal, away from sigma0_p(T) and conjugates."""
-    if excluded is None:
-        excluded = delta_excluded_points(bp)
-    if excluded is None or complex(z).imag == 0.0:
-        return False
-    return not any(_near(z, w) for w in excluded)
+    excluded = delta_excluded_points(bp)
+    return (excluded is not None and complex(z).imag != 0.0
+            and not any(_near(z, w) for w in excluded))
 
 
 def m_plus_z(M: LinearRelation, z, tol=DEFAULT_TOL):
-    """The relation M(z) + zI from a Weyl sample value."""
+    """M(z) + zI as a relation: the slow path of ``shift_invertible``."""
     basis = np.vstack([M.F, M.G + z * M.F])
     return LinearRelation(M.from_dim, M.to_dim,
                           column_space(basis, tol))
-
-
-def spectral_sets(bp: BoundaryPair, eps, samples) -> SpectralSets:
-    """Membership bookkeeping for Omega, delta, O, Sigma and B^eps at
-    the Weyl samples ``samples`` of ``bp``.
-
-    In finite dimensions Omega_Gamma is all of C_* (every range is
-    closed), and every sample is nonreal; delta_Gamma is C_* minus the
-    symmetric closure of sigma0_p(T); O requires ran(A_* - z) = H;
-    Sigma additionally 0 in res(M(z) + z); B^eps is the |z| > eps part
-    of delta.
-    """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    tol = bp.tol
-    sigma0 = sigma0_points(bp)
-    excluded = _symmetric_closure(sigma0)
-    sigma_all = excluded is None
-    notes = []
-    for sample in samples:
-        z = sample.z
-        d = not sigma_all and in_delta(bp, z, excluded)
-        in_O = (not sigma_all and not any(_near(z, w) for w in sigma0)
-                and sample.ran_full)
-        in_sigma = in_O and in_resolvent(m_plus_z(sample.M, z, tol), 0.0, tol)
-        notes.append({
-            "z": z,
-            "in_Omega": True,
-            "in_delta": d,
-            "in_O": in_O,
-            "in_Sigma": in_sigma,
-            "in_B_eps": d and abs(z) > eps,
-        })
-    return SpectralSets(
-        excluded_points=() if sigma_all else excluded,
-        sigma_p_all=sigma_all,
-        samples=tuple(notes),
-    )

@@ -22,10 +22,9 @@ from .boundary import (
     delta_excluded_points,
     gamma_sharp,
     in_delta,
-    m_plus_z,
     main_transform,
     main_transform_space,
-    spectral_sets,
+    sigma0_points,
     theta_extension,
     weyl,
 )
@@ -183,6 +182,12 @@ _DELTA_ZERO_RTOL = 1e-7
 # An eigenvalue of a Hermitian boundary Gram matrix within
 # _SIGN_RTOL max(1, max |eigenvalue|) of zero counts as neutral.
 _SIGN_RTOL = 1e-10
+# rrzz: conjugates pair within the closure's merge radius 1e-8 (1 + |w|)
+_CONJ_PAIR_ATOL = 1e-7
+# rrzz: an excluded point with |Im w| above this is nonreal, so not in delta
+_REAL_ATOL = 1e-9
+# rrzz: a z this far from every excluded point, far past the merge radius
+_FAR_ATOL = 1e-4
 
 
 def _mat_residual(A, B):
@@ -337,14 +342,13 @@ def _check_rrzz(rng, dims, tol):
     pts = list(excluded)
     for w in pts:
         # symmetric closure
-        if not any(abs(np.conj(w) - v) < 1e-7 for v in pts):
+        if not any(abs(np.conj(w) - v) < _CONJ_PAIR_ATOL for v in pts):
             return False, 1.0
-        if abs(complex(w).imag) > 1e-9 and in_delta(bp, w, excluded):
+        if abs(complex(w).imag) > _REAL_ATOL and in_delta(bp, w):
             return False, 1.0
     z = _nonreal_z(rng)
-    clear = all(abs(z - w) > 1e-4 and abs(np.conj(z) - w) > 1e-4
-                for w in pts)
-    if clear and not in_delta(bp, z, excluded):
+    clear = all(min(abs(z - w), abs(np.conj(z) - w)) > _FAR_ATOL for w in pts)
+    if clear and not in_delta(bp, z):
         return False, 1.0
     return True, 0.0
 
@@ -403,10 +407,9 @@ def _check_mrTG_selfadjoint(rng, dims, tol):
 def _check_lemma_r(rng, dims, tol):
     bp = _rand_bp(rng, dims, tol)
     samples = [weyl(bp, _nonreal_z(rng)) for _ in range(5)]
-    sets = spectral_sets(bp, 0.5, samples)
     mt = main_transform(bp)
-    for rec in sets.samples:
-        if rec["in_Sigma"] and not in_resolvent(mt, rec["z"], tol):
+    for sample in samples:
+        if sample.in_sigma and not in_resolvent(mt, sample.z, tol):
             return False, 1.0
     return True, 0.0
 
@@ -417,10 +420,8 @@ def _check_lemma_r2(rng, dims, tol):
     if not in_delta(bp, z):
         return True, 0.0  # z outside delta: hypothesis empty for this draw
     eps = abs(z) / 2.0
-    bps = scale_eps(bp, eps)
-    mz = m_plus_z(weyl(bps, z).M, z, tol)
     # bijectivity of M_eps(z) + z: 0 is a regular point of the relation
-    return in_resolvent(mz, 0.0, tol), 0.0
+    return weyl(scale_eps(bp, eps), z).shift_invertible, 0.0
 
 
 def _check_resTG_pipeline(rng, dims, tol):
@@ -871,7 +872,8 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     """CSV rows describing M(z) over a nonreal grid.
 
     Each point is one Weyl sample (``weyl``), whose defect elements C
-    give M(z) and decide the O and main-transform-resolvent tests.  From
+    give M(z) and decide the Sigma and main-transform-resolvent tests;
+    sigma0_p(T), which Sigma keeps z off, is formed once per pair.  From
     n = 16 on, C comes from one n x n LU of the pair's pencil split where
     its guard holds, and from the SVD null space otherwise.  Only C's 2m
     boundary rows are formed.  dim mul M(z) and dim ker M(z) are the
@@ -881,17 +883,22 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
     in_j_resolvent (0/1, z in the resolvent set of the main transform).
+
+    ``eps`` must be positive, but no column depends on it: the CSV is
+    the same for every eps > 0 (identical from 1e-6 to 1e6).
     """
     pts = [complex(z) for z in points]
     if any(z.imag == 0.0 for z in pts):
         raise PreconditionError("sweep grid must avoid the real axis")
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
     tol = bp.tol
-    samples = [weyl(bp, z) for z in pts]
-    sets = spectral_sets(bp, eps, samples)
+    sigma0_points(bp)  # raises before the header where T is not symmetric
     buf = io.StringIO() if out is None else out
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
-    for sample, rec in zip(samples, sets.samples):
-        z, M = sample.z, sample.M
+    for z in pts:
+        sample = weyl(bp, z)
+        M = sample.M
         # dim mul M = dim null(F), dim ker M = dim null(G): see ``mul``
         dim_mul = _null_dim(M.F, tol)
         row = (f"{z.real:.12g}", f"{z.imag:.12g}",
@@ -899,7 +906,7 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
                str(dim_mul),
                str(_null_dim(M.G, tol)),
                str(int(dim_mul == 0)),
-               str(int(rec["in_Sigma"])),
+               str(int(sample.in_sigma)),
                str(int(sample.in_mt_resolvent)))
         buf.write(",".join(row) + "\n")
     if out is None:

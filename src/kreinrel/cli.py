@@ -202,7 +202,8 @@ def _build_parser():
     p_sweep.add_argument("--im", default="0.5:2:5",
                          help="imaginary grid lo:hi:num (must avoid 0)")
     p_sweep.add_argument("--eps", type=float, default=0.5,
-                         help="scaling parameter for the invertibility set")
+                         help="must be positive; no column depends on it "
+                         "(the CSV is the same for every eps > 0)")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
     p_sweep.description = ("CSV columns: " + ", ".join(SWEEP_COLUMNS))

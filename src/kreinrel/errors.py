@@ -1,5 +1,8 @@
 """Exception types used across the package."""
 
+__all__ = ["KreinRelError", "DimensionMismatchError", "ValidationError",
+           "PreconditionError", "GenerationError"]
+
 
 class KreinRelError(Exception):
     """Base class for all errors raised by this package."""

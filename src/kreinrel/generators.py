@@ -40,10 +40,18 @@ __all__ = [
     "gen_boundary_unitary_relation",
     "gen_std_unitary",
     "gen_qbt_map",
+    "random_subspace",
+    "hypermax_neutral",
     "RETRY_CAP",
 ]
 
 RETRY_CAP = 64
+# T x {0} is neutral when a* a = I/2 to this (rounding lies far below)
+_SEED_GRAM_ATOL = 1e-8
+# least sigma(F) of a graph kept as an operator: G F^{-1} stays well scaled
+_MIN_F_SIGMA = 1e-3
+# block conditions of G F^{-1}, which scales rounding by up to 1/_MIN_F_SIGMA
+_OP_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,7 @@ def gen_unitary_pair_with_T(T: LinearRelation, H: KreinSpace, m, rng,
                            np.zeros((2 * m, d), dtype=complex)])
     a = plus.conj().T @ seedbasis
     b = minus.conj().T @ seedbasis
-    if np.linalg.norm(a.conj().T @ a - np.eye(d) / 2) > 1e-8:
+    if np.linalg.norm(a.conj().T @ a - np.eye(d) / 2) > _SEED_GRAM_ATOL:
         raise PreconditionError("prescribed T is not symmetric in H")
     qa, qb = np.sqrt(2.0) * a, np.sqrt(2.0) * b
     qa_perp = null_space(qa.conj().T, tol).basis
@@ -237,13 +245,13 @@ def gen_std_unitary(rng, K_from: KreinSpace,
         rel = LinearRelation(2 * n, 2 * n, graph)
         F = rel.F
         s = np.linalg.svd(F, compute_uv=False)
-        if s[-1] <= 1e-3:   # reject ill-conditioned operator parts
+        if s[-1] <= _MIN_F_SIGMA:   # reject ill-conditioned operator parts
             continue
         blocks = rel.G @ np.linalg.inv(F)
         A, B = blocks[:n, :n], blocks[:n, n:]
         C, D = blocks[n:, :n], blocks[n:, n:]
         try:
-            return make_std_unitary(A, B, C, D, K_from, K_to, atol=1e-8)
+            return make_std_unitary(A, B, C, D, K_from, K_to, atol=_OP_ATOL)
         except ValidationError:
             continue
     raise GenerationError("retry cap exhausted while sampling a standard "

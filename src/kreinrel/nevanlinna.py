@@ -24,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (
-    BoundaryPair,
-    delta_excluded_points,
-    in_delta,
-    m_plus_z,
-    weyl,
-)
+from .boundary import BoundaryPair, in_delta, weyl
 from .errors import DimensionMismatchError, PreconditionError
-from .relations import hilbert_adjoint, in_resolvent, rel_equal
+from .relations import hilbert_adjoint, rel_equal
 
 __all__ = [
     "KernelSampleGrid",
@@ -41,12 +35,15 @@ __all__ = [
     "block_gram",
     "neg_squares_estimate",
     "gen_nevanlinna_probe",
+    "count_negative",
 ]
 
 
 # grid points z and w pair as conjugates when |conj(z) - w| < _CONJ_ATOL
 _CONJ_ATOL = 1e-12
 _NEG_RTOL = 1e-8
+# floor on count_negative's scale: the cutoff stays negative for G = 0
+_NEG_SCALE_FLOOR = 1e-300
 
 
 def _has_conjugate(z, points):
@@ -125,7 +122,7 @@ def count_negative(G):
         return 0
     Gh = (G + G.conj().T) / 2
     w = np.linalg.eigvalsh(Gh)
-    cut = -_NEG_RTOL * max(1e-300, np.max(np.abs(w)))
+    cut = -_NEG_RTOL * max(_NEG_SCALE_FLOOR, np.max(np.abs(w)))
     return int(np.sum(w < cut))
 
 
@@ -150,16 +147,11 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     squares estimate on the scaled pair.
     """
     from .transforms import scale_eps
-    tol = bp.tol
     cond1 = all(weyl_symmetry_check(bp, z) for z in grid.points)
     scaled = scale_eps(bp, eps)
-    excluded = delta_excluded_points(bp)
-    admissible = [] if excluded is None else [
-        z for z in grid.points if abs(z) > eps and in_delta(bp, z, excluded)]
+    admissible = [z for z in grid.points if in_delta(bp, z) and abs(z) > eps]
     if admissible:
-        cond2 = all(
-            in_resolvent(m_plus_z(weyl(scaled, z).M, z, tol), 0.0, tol)
-            for z in admissible)
+        cond2 = all(weyl(scaled, z).shift_invertible for z in admissible)
     else:
         cond2 = None  # no admissible z on this grid (delta may be empty)
     samples = {z: weyl(scaled, z.conjugate()) for z in grid.points}

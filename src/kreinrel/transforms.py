@@ -56,6 +56,7 @@ __all__ = [
     "p_poly",
     "in_rho_v",
     "delta_correction",
+    "boundary_v_classification",
     "transform_left",
     "scale_eps",
     "scaled_obt",
@@ -65,6 +66,12 @@ __all__ = [
 ]
 
 _BLOCK_ATOL = 1e-10
+# in_rho_v's cutoff on p_V(z; T0): unit-scale blocks, rounding far below
+_P_RTOL = 1e-8
+# QbtMap's cutoff on sigma_min(G): a singular G is rejected, not inverted
+_QBT_RTOL = 1e-10
+# scaled_obt: kappa this near 0 is singular, this near +-1 changes nothing
+_KAPPA_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,7 @@ def in_rho_v(bp: BoundaryPair, V: StdUnitaryOp, z):
     if P.shape[0] != P.shape[1]:
         return False
     s = np.linalg.svd(P, compute_uv=False)
-    return bool(s.size == 0 or s[-1] > 1e-8 * max(1.0, s[0]))
+    return bool(s.size == 0 or s[-1] > _P_RTOL * max(1.0, s[0]))
 
 
 def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z):
@@ -343,7 +350,7 @@ def scaled_obt(bp: BoundaryPair, kappa) -> BoundaryPair:
     """The scaled triple Gamma'_0 = kappa^{-1} Gamma_0, Gamma'_1 =
     kappa Gamma_1, with Weyl function kappa^2 M(z)."""
     kappa = float(kappa)
-    if min(abs(kappa - v) for v in (-1.0, 0.0, 1.0)) < 1e-12:
+    if min(abs(kappa - v) for v in (-1.0, 0.0, 1.0)) < _KAPPA_ATOL:
         raise PreconditionError("kappa in {-1, 0, 1} gives a trivial scaling")
     if not bp.is_obt():
         raise PreconditionError("scaling is defined for ordinary boundary "
@@ -371,7 +378,7 @@ class QbtMap:
         if G.shape != (m, m) or E.shape != (m, m):
             raise DimensionMismatchError("G and E must be square of equal size")
         s = np.linalg.svd(G, compute_uv=False)
-        if s.size and s[-1] <= 1e-10 * s[0] * m:
+        if s.size and s[-1] <= _QBT_RTOL * s[0] * m:
             raise ValidationError("G must be invertible")
         if np.linalg.norm(E - E.conj().T) > _BLOCK_ATOL:
             raise ValidationError("E must be Hermitian")

@@ -1,22 +1,33 @@
 """Constructions and reference computations that only the tests use.
 
 Fixtures (the trivial relation, the symplectic flip, random symmetric
-relations and random isometric pairs) and oracles (the indefinite
-metric, the defect numbers, the resolvent matrix, the inverse of the
-main transform, the Gram contribution of two grid points, the linear
-fractional transformation as an explicit composition, the
-three-clause ordinary-boundary-triple test, T as (dom Gamma)^[perp]
-and the defect elements C formed in full), each written from its
-definition rather than from the package's fast paths.
+relations, random isometric pairs and a pair with sigma_p(T) = C) and
+oracles (the indefinite metric, the defect numbers, the resolvent
+matrix, the inverse of the main transform, the Gram contribution of
+two grid points, the linear fractional transformation as an explicit
+composition, the three-clause ordinary-boundary-triple test, T as
+(dom Gamma)^[perp], the defect elements C formed in full and the
+spectral sets per point), each written from its definition rather
+than from the package's fast paths.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from kreinrel.boundary import BoundaryPair, _require_nonreal, weyl
+from kreinrel.boundary import (
+    BoundaryPair,
+    _near,
+    _require_nonreal,
+    _symmetric_closure,
+    m_plus_z,
+    weyl,
+)
 from kreinrel.errors import DimensionMismatchError, PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
     gen_unitary_boundary_pair,
+    gen_unitary_pair_with_T,
     hypermax_neutral,
     random_unitary,
     rng_stream,
@@ -25,9 +36,11 @@ from kreinrel.relations import (
     LinearRelation,
     _require_square,
     compose,
+    in_resolvent,
     is_symmetric,
+    point_spectrum,
 )
-from kreinrel.spaces import KreinSpace, hilbert_space
+from kreinrel.spaces import KreinSpace, hilbert_space, make_krein
 from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -111,6 +124,17 @@ def gen_isometric_boundary_pair(spec: InstanceSpec, rng=None, graph_dim=None,
         2 * spec.n, 2 * spec.m,
         Subspace(2 * (spec.n + spec.m), full.gamma.graph.basis @ coeff))
     return BoundaryPair(full.H, spec.m, gamma, tol)
+
+
+def sigma_p_all_pair() -> BoundaryPair:
+    """A unitary pair whose T = span{(e, 0), (0, e)}, e = (1, 1, 0)/sqrt 2
+    neutral in (C^3, diag(1, -1, 1)): the pencil of T is singular, so
+    sigma_p(T) = C and delta is empty."""
+    H = make_krein(np.diag([1.0, -1.0, 1.0]))
+    g = np.zeros((6, 2))
+    g[:2, 0] = g[3:5, 1] = 1 / np.sqrt(2)
+    T = LinearRelation(3, 3, Subspace(6, g))
+    return gen_unitary_pair_with_T(T, H, 1, rng_stream(3))
 
 
 def defect_numbers(bp: BoundaryPair, z):
@@ -197,3 +221,48 @@ def defect_elements(gamma: LinearRelation, n, z, tol=DEFAULT_TOL):
     {(f, zf, l, l') in Gamma}."""
     B = gamma.graph.basis
     return B @ null_space(B[n : 2 * n] - z * B[:n], tol).basis
+
+
+@dataclass(frozen=True)
+class SpectralSets:
+    excluded_points: tuple       # sigma0_p(T) with conjugates
+    sigma_p_all: bool            # T has sigma_p = C (degenerate)
+    samples: tuple               # per-z membership dicts
+
+
+def spectral_sets(bp: BoundaryPair, eps, samples) -> SpectralSets:
+    """Membership in Omega, delta, O, Sigma and B^eps at the Weyl samples
+    ``samples`` of ``bp``, with sigma0_p(T) from its own point_spectrum
+    of T and 0 in res(M(z) + z) decided on the relation m_plus_z.
+
+    In finite dimensions Omega_Gamma is all of C_* (every range is
+    closed), and every sample is nonreal; delta_Gamma is C_* minus the
+    symmetric closure of sigma0_p(T); O requires ran(A_* - z) = H;
+    Sigma additionally 0 in res(M(z) + z); B^eps is the |z| > eps part
+    of delta.
+    """
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
+    tol = bp.tol
+    rep = point_spectrum(bp.underlying_T(), tol)
+    sigma_all = rep.all_flag
+    sigma0 = () if sigma_all else tuple(
+        complex(z) for z, _ in rep.eigenvalues if complex(z).imag != 0.0)
+    excluded = _symmetric_closure(sigma0)
+    notes = []
+    for sample in samples:
+        z = sample.z
+        d = not sigma_all and not any(_near(z, w) for w in excluded)
+        in_O = (not sigma_all and not any(_near(z, w) for w in sigma0)
+                and sample.ran_full)
+        in_sigma = in_O and in_resolvent(m_plus_z(sample.M, z, tol), 0.0, tol)
+        notes.append({
+            "z": z,
+            "in_Omega": True,
+            "in_delta": d,
+            "in_O": in_O,
+            "in_Sigma": in_sigma,
+            "in_B_eps": d and abs(z) > eps,
+        })
+    return SpectralSets(excluded_points=excluded, sigma_p_all=sigma_all,
+                        samples=tuple(notes))

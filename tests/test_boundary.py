@@ -12,6 +12,8 @@ from _oracles import (
     indef_inner,
     inverse_main_transform,
     is_obt_three_clauses,
+    sigma_p_all_pair,
+    spectral_sets,
     underlying_t_perp,
 )
 from kreinrel.boundary import (
@@ -23,10 +25,10 @@ from kreinrel.boundary import (
     m_plus_z,
     main_transform,
     main_transform_space,
-    spectral_sets,
     theta_extension,
     weyl,
 )
+from kreinrel.checks import weyl_sweep
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
@@ -190,9 +192,8 @@ def test_underlying_t_is_symmetric_and_t0_t1_extend_it():
     assert is_symmetric(T, bp.H, TOL)
     for ext in (bp.T0(), bp.T1()):
         assert all(
-            np.linalg.norm(ext.graph.project(c) - c) < 1e-8 or True
+            np.linalg.norm(ext.graph.project(c) - c) < 1e-8
             for c in T.graph.basis.T)
-    from kreinrel.relations import rel_contains
     assert rel_contains(bp.T0(), T, TOL)
     assert rel_contains(bp.T1(), T, TOL)
 
@@ -690,22 +691,89 @@ def test_identity_obt_main_transform_has_resolvent_points():
 def test_spectral_sets_identity_obt():
     bp = identity_obt()
     pts = [1j, 2j, 0.5 + 0.5j]
-    sets = spectral_sets(bp, 0.75, [weyl(bp, z) for z in pts])
+    samples = [weyl(bp, z) for z in pts]
+    sets = spectral_sets(bp, 0.75, samples)
     assert not sets.sigma_p_all
     assert sets.excluded_points == ()
-    for rec in sets.samples:
+    assert delta_excluded_points(bp) == ()
+    for sample, rec in zip(samples, sets.samples):
         assert rec["in_Omega"] and rec["in_delta"] and rec["in_O"]
         # M(z) + z = 2z is invertible away from zero
-        assert rec["in_Sigma"]
+        assert rec["in_Sigma"] and sample.in_sigma
     by_z = {rec["z"]: rec for rec in sets.samples}
     assert by_z[2j]["in_B_eps"]
     assert not by_z[0.5 + 0.5j]["in_B_eps"]  # |z| < eps
 
 
-def test_spectral_sets_rejects_bad_eps():
+def _assert_sets_match_oracle(bp, points):
+    """shift_invertible against in_resolvent(m_plus_z(M, z), 0), and
+    in_sigma and in_delta against the oracle spectral_sets, at every
+    point; returns the (in_sigma, shift_invertible, dim M == m) seen, or
+    None where T is not symmetric (the sample and in_delta then raise
+    as the oracle does)."""
+    tol = bp.tol
+    samples = [weyl(bp, z) for z in points]
+    for sample in samples:
+        assert sample.shift_invertible == in_resolvent(
+            m_plus_z(sample.M, sample.z, tol), 0.0, tol)
+    try:
+        sets = spectral_sets(bp, 0.5, samples)
+    except PreconditionError:
+        for sample in samples:
+            with pytest.raises(PreconditionError):
+                sample.in_sigma
+            with pytest.raises(PreconditionError):
+                in_delta(bp, sample.z)
+        return None
+    seen = set()
+    for sample, rec in zip(samples, sets.samples):
+        assert sample.in_sigma == rec["in_Sigma"]
+        assert in_delta(bp, sample.z) == rec["in_delta"]
+        seen.add((sample.in_sigma, sample.shift_invertible,
+                  sample.M.dim == bp.m))
+    return seen
+
+
+def test_spectral_sets_match_the_m_plus_z_oracle():
+    degenerate = sigma_p_all_pair()
+    assert delta_excluded_points(degenerate) is None  # sigma_p(T) = C
+    pairs = [identity_obt(), *_oracle_pairs(), _mul_pair(), degenerate,
+             _empty_resolvent_pair()[0],
+             _deficient_part(_eigen_pair()[0], 0.2 + 0.6j)]
+    pairs += [gen_unitary_boundary_pair(InstanceSpec(n, m, n // 4),
+                                        rng_stream(58, n))
+              for n, m in ((16, 3), (64, 8))]
+    assert [bp._split is not None for bp in pairs[-2:]] == [True, True]
+    points = _SPLIT_Z + (0.8 - 1e-8j, -1.1 + 1e-8j)
+    seen, raised = set(), 0
+    for bp in pairs:
+        got = _assert_sets_match_oracle(bp, points)
+        if got is None:
+            raised += 1
+        else:
+            seen |= got
+    assert raised > 0
+    assert {(True, True, True), (False, True, True), (False, False, True),
+            (False, False, False)} <= seen
+    # a planted nonreal eigenvalue lam of T: at and near lam and conj lam
+    bp, (lam, lam_bar) = _eigen_pair()
+    assert delta_excluded_points(bp) == pytest.approx(
+        sorted((lam, lam_bar), key=lambda w: w.imag))
+    near = [lam, lam_bar, lam * (1 + 1e-10), lam_bar + 1e-10j,
+            lam + 1e-6, lam_bar - 1e-6j, 0.3 + 1e-8j, -0.3 - 1e-8j]
+    got = _assert_sets_match_oracle(bp, near)
+    assert [in_delta(bp, z) for z in near] == [False] * 4 + [True] * 4
+    assert (False, True, True) in got
+
+
+def test_weyl_sweep_rejects_nonpositive_eps():
     bp = identity_obt()
-    with pytest.raises(PreconditionError):
-        spectral_sets(bp, 0.0, [weyl(bp, 1j)])
+    for eps in (0.0, -1.0):
+        with pytest.raises(PreconditionError):
+            weyl_sweep(bp, [1j], eps=eps)
+    # no column depends on eps
+    pts = [1j, 0.3 - 2j]
+    assert weyl_sweep(bp, pts, eps=1e-6) == weyl_sweep(bp, pts, eps=1e6)
 
 
 def test_delta_excluded_points_conjugate_closed():

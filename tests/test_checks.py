@@ -8,14 +8,12 @@ import pytest
 import kreinrel.boundary
 import kreinrel.checks
 import kreinrel.relations
-from _oracles import inverse_main_transform
-from kreinrel.boundary import (
-    BoundaryPair,
-    identity_obt,
-    main_transform,
+from _oracles import (
+    gen_isometric_boundary_pair,
+    inverse_main_transform,
     spectral_sets,
-    weyl,
 )
+from kreinrel.boundary import BoundaryPair, identity_obt, main_transform, weyl
 from kreinrel.checks import (
     SWEEP_COLUMNS,
     THEOREM_IDS,
@@ -144,6 +142,8 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
                                [kreinrel.relations, kreinrel.boundary])
     csv = weyl_sweep(bp, pts, eps=eps)
     assert len(weyl_calls) == len(pts)
+    # sigma0_p(T) is formed once per pair: a second sweep reuses it
+    assert weyl_sweep(bp, pts, eps=2.0) == csv
     assert len(spectrum_calls) == 1
     monkeypatch.undo()
 
@@ -158,6 +158,16 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
                  int(rec["in_Sigma"]), int(in_resolvent(mt, z, tol)))
         rows.append(",".join(str(c) for c in cells))
     assert csv == "\n".join(rows) + "\n"
+
+
+def test_weyl_sweep_without_symmetric_t_writes_nothing():
+    # a strictly isometric pair whose ker Gamma_# is not symmetric
+    bp = gen_isometric_boundary_pair(InstanceSpec(3, 2, 1), rng_stream(40, 0))
+    buf = io.StringIO()
+    with pytest.raises(PreconditionError, match="not associated with a "
+                       "symmetric T"):
+        weyl_sweep(bp, [1j, 0.5 - 1j], out=buf)
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("split_min_n", [1, 10**9])
@@ -193,7 +203,7 @@ def _sweep_grid(seed, count):
 # One 50-point sweep over a seeded n = 64 pair, where T has no
 # eigenvalue: point_spectrum's screen (one standard eigenproblem)
 # decides that alone, so no QZ runs.  The SVD count is measured.
-_SWEEP64_SVDS = 302
+_SWEEP64_SVDS = 252
 
 
 def test_generic_sweep_screens_the_point_spectrum_without_qz(monkeypatch):

@@ -1,6 +1,7 @@
 """Command line front end: subcommands, exit codes and determinism."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -240,3 +241,23 @@ def test_every_public_object_has_a_caller():
     public = [name for name in dir(kreinrel) if not name.startswith("_")
               and not isinstance(getattr(kreinrel, name), types.ModuleType)]
     assert sorted(set(public) - read) == []
+
+
+def test_module_all_names_exist_and_cover_public_defs():
+    # every name in a module's __all__ exists in the module, and every
+    # public function or class the module defines is listed there
+    package = pathlib.Path(kreinrel.__file__).parent
+    problems = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"kreinrel.{path.stem}")
+        listed = set(module.__all__)
+        defs = {node.name for node in ast.parse(path.read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")}
+        absent = sorted(n for n in listed if not hasattr(module, n))
+        unlisted = sorted(defs - listed)
+        if absent or unlisted:
+            problems[path.name] = (absent, unlisted)
+    assert problems == {}

@@ -4,13 +4,17 @@ estimates and the three-condition probe."""
 import numpy as np
 import pytest
 
-from _oracles import inverse_main_transform, nev_kernel, resolvent_matrix
+from _oracles import (
+    inverse_main_transform,
+    nev_kernel,
+    resolvent_matrix,
+    sigma_p_all_pair,
+)
 from kreinrel.boundary import BoundaryPair, main_transform, weyl
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
     gen_obt,
-    gen_unitary_pair_with_T,
     rng_stream,
 )
 from kreinrel.nevanlinna import (
@@ -208,17 +212,6 @@ def test_probe_on_one_negative_square_fixture():
     assert out["kappa_bound"] == 1
 
 
-def _sigma_p_all_pair():
-    """A unitary pair whose T = span{(e, 0), (0, e)}, e = (1, 1, 0)/sqrt 2
-    neutral in (C^3, diag(1, -1, 1)): the pencil of T is singular, so
-    sigma_p(T) = C and delta is empty."""
-    H = make_krein(np.diag([1.0, -1.0, 1.0]))
-    g = np.zeros((6, 2))
-    g[:2, 0] = g[3:5, 1] = 1 / np.sqrt(2)
-    T = LinearRelation(3, 3, Subspace(6, g))
-    return gen_unitary_pair_with_T(T, H, 1, rng_stream(3), TOL)
-
-
 def test_probe_computes_the_point_spectrum_once(monkeypatch):
     import kreinrel.boundary as boundary
     import kreinrel.nevanlinna as nevanlinna
@@ -247,7 +240,7 @@ def test_probe_computes_the_point_spectrum_once(monkeypatch):
     monkeypatch.setattr(transforms, "scale_eps", recording_scale_eps)
     grid = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 3 + 0.5j,
                                     3 - 0.5j, -1 + 2j, -1 - 2j))
-    degenerate = _sigma_p_all_pair()
+    degenerate = sigma_p_all_pair()
     pairs = [gen_obt(InstanceSpec(3, 2, 1), rng_stream(46), TOL), degenerate]
     for bp in pairs:
         for key in counts:

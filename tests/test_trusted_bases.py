@@ -16,7 +16,7 @@ from kreinrel.subspaces import Subspace
 # Upper bounds, measured, for one 29-id x 2-trial pass at seed 7: the
 # validated Subspace constructions and the SVDs it makes.
 _PASS_VALIDATED = 89
-_PASS_SVDS = 1210
+_PASS_SVDS = 1186
 
 
 def _desk_pass(trials):
