@@ -24,14 +24,20 @@ family M(z) = Gamma(A_* ∩ zI) and the gamma-field come from one null
 space: C = B null(B_f' - z B_f) spans {(f, zf, l, l') in Gamma}; M(z)
 is spanned by the (l, l') rows of C, the gamma-field by (l, f).
 
-Many z per pair share one split of the pencil (B_f', B_f) (the
-frequency-response reduction of Laub, IEEE TAC 1981).  Once per pair,
-Q from a QR of B_f* gives B_f Q = [L 0] with L n x n, and B_f' Q =
-[P1 P2].  At each z one LU of P1 - zL, guarded by its condition
-estimate (LAPACK gecon), yields the null basis Q Y with Y the thin QR
-of [-(P1 - zL)^{-1} P2; I], and C = (BQ) Y.  Where the guard fails,
-and for n below ``_SPLIT_MIN_N`` or B_f rank deficient (mul T
-nontrivial), C = B N with N the SVD null space.
+Many z per pair share one split of the pencil (B_f', B_f), reduced
+once to diagonal form (the frequency-response reduction of Laub, IEEE
+TAC 1981).  Once per pair, Q from a QR of B_f* gives B_f Q = [L 0] with
+L n x n lower triangular, and B_f' Q = [P1 P2]; one eigendecomposition
+L^{-1} P1 = V diag(lam) V^{-1} and G = V^{-1} L^{-1} P2 follow.  At
+each z, X = (P1 - zL)^{-1} P2 = V diag(1 / (lam - z)) G costs O(n^2 m),
+and the null basis is Q Y with Y the thin QR of [-X; I], so C = (BQ) Y.
+The guard: the pair is refused when the condition estimate (LAPACK
+trcon) of L (B_f rank deficient, as when mul T is nontrivial) or of V's
+triangular factor (a defective L^{-1} P1) is below _SPLIT_RCOND, and a
+point when min|lam - z| / (||V||_F ||V^{-1} L^{-1}||_F), a lower bound
+of sigma_min(P1 - zL), does not clear the null space's rank cutoff by
+_MARGIN.  There, and for n below ``_SPLIT_MIN_N`` or dim Gamma <= n,
+C = B N with N the SVD null space.
 
 A Weyl sample (``weyl``) holds C as the product S Y (S = BQ and Y as
 above, or S = B and Y = N) and decides every per-point test.  With
@@ -121,7 +127,8 @@ class BoundaryPair:
         diag(hat J_H, -hat J_L) plus the count dim Gamma = n + m.
     gamma_sharp
         Gamma_# = (Gamma+)^{-1} = null(B* W) for Gamma's graph basis B
-        and W = diag(hat J_H, -hat J_L), cached on first read.
+        and W = diag(hat J_H, -hat J_L), cached on first read, as is the
+        pair built on it.
     sigma0_p(T)
         and its symmetric closure, from one point_spectrum of T, cached
         on first read.
@@ -143,6 +150,11 @@ class BoundaryPair:
     @cached_property
     def gamma_sharp(self) -> LinearRelation:
         return gamma_sharp(self.gamma, self.H, self.L_dim, self.tol)
+
+    @cached_property
+    def _sharp_pair(self):
+        """The pair (H, C^m, Gamma_#), whose Weyl family gives M(z)*."""
+        return BoundaryPair(self.H, self.L_dim, self.gamma_sharp, self.tol)
 
     @cached_property
     def _sigma0(self):
@@ -266,55 +278,71 @@ def _require_nonreal(z):
 
 
 # Smallest n that gets the pencil split.  One BLAS thread, per point:
-# the LU route and the SVD null space both cost about 0.13 ms at n = 8;
-# at n = 4 the LU route is 0.12 ms against 0.08 ms.
+# the split and the SVD null space both cost about 0.11 ms at n = 8
+# (0.11 against 0.09 ms at n = 4).  The split's eigendecomposition costs
+# 0.35 ms at n = 8, 0.5 ms at n = 12 and 0.7 ms at n = 16, and pays for
+# itself only after 10-15 points per pair (0.12 against 0.15 ms per
+# point at n = 12, 0.13 against 0.21 ms at n = 16), while a theorem
+# check reads one to six points per pair.
 _SPLIT_MIN_N = 16
-# Factor by which the LU's estimate of sigma_min(P1 - zL) must clear
-# the rank cutoff of the SVD null space it replaces.
+# Factor by which the split's lower bound on sigma_min(P1 - zL) must
+# clear the rank cutoff of the SVD null space it replaces.
 _MARGIN = 1e3
 
 
 class _PencilSplit(NamedTuple):
-    """(B_f', B_f) split once: B_f Q = [L 0], B_f' Q = [P1 P2], and BQ."""
-    L: np.ndarray
-    P1: np.ndarray
-    P2: np.ndarray
+    """(B_f', B_f) split and diagonalised once: B_f Q = [L 0], B_f' Q =
+    [P1 P2], L^{-1} P1 = V diag(lam) V^{-1}, G = V^{-1} L^{-1} P2, and BQ.
+    ``floor`` is 1 / (||V||_F ||V^{-1} L^{-1}||_F)."""
+    lam: np.ndarray
+    V: np.ndarray
+    G: np.ndarray
+    floor: float
     BQ: np.ndarray
 
     def defect_coefficients(self, z, tol):
-        """Y, the thin QR of [-(P1 - zL)^{-1} P2; I], with C = BQ Y, or
-        None when the LU of P1 - zL fails the guard."""
-        from scipy.linalg import lapack
-        n, k = self.P2.shape[0], self.BQ.shape[1]
-        A = self.P1 - z * self.L
-        lu, piv, info = lapack.zgetrf(A)
-        if info:
-            return None
-        anorm = np.linalg.norm(A, 1)
-        rcond, _ = lapack.zgecon(lu, anorm)
-        # rcond * anorm / sqrt(n) estimates a lower bound of
-        # sigma_min(P1 - zL) <= sigma_min(B_f' - z B_f)
+        """Y, the thin QR of [-X; I] with X = (P1 - zL)^{-1} P2 =
+        V diag(1 / (lam - z)) G, so that C = BQ Y; None when the lower
+        bound floor min|lam - z| of sigma_min(P1 - zL) fails the guard."""
+        n, k = self.V.shape[0], self.BQ.shape[1]
+        d = self.lam - z
+        # (P1 - zL)^{-1} = V diag(1 / d) V^{-1} L^{-1} bounds
+        # sigma_min(B_f' - z B_f) >= sigma_min(P1 - zL) >= floor min|d|
         cutoff = tol.rank_rel * (1.0 + abs(z)) * max(n, k)
-        if (rcond < _SPLIT_RCOND
-                or rcond * anorm / np.sqrt(n) <= _MARGIN * cutoff):
+        if self.floor * np.min(np.abs(d)) <= _MARGIN * cutoff:
             return None
-        X, _ = lapack.zgetrs(lu, piv, self.P2)
+        X = self.V @ (self.G / d[:, None])
         return np.linalg.qr(np.vstack([-X, np.eye(k - n)]))[0]
 
 
 def _pencil_split(B, n):
-    """The split of B's pencil, or None when dim Gamma <= n or B_f is
-    rank deficient."""
+    """The split of B's pencil, or None when dim Gamma <= n, B_f is rank
+    deficient or the eigenvectors of L^{-1} P1 are ill-conditioned."""
     if B.shape[1] <= n:
         return None
-    from scipy.linalg import lapack
+    from scipy.linalg import lapack, solve_triangular
     Q, R = np.linalg.qr(B[:n].conj().T, mode="complete")
+    R = R[:n]
     # sigma(L) = sigma(B_f): a rank deficient B_f is an ill-conditioned L
-    rcond, _ = lapack.ztrcon(R[:n], norm="1", uplo="U")
+    rcond, _ = lapack.ztrcon(R, norm="1", uplo="U")
     if rcond < _SPLIT_RCOND:
         return None
-    P = B[n : 2 * n] @ Q
-    return _PencilSplit(R[:n].conj().T, P[:, :n], P[:, n:], B @ Q)
+    BQ = B @ Q
+    # L = R*: one triangular solve gives L^{-1} [P1 P2 I]
+    LP = solve_triangular(R, np.hstack([BQ[n : 2 * n], np.eye(n)]),
+                          trans="C")
+    lam, V = np.linalg.eig(LP[:, :n])
+    # kappa(V) = kappa(Rv) for V = Qv Rv; a defective L^{-1} P1 has a
+    # near singular V
+    Qv, Rv = np.linalg.qr(V)
+    rcond, _ = lapack.ztrcon(Rv, norm="1", uplo="U")
+    if rcond < _SPLIT_RCOND:
+        return None
+    # [G W] = V^{-1} L^{-1} [P2 I]
+    GW = solve_triangular(Rv, Qv.conj().T @ LP[:, n:])
+    G, W = GW[:, : -n], GW[:, -n:]
+    floor = 1.0 / (np.linalg.norm(V) * np.linalg.norm(W))
+    return _PencilSplit(lam, V, G, floor, BQ)
 
 
 @dataclass(frozen=True)
@@ -411,9 +439,9 @@ def weyl(bp: BoundaryPair, z) -> WeylSample:
     held as S Y, from which M(z) and the gamma-field are read.
 
     From n = _SPLIT_MIN_N on, S = BQ and Y come from the pair's pencil
-    split (one n x n LU per z) wherever the LU passes its condition
-    guard; otherwise S = B and Y is the SVD null space (see the module
-    docstring)."""
+    split (diagonalised once per pair, no factorisation per z) wherever
+    its guard holds; otherwise S = B and Y is the SVD null space (see
+    the module docstring)."""
     _require_nonreal(z)
     n, split = bp.n, bp._split
     Y = None if split is None else split.defect_coefficients(z, bp.tol)

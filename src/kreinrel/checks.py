@@ -323,7 +323,7 @@ def _check_projp1(rng, dims, tol):
 
 def _check_rrz(rng, dims, tol):
     bp = _rand_bp(rng, dims, tol)
-    sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, tol)
+    sharp = bp._sharp_pair
     worst = 0.0
     for _ in range(3):
         z = _nonreal_z(rng)
@@ -874,11 +874,11 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     Each point is one Weyl sample (``weyl``), whose defect elements C
     give M(z) and decide the Sigma and main-transform-resolvent tests;
     sigma0_p(T), which Sigma keeps z off, is formed once per pair.  From
-    n = 16 on, C comes from one n x n LU of the pair's pencil split where
-    its guard holds, and from the SVD null space otherwise.  Only C's 2m
-    boundary rows are formed.  dim mul M(z) and dim ker M(z) are the
-    null-space dimensions of M's F and G blocks, counted from their
-    singular values with null_space's rank cutoff.
+    n = 16 on, C comes from the pair's pencil split, diagonalised once
+    per pair, where its guard holds, and from the SVD null space
+    otherwise.  Only C's 2m boundary rows are formed.  dim mul M(z) and
+    dim ker M(z) are the null-space dimensions of M's F and G blocks,
+    counted from their singular values with null_space's rank cutoff.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),

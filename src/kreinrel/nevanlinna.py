@@ -93,8 +93,7 @@ def weyl_symmetry_check(bp: BoundaryPair, z):
     tol = bp.tol
     z = complex(z)
     lhs = hilbert_adjoint(weyl(bp, z).M, tol)  # rejects a real z
-    sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, tol)
-    rhs = weyl(sharp, z.conjugate()).M
+    rhs = weyl(bp._sharp_pair, z.conjugate()).M
     return rel_equal(lhs, rhs, tol)
 
 

@@ -334,9 +334,10 @@ _MERGE_RTOL = 1e-8
 # probes and boundary's main-transform resolvent test all cut at
 # rank_rel * _RESOLVENT_SLACK (times their size and scale factors).
 _RESOLVENT_SLACK = 1e3
-# Least reciprocal condition estimate (LAPACK gecon) of an LU that is
-# solved with: boundary's pencil split (P1 - zL, and L) and
-# point_spectrum's screen (Fc).
+# Least reciprocal condition estimate (LAPACK gecon, trcon) of a factor
+# that is solved with: boundary's pencil split (L, and the triangular
+# factor of the eigenvector matrix V) and point_spectrum's screen (the
+# LU of Fc).
 _SPLIT_RCOND = 1e-6
 # Loose pre-filter ahead of the _EIG_RTOL rank test: a pencil candidate
 # whose eigenvector residual ||(G - zF)x|| / (max(1, ||G - zF||_F) ||x||)

@@ -15,7 +15,6 @@ from .errors import DimensionMismatchError, ValidationError
 from .relations import LinearRelation
 from .spaces import KreinSpace, make_krein
 from .subspaces import DEFAULT_TOL, Subspace
-from .transforms import QbtMap, StdUnitaryOp, make_std_unitary
 
 __all__ = [
     "matrix_to_json",
@@ -28,10 +27,6 @@ __all__ = [
     "krein_from_json",
     "boundary_pair_to_json",
     "boundary_pair_from_json",
-    "std_unitary_to_json",
-    "std_unitary_from_json",
-    "qbt_to_json",
-    "qbt_from_json",
     "dump",
     "load",
 ]
@@ -107,40 +102,12 @@ def boundary_pair_from_json(d, tol=DEFAULT_TOL):
                         relation_from_json(d["gamma"]), tol)
 
 
-def std_unitary_to_json(V: StdUnitaryOp):
-    return {
-        "A": matrix_to_json(V.A),
-        "B": matrix_to_json(V.B),
-        "C": matrix_to_json(V.C),
-        "D": matrix_to_json(V.D),
-        "K_from": krein_to_json(V.K_from),
-        "K_to": krein_to_json(V.K_to),
-    }
-
-
-def std_unitary_from_json(d):
-    return make_std_unitary(
-        matrix_from_json(d["A"]), matrix_from_json(d["B"]),
-        matrix_from_json(d["C"]), matrix_from_json(d["D"]),
-        krein_from_json(d["K_from"]), krein_from_json(d["K_to"]))
-
-
-def qbt_to_json(q: QbtMap):
-    return {"G": matrix_to_json(q.G), "E": matrix_to_json(q.E)}
-
-
-def qbt_from_json(d):
-    return QbtMap(G=matrix_from_json(d["G"]), E=matrix_from_json(d["E"]))
-
-
 _TAGGED = {
     "subspace": (Subspace, subspace_to_json, subspace_from_json),
     "relation": (LinearRelation, relation_to_json, relation_from_json),
     "krein": (KreinSpace, krein_to_json, krein_from_json),
     "boundary_pair": (BoundaryPair, boundary_pair_to_json,
                       boundary_pair_from_json),
-    "std_unitary": (StdUnitaryOp, std_unitary_to_json, std_unitary_from_json),
-    "qbt": (QbtMap, qbt_to_json, qbt_from_json),
 }
 
 

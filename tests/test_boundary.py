@@ -381,7 +381,7 @@ def _assert_split_matches_direct(bp, points):
     """At every z the Weyl sample agrees with the direct formulas: equal
     dims and subspace_equal for C, rel_equal for M(z), identical
     ran_full and in_mt_resolvent.  Returns at how many points C came
-    from the pencil split's LU."""
+    from the pencil split's diagonalisation."""
     tol = bp.tol
     decided = 0
     for z in points:
@@ -479,16 +479,55 @@ def test_pencil_split_matches_direct_formulas_at_n64(monkeypatch):
         assert _assert_split_matches_direct(bp, _SPLIT_Z) == 0
 
 
-def test_pencil_split_falls_back_on_an_eigenvalue_of_the_split_pencil():
+def _split_pencil_eigenvalue(bp):
+    """A nonreal eigenvalue of the pencil (P1, L), B_f Q = [L 0] and
+    B_f' Q = [P1 P2], from its own QR and a QZ: nothing is read from the
+    split under test."""
     import scipy.linalg
+    B, n = bp.gamma.graph.basis, bp.n
+    Q = np.linalg.qr(B[:n].conj().T, mode="complete")[0][:, :n]
+    eigs = scipy.linalg.eigvals(B[n : 2 * n] @ Q, B[:n] @ Q)
+    return complex(next(w for w in eigs if abs(w.imag) > 1e-2))
+
+
+def test_pencil_split_falls_back_on_an_eigenvalue_of_the_split_pencil():
     bp = gen_unitary_boundary_pair(InstanceSpec(16, 4, 2), rng_stream(51))
     split = bp._split
-    eigs = scipy.linalg.eigvals(split.P1, split.L)
-    z = complex(next(w for w in eigs if abs(w.imag) > 1e-2))
+    z = _split_pencil_eigenvalue(bp)
     for w in (z, z.conjugate()):
         assert (split.defect_coefficients(w, bp.tol) is None) == (w == z)
     assert _assert_split_matches_direct(bp, (z,)) == 0
     _assert_weyl_matches_oracle(bp, (z,))
+
+
+def test_ill_conditioned_eigenvectors_refuse_the_split(monkeypatch):
+    # V with two equal columns stands for a defective L^{-1} P1: the
+    # split is refused once per pair, after the eigendecomposition, and
+    # the SVD null space decides every point with the same CSV
+    pairs = [gen_unitary_boundary_pair(InstanceSpec(n, m, kappa),
+                                       rng_stream(34, n))
+             for n, m, kappa in ((16, 2, 4), (64, 8, 16))]
+    points = _SPLIT_Z + (0.8 - 1e-8j, -1.1 + 1e-8j)
+    fast = [weyl_sweep(bp, points) for bp in pairs]
+    assert all(weyl(bp, z).S is bp._split.BQ
+               for bp in pairs for z in points)
+    eig, calls = np.linalg.eig, []
+
+    def defective(A):
+        calls.append(A.shape)
+        lam, V = eig(A)
+        V[:, 1] = V[:, 0]
+        return lam, V
+
+    for bp in map(_split_off, pairs):
+        bp._sigma0  # point_spectrum's own eigenproblem, unpatched
+        monkeypatch.setattr(np.linalg, "eig", defective)
+        del calls[:]
+        assert bp._split is None
+        assert calls == [(bp.n, bp.n)]
+        monkeypatch.undo()
+        assert all(weyl(bp, z).S is bp.gamma.graph.basis for z in points)
+        assert weyl_sweep(bp, points) == fast.pop(0)
 
 
 def _direct_sum(bp1, bp2):
@@ -627,11 +666,8 @@ def test_weyl_sample_matches_its_eager_defect_elements():
     assert all((n, False) in routes for n in range(1, 5))
     assert resolvent == {True, False}
     # z on an eigenvalue of the split pencil (P1, L): the SVD fallback
-    import scipy.linalg
     bp = gen_unitary_boundary_pair(InstanceSpec(16, 4, 2), rng_stream(51))
-    eigs = scipy.linalg.eigvals(bp._split.P1, bp._split.L)
-    z = complex(next(w for w in eigs if abs(w.imag) > 1e-2))
-    sample = weyl(bp, z)
+    sample = weyl(bp, _split_pencil_eigenvalue(bp))
     assert sample.S is bp.gamma.graph.basis
     _assert_sample_matches_eager(sample)
 

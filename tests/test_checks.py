@@ -201,19 +201,33 @@ def _sweep_grid(seed, count):
 
 
 # One 50-point sweep over a seeded n = 64 pair, where T has no
-# eigenvalue: point_spectrum's screen (one standard eigenproblem)
-# decides that alone, so no QZ runs.  The SVD count is measured.
+# eigenvalue: point_spectrum's screen (one standard eigenproblem and the
+# one LU of Fc) decides that alone, so no QZ runs; the pencil split's
+# diagonalisation is the second standard eigenproblem, and every point
+# takes the split without an LU.  The SVD count is measured.
 _SWEEP64_SVDS = 252
 
 
 def test_generic_sweep_screens_the_point_spectrum_without_qz(monkeypatch):
+    import sys
     import scipy.linalg
+    from scipy.linalg import lapack
     bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), rng_stream(35))
     qz = _counting(monkeypatch, "eig", [scipy.linalg])
     eig = _counting(monkeypatch, "eig", [np.linalg])
     svd = _counting(monkeypatch, "svd", [np.linalg])
-    weyl_sweep(bp, _sweep_grid(35, 46))
-    assert (len(qz), len(eig), len(svd)) == (0, 1, _SWEEP64_SVDS)
+    lu_callers = []
+    for name in ("zgetrf", "zgecon", "zgetrs"):
+        def wrapper(*args, _original=getattr(lapack, name), **kwargs):
+            lu_callers.append(sys._getframe(1).f_globals["__name__"])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, wrapper)
+    grid = _sweep_grid(35, 46)
+    weyl_sweep(bp, grid)
+    assert (len(qz), len(eig), len(svd)) == (0, 2, _SWEEP64_SVDS)
+    assert lu_callers == ["kreinrel.relations"] * 3
+    assert all(weyl(bp, z).S is bp._split.BQ for z in grid)
 
 
 def test_weyl_sweep_with_the_pencil_split_equals_the_direct_formulas(

@@ -190,6 +190,21 @@ def test_weyl_symmetry_on_random_pairs():
         weyl_symmetry_check(bp, 0.5)
 
 
+def test_weyl_symmetry_check_builds_the_sharp_pair_once(monkeypatch):
+    bp = gen_obt(InstanceSpec(3, 2, 1), rng_stream(45, 1), TOL)
+    built, init = [], BoundaryPair.__init__
+
+    def counting(self, *a, **k):
+        built.append(a)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(BoundaryPair, "__init__", counting)
+    for z in GRID.points:
+        assert weyl_symmetry_check(bp, z)
+    assert len(built) == 1
+    assert bp._sharp_pair.gamma is bp.gamma_sharp
+
+
 # -------------------------------------------------------- full probe
 
 def test_probe_reports_all_three_conditions():
