@@ -46,13 +46,16 @@ ran(A_* - z) = C^n exactly when Y has k - n columns; ker(J(Gamma) - z)
 = C null(W), so z is in res(main transform) exactly when k = n + m,
 Y has m columns and W is invertible, and then P_H (J(Gamma) - z)^{-1}
 (0, e) = -C_f W^{-1} e.  M(z) and W read only the 2m boundary rows
-S[2n:] Y; C, its f rows and the gamma-field are formed on first read.
-Only this module indexes C.
+R = S[2n:] Y; C, its f rows and the gamma-field are formed on first
+read.  Only this module indexes C.
 
 sigma0_p(T) and its symmetric closure (kept out of delta_Gamma) come
-from one point_spectrum of T per pair.  The sample decides Sigma_Gamma:
-z off sigma0_p(T), ran(A_* - z) = C^n and 0 in res(M(z) + z), that is
-dim M(z) = m and G + zF of M's basis invertible (one m x m SVD).
+from one point_spectrum of T per pair.  M's basis [F; G] is R K with K
+of full column rank, so four values-only SVDs, of R, R_l, R_l' and W,
+give dim M(z) = rank R, dim mul M(z) = rank R - rank R_l, dim ker M(z)
+= rank R - rank R_l' and Sigma_Gamma without forming M: z off
+sigma0_p(T), ran(A_* - z) = C^n and 0 in res(M(z) + z), rank R = m =
+rank(G + zF) = rank W.
 """
 
 from dataclasses import dataclass, field
@@ -82,6 +85,7 @@ from .spaces import (
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _rank,
     column_space,
     null_space,
 )
@@ -350,8 +354,8 @@ class WeylSample:
     """The defect elements C = S Y of a pair at the nonreal z, and what
     they decide (see the module docstring).  M(z), a relation in C^m,
     and the gamma-field, a relation from C^m to C^n, are the spans of
-    C's (l, l') and stacked (l, f) rows, each formed on first read and
-    then cached."""
+    C's (l, l') and stacked (l, f) rows; each, and each count, is formed
+    on first read and then cached."""
     bp: BoundaryPair = field(compare=False, repr=False)
     z: complex
     S: np.ndarray = field(compare=False, repr=False)
@@ -364,7 +368,7 @@ class WeylSample:
 
     @cached_property
     def _boundary_rows(self):
-        """C's (l, l') rows, S[2n:] Y."""
+        """R, C's (l, l') rows, S[2n:] Y."""
         return self.S[2 * self.bp.n :] @ self.Y
 
     def _f_rows(self):
@@ -382,6 +386,28 @@ class WeylSample:
         lf = np.vstack([self._boundary_rows[:m], self._f_rows()])
         return LinearRelation(m, self.bp.n, column_space(lf, self.bp.tol))
 
+    @cached_property
+    def _r_singular_values(self):
+        return np.linalg.svd(self._boundary_rows, compute_uv=False)
+
+    @cached_property
+    def dim_M(self) -> int:
+        """dim M(z) = rank R, at column_space's cutoff."""
+        return _rank(self._r_singular_values, self._boundary_rows.shape,
+                     self.bp.tol.rank_rel)
+
+    @cached_property
+    def dim_mul(self) -> int:
+        """dim mul M(z) = dim null(F) = rank R - rank R_l."""
+        R_l = self._boundary_rows[: self.bp.m]
+        return self.dim_M - _rank_of(R_l, self.bp.tol.rank_rel)
+
+    @cached_property
+    def dim_ker(self) -> int:
+        """dim ker M(z) = dim null(G) = rank R - rank R_l'."""
+        R_lp = self._boundary_rows[self.bp.m :]
+        return self.dim_M - _rank_of(R_lp, self.bp.tol.rank_rel)
+
     @property
     def ran_full(self) -> bool:
         """ran(A_* - z) = C^n: C has dim Gamma - n columns."""
@@ -394,26 +420,33 @@ class WeylSample:
         return lr[m:] + self.z * lr[:m]
 
     @cached_property
+    def _w_singular_values(self):
+        return np.linalg.svd(self.W, compute_uv=False)
+
+    @cached_property
     def in_mt_resolvent(self) -> bool:
-        """dim Gamma = n + m and W square with sigma_min above
-        rank_rel _RESOLVENT_SLACK (n+m) (1 + |z|): in_resolvent's cutoff,
-        with 1 + |z| bounding sigma_max of the main transform's G - zF."""
+        """dim Gamma = n + m, W square and its sigma_min (shared with
+        shift_invertible) above in_resolvent's cutoff rank_rel
+        _RESOLVENT_SLACK (n+m) (1 + |z|), 1 + |z| bounding sigma_max."""
         n, m = self.bp.n, self.bp.m
         if self.bp.gamma.dim != n + m or self.Y.shape[1] != m:
             return False
-        s = np.linalg.svd(self.W, compute_uv=False)
+        s = self._w_singular_values
         cutoff = (self.bp.tol.rank_rel * _RESOLVENT_SLACK * (n + m)
                   * (1.0 + abs(self.z)))
         return not s.size or s[-1] > cutoff
 
     @cached_property
     def shift_invertible(self) -> bool:
-        """0 in res(M(z) + z): dim M(z) = m and G + zF of M's basis has
-        full rank at in_resolvent's cutoff rank_rel _RESOLVENT_SLACK."""
-        M, m = self.M, self.bp.m
-        cutoff = self.bp.tol.rank_rel * _RESOLVENT_SLACK
-        return M.dim == m and (
-            m == 0 or _rank_of(M.G + self.z * M.F, cutoff) == m)
+        """0 in res(M(z) + z): dim M(z) = m and G + zF of full rank at
+        in_resolvent's cutoff rank_rel _RESOLVENT_SLACK.  W = (G + zF) K,
+        sigma(K) = sigma(R): W's singular values are cut in units of
+        sigma_m(R) (exact at m = 1), lest a near rank deficient R (z near
+        sigma_p(T)) push them below the cutoff."""
+        m, s = self.bp.m, self._r_singular_values
+        return self.dim_M == m and (m == 0 or m == _rank(
+            self._w_singular_values / s[m - 1], (m, m),
+            self.bp.tol.rank_rel * _RESOLVENT_SLACK))
 
     @property
     def in_sigma(self) -> bool:

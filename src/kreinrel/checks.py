@@ -66,7 +66,6 @@ from .spaces import hilbert_space, make_krein
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
-    _null_dim,
     column_space,
     contains as sub_contains,
     intersect,
@@ -876,9 +875,10 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     sigma0_p(T), which Sigma keeps z off, is formed once per pair.  From
     n = 16 on, C comes from the pair's pencil split, diagonalised once
     per pair, where its guard holds, and from the SVD null space
-    otherwise.  Only C's 2m boundary rows are formed.  dim mul M(z) and
-    dim ker M(z) are the null-space dimensions of M's F and G blocks,
-    counted from their singular values with null_space's rank cutoff.
+    otherwise.  Only C's 2m boundary rows R are formed, and M's basis
+    not at all: dim M(z), dim mul M(z) and dim ker M(z) are the sample's
+    ranks of R, R_l and R_l', and the two tests read the singular values
+    of W, at most four values-only SVDs per point.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
@@ -892,23 +892,15 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
         raise PreconditionError("sweep grid must avoid the real axis")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    tol = bp.tol
     sigma0_points(bp)  # raises before the header where T is not symmetric
     buf = io.StringIO() if out is None else out
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
     for z in pts:
         sample = weyl(bp, z)
-        M = sample.M
-        # dim mul M = dim null(F), dim ker M = dim null(G): see ``mul``
-        dim_mul = _null_dim(M.F, tol)
-        row = (f"{z.real:.12g}", f"{z.imag:.12g}",
-               str(M.graph.dim),
-               str(dim_mul),
-               str(_null_dim(M.G, tol)),
-               str(int(dim_mul == 0)),
-               str(int(sample.in_sigma)),
-               str(int(sample.in_mt_resolvent)))
-        buf.write(",".join(row) + "\n")
+        row = (f"{z.real:.12g}", f"{z.imag:.12g}", sample.dim_M,
+               sample.dim_mul, sample.dim_ker, int(sample.dim_mul == 0),
+               int(sample.in_sigma), int(sample.in_mt_resolvent))
+        buf.write(",".join(map(str, row)) + "\n")
     if out is None:
         return buf.getvalue()
     return None

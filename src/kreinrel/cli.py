@@ -25,17 +25,22 @@ __all__ = ["main"]
 
 
 def _parse_dims(text):
-    for sep in (":", ",", ".."):
-        if sep in text:
-            lo, hi = text.split(sep, 1)
-            return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    sep = next((s for s in (":", ",", "..") if s in text), None)
+    try:
+        lo, hi = text.split(sep, 1) if sep else (text, text)
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValidationError(
+            f"--dims takes lo:hi or one integer, not {text!r}") from None
 
 
 def _parse_grid(text):
-    lo, hi, num = text.split(":")
-    return np.linspace(float(lo), float(hi), int(num))
+    try:
+        lo, hi, num = text.split(":")
+        return np.linspace(float(lo), float(hi), int(num))
+    except ValueError:
+        raise ValidationError(
+            f"--re and --im take lo:hi:num, not {text!r}") from None
 
 
 def _make_tol(args):
@@ -222,12 +227,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (KreinRelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

@@ -178,15 +178,6 @@ def null_space(M, tol=DEFAULT_TOL):
     return Subspace._of(k, vh[r:].conj().T)
 
 
-def _null_dim(M, tol=DEFAULT_TOL):
-    """dim null_space(M), counted from the singular values alone."""
-    n, k = M.shape
-    if n == 0 or k == 0:
-        return k
-    s = np.linalg.svd(M, compute_uv=False)
-    return k - _rank(s, M.shape, tol.rank_rel)
-
-
 def _check_ambient(U, V):
     if U.ambient_dim != V.ambient_dim:
         raise DimensionMismatchError(

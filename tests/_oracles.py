@@ -6,9 +6,10 @@ oracles (the indefinite metric, the defect numbers, the resolvent
 matrix, the inverse of the main transform, the Gram contribution of
 two grid points, the linear fractional transformation as an explicit
 composition, the three-clause ordinary-boundary-triple test, T as
-(dom Gamma)^[perp], the defect elements C formed in full and the
-spectral sets per point), each written from its definition rather
-than from the package's fast paths.
+(dom Gamma)^[perp], the defect elements C formed in full, the sweep
+counts read from M's basis and the spectral sets per point), each
+written from its definition rather than from the package's fast
+paths.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ from kreinrel.generators import (
 )
 from kreinrel.relations import (
     LinearRelation,
+    _RESOLVENT_SLACK,
+    _rank_of,
     _require_square,
     compose,
     in_resolvent,
@@ -44,6 +47,7 @@ from kreinrel.spaces import KreinSpace, hilbert_space, make_krein
 from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _rank,
     column_space,
     null_space,
     zero_subspace,
@@ -221,6 +225,32 @@ def defect_elements(gamma: LinearRelation, n, z, tol=DEFAULT_TOL):
     {(f, zf, l, l') in Gamma}."""
     B = gamma.graph.basis
     return B @ null_space(B[n : 2 * n] - z * B[:n], tol).basis
+
+
+def _null_dim(M, tol=DEFAULT_TOL):
+    """dim null_space(M), counted from the singular values alone."""
+    n, k = M.shape
+    if n == 0 or k == 0:
+        return k
+    s = np.linalg.svd(M, compute_uv=False)
+    return k - _rank(s, M.shape, tol.rank_rel)
+
+
+def weyl_counts_from_m(sample):
+    """(dim M(z), dim mul M(z), dim ker M(z), 0 in res(M(z) + z)) of a
+    Weyl sample, read from M's orthonormal basis [F; G], the column
+    space of the boundary rows S[2n:] Y: dim null(F), dim null(G) and
+    the rank of G + zF at in_resolvent's cutoff.  The last is also
+    decided on the relation m_plus_z(M, z), and the two must agree."""
+    bp, z = sample.bp, sample.z
+    m, tol = bp.m, bp.tol
+    M = LinearRelation(m, m, column_space(sample.S[2 * bp.n :] @ sample.Y,
+                                          tol))
+    cutoff = tol.rank_rel * _RESOLVENT_SLACK
+    shift = M.dim == m and (m == 0 or _rank_of(M.G + z * M.F, cutoff) == m)
+    if shift != in_resolvent(m_plus_z(M, z, tol), 0.0, tol):
+        raise AssertionError(f"the two m_plus_z readings differ at z={z}")
+    return M.dim, _null_dim(M.F, tol), _null_dim(M.G, tol), shift
 
 
 @dataclass(frozen=True)

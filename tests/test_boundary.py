@@ -15,6 +15,7 @@ from _oracles import (
     sigma_p_all_pair,
     spectral_sets,
     underlying_t_perp,
+    weyl_counts_from_m,
 )
 from kreinrel.boundary import (
     BoundaryPair,
@@ -741,17 +742,33 @@ def test_spectral_sets_identity_obt():
     assert not by_z[0.5 + 0.5j]["in_B_eps"]  # |z| < eps
 
 
-def _assert_sets_match_oracle(bp, points):
-    """shift_invertible against in_resolvent(m_plus_z(M, z), 0), and
-    in_sigma and in_delta against the oracle spectral_sets, at every
-    point; returns the (in_sigma, shift_invertible, dim M == m) seen, or
-    None where T is not symmetric (the sample and in_delta then raise
-    as the oracle does)."""
+def _kernel_pair():
+    """The identity triple on the first boundary coordinate plus the
+    pair {(0, 0, t, 0)} on the second: n = 1, m = 2,
+    M(z) = {((a, s), (za, 0))} with ker M(z) = span(0, 1)."""
+    g = np.zeros((6, 3))
+    g[0, 0] = g[2, 0] = g[1, 1] = g[4, 1] = 1 / np.sqrt(2)
+    g[3, 2] = 1.0
+    gamma = LinearRelation(2, 4, Subspace(6, g))
+    return BoundaryPair(hilbert_space(1), 2, gamma)
+
+
+def _assert_sets_match_oracle(bp, points, counts=None):
+    """The sample's dim M(z), dim mul M(z), dim ker M(z) and
+    shift_invertible against the same readings of M's basis
+    (weyl_counts_from_m), and in_sigma and in_delta against the oracle
+    spectral_sets, at every point.  Adds the counts seen to ``counts``;
+    returns the (in_sigma, shift_invertible, dim M == m) seen, or None
+    where T is not symmetric (the sample and in_delta then raise as the
+    oracle does)."""
     tol = bp.tol
     samples = [weyl(bp, z) for z in points]
     for sample in samples:
-        assert sample.shift_invertible == in_resolvent(
-            m_plus_z(sample.M, sample.z, tol), 0.0, tol)
+        got = (sample.dim_M, sample.dim_mul, sample.dim_ker,
+               sample.shift_invertible)
+        assert got == weyl_counts_from_m(sample)
+        if counts is not None:
+            counts.add(got[:3])
     try:
         sets = spectral_sets(bp, 0.5, samples)
     except PreconditionError:
@@ -766,31 +783,48 @@ def _assert_sets_match_oracle(bp, points):
         assert sample.in_sigma == rec["in_Sigma"]
         assert in_delta(bp, sample.z) == rec["in_delta"]
         seen.add((sample.in_sigma, sample.shift_invertible,
-                  sample.M.dim == bp.m))
+                  sample.dim_M == bp.m))
     return seen
 
 
 def test_spectral_sets_match_the_m_plus_z_oracle():
     degenerate = sigma_p_all_pair()
     assert delta_excluded_points(degenerate) is None  # sigma_p(T) = C
-    pairs = [identity_obt(), *_oracle_pairs(), _mul_pair(), degenerate,
-             _empty_resolvent_pair()[0],
-             _deficient_part(_eigen_pair()[0], 0.2 + 0.6j)]
+    pairs = [identity_obt(), *_oracle_pairs(), _mul_pair(), _kernel_pair(),
+             degenerate, _empty_resolvent_pair()[0],
+             _deficient_part(_eigen_pair()[0], 0.2 + 0.6j),
+             gen_isometric_boundary_pair(InstanceSpec(16, 3, 4),
+                                         rng_stream(57))]
     pairs += [gen_unitary_boundary_pair(InstanceSpec(n, m, n // 4),
                                         rng_stream(58, n))
-              for n, m in ((16, 3), (64, 8))]
-    assert [bp._split is not None for bp in pairs[-2:]] == [True, True]
+              for n, m in ((16, 3), (17, 17), (64, 8))]
+    assert all(bp._split is not None for bp in pairs[-4:])
     points = _SPLIT_Z + (0.8 - 1e-8j, -1.1 + 1e-8j)
-    seen, raised = set(), 0
+    seen, counts, resolvent, raised = set(), set(), set(), 0
     for bp in pairs:
-        got = _assert_sets_match_oracle(bp, points)
+        got = _assert_sets_match_oracle(bp, points, counts)
         if got is None:
             raised += 1
         else:
             seen |= got
+        mt = main_transform(bp)
+        for z in points:
+            in_mt = weyl(bp, z).in_mt_resolvent
+            assert in_mt == in_resolvent(mt, z, bp.tol)
+            resolvent.add(in_mt)
     assert raised > 0
     assert {(True, True, True), (False, True, True), (False, False, True),
             (False, False, False)} <= seen
+    # on and 1e-6 off an eigenvalue of the split pencil: the SVD route
+    bp = pairs[-3]
+    lam = _split_pencil_eigenvalue(bp)
+    near = [lam, lam + 1e-6, lam - 1e-6j, lam.conjugate() + 1e-6]
+    seen |= _assert_sets_match_oracle(bp, near, counts)
+    assert weyl(bp, lam).S is bp.gamma.graph.basis
+    # mul M(z), ker M(z) and dim M(z) < m each occur, as do both
+    # main-transform verdicts
+    assert {(2, 1, 0), (2, 0, 1), (0, 0, 0)} <= counts
+    assert resolvent == {True, False}
     # a planted nonreal eigenvalue lam of T: at and near lam and conj lam
     bp, (lam, lam_bar) = _eigen_pair()
     assert delta_excluded_points(bp) == pytest.approx(

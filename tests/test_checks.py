@@ -1,6 +1,7 @@
 """Verification harness: registry, reports, determinism and sweeps."""
 
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import kreinrel.relations
 from _oracles import (
     gen_isometric_boundary_pair,
     inverse_main_transform,
+    sigma_p_all_pair,
     spectral_sets,
 )
 from kreinrel.boundary import BoundaryPair, identity_obt, main_transform, weyl
@@ -204,8 +206,9 @@ def _sweep_grid(seed, count):
 # eigenvalue: point_spectrum's screen (one standard eigenproblem and the
 # one LU of Fc) decides that alone, so no QZ runs; the pencil split's
 # diagonalisation is the second standard eigenproblem, and every point
-# takes the split without an LU.  The SVD count is measured.
-_SWEEP64_SVDS = 252
+# takes the split without an LU.  The SVD count is measured: two per
+# pair, and four values-only ones per point (R, R_l, R_l' and W).
+_SWEEP64_SVDS = 202
 
 
 def test_generic_sweep_screens_the_point_spectrum_without_qz(monkeypatch):
@@ -246,22 +249,47 @@ def test_weyl_sweep_with_the_pencil_split_equals_the_direct_formulas(
 
 def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
     # the one n-sized SVD is point_spectrum's values-only probe; T comes
-    # from the 2m boundary rows of B and M(z) from its own 2m x m rows
+    # from the 2m boundary rows of B and the sweep columns from the
+    # singular values alone of the 2m x m rows R of each sample
     n, m = 64, 8
     bp = gen_unitary_boundary_pair(InstanceSpec(n, m, 16), rng_stream(35))
     calls = []
     svd = np.linalg.svd
 
     def counting(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        # made on behalf of a Weyl sample: some caller's self is one
+        frame, per_point = sys._getframe(1), False
+        while frame is not None and not per_point:
+            per_point = isinstance(frame.f_locals.get("self"),
+                                   kreinrel.boundary.WeylSample)
+            frame = frame.f_back
+        calls.append((np.shape(a), kwargs.get("compute_uv", True),
+                      per_point))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    weyl_sweep(bp, _sweep_grid(35, 46))
+    grid = _sweep_grid(35, 46)
+    weyl_sweep(bp, grid)
     assert len(calls) > 0
-    large = [uv for shape, uv in calls if min(shape) >= n // 2]
+    large = [uv for shape, uv, _ in calls if min(shape) >= n // 2]
     assert len(large) <= 1
     assert not any(large)
+    # four per point, none computing singular vectors
+    per_point = [uv for _, uv, sample in calls if sample]
+    assert len(per_point) == 4 * len(grid)
+    assert not any(per_point)
+
+
+def test_weyl_sweep_never_forms_the_weyl_relation(monkeypatch):
+    formed = []
+    monkeypatch.setattr(kreinrel.boundary.WeylSample, "M", property(
+        lambda sample: formed.append(sample.z)))
+    pairs = [gen_unitary_boundary_pair(InstanceSpec(n, m, kappa),
+                                       rng_stream(34, n))
+             for n, m, kappa in ((3, 2, 1), (16, 2, 4), (64, 8, 16))]
+    for bp in [*pairs, sigma_p_all_pair()]:
+        weyl_sweep(bp, _sweep_grid(34, 20))
+    assert formed == []
 
 
 def test_weyl_sweep_never_forms_the_full_defect_elements(monkeypatch):

@@ -103,6 +103,19 @@ def test_gen_then_sweep_pipeline(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
+@pytest.mark.parametrize("args", [
+    ["check", "all", "--dims", "16-32", "--seed", "1"],
+    ["sweep", "{pair}", "--re", "1:2"],
+    ["sweep", "{pair}", "--re", "1:2:x"],
+], ids=["dims_with_a_dash", "grid_without_num", "grid_with_text_num"])
+def test_malformed_dims_or_grid_is_a_usage_error(args, tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    pair.write_text(dump(identity_obt()))
+    assert main([a.format(pair=pair) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sweep_missing_file_exits_1(capsys):
     assert main(["sweep", "/nonexistent/pair.json"]) == 1
 

@@ -14,9 +14,12 @@ from kreinrel.generators import (
 from kreinrel.subspaces import Subspace
 
 # Upper bounds, measured, for one 29-id x 2-trial pass at seed 7: the
-# validated Subspace constructions and the SVDs it makes.
+# validated Subspace constructions, the SVDs it makes and those of them
+# that compute singular vectors (the Weyl samples' counts and Sigma
+# tests read singular values only).
 _PASS_VALIDATED = 89
 _PASS_SVDS = 1186
+_PASS_UV_SVDS = 902
 
 
 def _desk_pass(trials):
@@ -53,7 +56,7 @@ def test_trusted_bases_pass_the_validating_constructor(monkeypatch):
 
 
 def test_desk_pass_counts(monkeypatch):
-    counts = {"validated": 0, "svd": 0}
+    counts = {"validated": 0, "svd": 0, "uv": 0}
     init, svd = Subspace.__init__, np.linalg.svd
 
     def counting_init(self, *a, **k):
@@ -62,6 +65,7 @@ def test_desk_pass_counts(monkeypatch):
 
     def counting_svd(*a, **k):
         counts["svd"] += 1
+        counts["uv"] += k.get("compute_uv", True)
         return svd(*a, **k)
 
     monkeypatch.setattr(Subspace, "__init__", counting_init)
@@ -69,3 +73,4 @@ def test_desk_pass_counts(monkeypatch):
     _desk_pass(2)
     assert counts["validated"] <= _PASS_VALIDATED
     assert counts["svd"] <= _PASS_SVDS
+    assert counts["uv"] <= _PASS_UV_SVDS
