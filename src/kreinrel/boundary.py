@@ -30,8 +30,9 @@ TAC 1981).  Once per pair, Q from a QR of B_f* gives B_f Q = [L 0] with
 L n x n lower triangular, and B_f' Q = [P1 P2]; one eigendecomposition
 L^{-1} P1 = V diag(lam) V^{-1} and G = V^{-1} L^{-1} P2 follow.  At
 each z, X = (P1 - zL)^{-1} P2 = V diag(1 / (lam - z)) G costs O(n^2 m),
-and the null basis is Q Y with Y the thin QR of [-X; I], so C = (BQ) Y.
-The guard: the pair is refused when the condition estimate (LAPACK
+and Q K with K = [-X; I] spans the null space, so BQ K spans C; its
+orthonormal basis C = (BQ) Y, Y the thin QR of K, is formed only when
+read.  The guard: the pair is refused when the condition estimate (LAPACK
 trcon) of L (B_f rank deficient, as when mul T is nontrivial) or of V's
 triangular factor (a defective L^{-1} P1) is below _SPLIT_RCOND, and a
 point when min|lam - z| / (||V||_F ||V^{-1} L^{-1}||_F), a lower bound
@@ -39,23 +40,29 @@ of sigma_min(P1 - zL), does not clear the null space's rank cutoff by
 _MARGIN.  There, and for n below ``_SPLIT_MIN_N`` or dim Gamma <= n,
 C = B N with N the SVD null space.
 
-A Weyl sample (``weyl``) holds C as the product S Y (S = BQ and Y as
-above, or S = B and Y = N) and decides every per-point test.  With
-k = dim Gamma and W = C_l' + z C_l: dim C = k - rank(B_f' - z B_f), so
-ran(A_* - z) = C^n exactly when Y has k - n columns; ker(J(Gamma) - z)
-= C null(W), so z is in res(main transform) exactly when k = n + m,
-Y has m columns and W is invertible, and then P_H (J(Gamma) - z)^{-1}
-(0, e) = -C_f W^{-1} e.  M(z) and W read only the 2m boundary rows
-R = S[2n:] Y; C, its f rows and the gamma-field are formed on first
-read.  Only this module indexes C.
+A Weyl sample (``weyl``) holds the p = dim C coefficients K of C's
+span S K (S = BQ and K = [-X; I] as above, or S = B and K = N, so Y = N)
+and decides every per-point test.  With k = dim Gamma and
+W = C_l' + z C_l: p = k - rank(B_f' - z B_f), so ran(A_* - z) = C^n
+exactly when p = k - n; ker(J(Gamma) - z) = C null(W), so z is in
+res(main transform) exactly when k = n + m, p = m and W is invertible,
+and then P_H (J(Gamma) - z)^{-1} (0, e) = -C_f W^{-1} e.  M(z) and W
+read only the 2m boundary rows R = S[2n:] Y; Y, C, its f rows and the
+gamma-field are formed on first read.  Only this module indexes C.
 
 sigma0_p(T) and its symmetric closure (kept out of delta_Gamma) come
-from one point_spectrum of T per pair.  M's basis [F; G] is R K with K
-of full column rank, so four values-only SVDs, of R, R_l, R_l' and W,
-give dim M(z) = rank R, dim mul M(z) = rank R - rank R_l, dim ker M(z)
-= rank R - rank R_l' and Sigma_Gamma without forming M: z off
+from one point_spectrum of T per pair.  M's basis [F; G] is R K' with
+K' of full column rank, so the ranks of R, R_l, R_l' and W give
+dim M(z) = rank R, dim mul M(z) = rank R - rank R_l, dim ker M(z) =
+rank R - rank R_l' and Sigma_Gamma without forming M: z off
 sigma0_p(T), ran(A_* - z) = C^n and 0 in res(M(z) + z), rank R = m =
-rank(G + zF) = rank W.
+rank(G + zF) = rank W.  On the split route one Cholesky factorisation
+of a stack of four p x p Gram matrices of R~ = S[2n:] K (shifted by
+tau^2 K* K) proves all four of full column rank p, so that dim M(z) = p,
+mul M(z) = ker M(z) = {0}, and both tests read p = m; no QR or SVD is
+made.  Where the proof fails (a rank deficient or nearly deficient
+block, p > m) and on the SVD route, four values-only SVDs, of R, R_l,
+R_l' and W, decide.
 """
 
 from dataclasses import dataclass, field
@@ -281,13 +288,12 @@ def _require_nonreal(z):
         raise PreconditionError("spectral parameter must be nonreal")
 
 
-# Smallest n that gets the pencil split.  One BLAS thread, per point:
-# the split and the SVD null space both cost about 0.11 ms at n = 8
-# (0.11 against 0.09 ms at n = 4).  The split's eigendecomposition costs
-# 0.35 ms at n = 8, 0.5 ms at n = 12 and 0.7 ms at n = 16, and pays for
-# itself only after 10-15 points per pair (0.12 against 0.15 ms per
-# point at n = 12, 0.13 against 0.21 ms at n = 16), while a theorem
-# check reads one to six points per pair.
+# Smallest n that gets the pencil split.  One BLAS thread, per point (a
+# weyl call and the six sweep columns, m = n/4): the split costs 0.07 ms
+# at n = 8, 12 and 16, the SVD null space 0.11, 0.15 and 0.20 ms.  The
+# split's eigendecomposition costs 0.6 ms at n = 8 and 12 and 0.8 ms at
+# n = 16, so it pays for itself only after about 15, 8 and 7 points per
+# pair, while a theorem check reads one to six points per pair.
 _SPLIT_MIN_N = 16
 # Factor by which the split's lower bound on sigma_min(P1 - zL) must
 # clear the rank cutoff of the SVD null space it replaces.
@@ -296,7 +302,8 @@ _MARGIN = 1e3
 
 class _PencilSplit(NamedTuple):
     """(B_f', B_f) split and diagonalised once: B_f Q = [L 0], B_f' Q =
-    [P1 P2], L^{-1} P1 = V diag(lam) V^{-1}, G = V^{-1} L^{-1} P2, and BQ.
+    [P1 P2], L^{-1} P1 = V diag(lam) V^{-1}, G = V^{-1} L^{-1} P2, and BQ,
+    the S of every split-route Weyl sample, whose K it gives per point.
     ``floor`` is 1 / (||V||_F ||V^{-1} L^{-1}||_F)."""
     lam: np.ndarray
     V: np.ndarray
@@ -305,9 +312,10 @@ class _PencilSplit(NamedTuple):
     BQ: np.ndarray
 
     def defect_coefficients(self, z, tol):
-        """Y, the thin QR of [-X; I] with X = (P1 - zL)^{-1} P2 =
-        V diag(1 / (lam - z)) G, so that C = BQ Y; None when the lower
-        bound floor min|lam - z| of sigma_min(P1 - zL) fails the guard."""
+        """K = [-X; I], unnormalised, with X = (P1 - zL)^{-1} P2 =
+        V diag(1 / (lam - z)) G, so that BQ K spans C; None when the
+        lower bound floor min|lam - z| of sigma_min(P1 - zL) fails the
+        guard."""
         n, k = self.V.shape[0], self.BQ.shape[1]
         d = self.lam - z
         # (P1 - zL)^{-1} = V diag(1 / d) V^{-1} L^{-1} bounds
@@ -316,7 +324,7 @@ class _PencilSplit(NamedTuple):
         if self.floor * np.min(np.abs(d)) <= _MARGIN * cutoff:
             return None
         X = self.V @ (self.G / d[:, None])
-        return np.linalg.qr(np.vstack([-X, np.eye(k - n)]))[0]
+        return np.vstack([-X, np.eye(k - n)])
 
 
 def _pencil_split(B, n):
@@ -351,15 +359,22 @@ def _pencil_split(B, n):
 
 @dataclass(frozen=True)
 class WeylSample:
-    """The defect elements C = S Y of a pair at the nonreal z, and what
-    they decide (see the module docstring).  M(z), a relation in C^m,
-    and the gamma-field, a relation from C^m to C^n, are the spans of
-    C's (l, l') and stacked (l, f) rows; each, and each count, is formed
-    on first read and then cached."""
+    """The defect elements of a pair at the nonreal z, spanned by S K,
+    and what they decide (see the module docstring).  C = S Y for the
+    orthonormal Y of K's span.  M(z), a relation in C^m, and the
+    gamma-field, a relation from C^m to C^n, are the spans of C's
+    (l, l') and stacked (l, f) rows; each, and each count, is formed on
+    first read and then cached.  This class is the SVD route (S = B,
+    K = N orthonormal); ``_SplitSample`` is the pencil split's."""
     bp: BoundaryPair = field(compare=False, repr=False)
     z: complex
     S: np.ndarray = field(compare=False, repr=False)
-    Y: np.ndarray = field(compare=False, repr=False)
+    K: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def Y(self):
+        """K itself: the SVD null basis N is orthonormal."""
+        return self.K
 
     @cached_property
     def C(self):
@@ -410,8 +425,8 @@ class WeylSample:
 
     @property
     def ran_full(self) -> bool:
-        """ran(A_* - z) = C^n: C has dim Gamma - n columns."""
-        return self.Y.shape[1] == self.bp.gamma.dim - self.bp.n
+        """ran(A_* - z) = C^n: C, and so K, has dim Gamma - n columns."""
+        return self.K.shape[1] == self.bp.gamma.dim - self.bp.n
 
     @property
     def W(self):
@@ -429,7 +444,7 @@ class WeylSample:
         shift_invertible) above in_resolvent's cutoff rank_rel
         _RESOLVENT_SLACK (n+m) (1 + |z|), 1 + |z| bounding sigma_max."""
         n, m = self.bp.n, self.bp.m
-        if self.bp.gamma.dim != n + m or self.Y.shape[1] != m:
+        if self.bp.gamma.dim != n + m or self.K.shape[1] != m:
             return False
         s = self._w_singular_values
         cutoff = (self.bp.tol.rank_rel * _RESOLVENT_SLACK * (n + m)
@@ -467,19 +482,94 @@ class WeylSample:
         return -np.linalg.solve(self.W.T, self._f_rows().T).T
 
 
+class _SplitSample(WeylSample):
+    """A Weyl sample on the pencil split: S = BQ and K = [-X; I], which
+    is not orthonormal, so Y is the thin QR of K, formed on first read.
+    Each count and test is read first from one stacked Cholesky that
+    proves R, R_l, R_l' and W of full column rank, and where that proof
+    fails, from WeylSample's SVDs on Y."""
+
+    @cached_property
+    def Y(self):
+        """The thin QR factor of K."""
+        return np.linalg.qr(self.K)[0]
+
+    @cached_property
+    def _certified(self) -> bool:
+        """sigma_min of R, R_l, R_l' and W each proved above its tau."""
+        # With R~ = S[2n:] K and Y = K Rk^{-1}, Rk* Rk = K* K, R = R~ Rk^{-1}:
+        # A~* A~ - tau^2 K* K positive definite, for a block A~ of R~ or
+        # W~ = R~_l' + z R~_l, says ||A y|| > tau ||y|| for y = Rk x, that
+        # is sigma_min(A) > tau.  The first term of each tau^2 clears the
+        # SVD cutoff that decides the block: column_space's rank_rel
+        # max(2m, p) for R, R_l and R_l' (C is orthonormal, so ||R|| <= 1),
+        # and in_resolvent's rank_rel _RESOLVENT_SLACK (n + m)(1 + |z|) for
+        # W (||W|| <= 1 + |z|), which also clears shift_invertible's
+        # rank_rel _RESOLVENT_SLACK m max(sigma_m(R), ||W||).  The second
+        # clears the rounding of the Gram matrices and of their Cholesky
+        # factorisation, about p eps ||A~||^2 (Higham, Accuracy and
+        # Stability, 2nd ed., 10.1; Rump, BIT 46, 2006), with ||R~|| <=
+        # ||K||_F and ||W~|| <= (1 + |z|) ||K||_F, against tau^2 K* K >=
+        # tau^2 (sigma_min(K) >= 1).  _MARGIN keeps both well clear.
+        bp, K, z = self.bp, self.K, self.z
+        n, m, p = bp.n, bp.m, K.shape[1]
+        R = self.S[2 * n :] @ K
+        W = R[m:] + z * R[:m]
+        KK = K.conj().T @ K
+        g_l, g_lp = R[:m].conj().T @ R[:m], R[m:].conj().T @ R[m:]
+        rank_rel, scale = bp.tol.rank_rel, 1.0 + abs(z)
+        rounding = p * np.finfo(float).eps * np.vdot(K, K).real
+        tau_r = _MARGIN * max((rank_rel * max(2 * m, p)) ** 2, rounding)
+        tau_w = _MARGIN * max(
+            (rank_rel * _RESOLVENT_SLACK * (n + m) * scale) ** 2,
+            rounding * scale ** 2)
+        try:
+            np.linalg.cholesky(np.stack([
+                g_l + g_lp - tau_r * KK, g_l - tau_r * KK, g_lp - tau_r * KK,
+                W.conj().T @ W - tau_w * KK]))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    @cached_property
+    def dim_M(self) -> int:
+        return self.K.shape[1] if self._certified else super().dim_M
+
+    @cached_property
+    def dim_mul(self) -> int:
+        return 0 if self._certified else super().dim_mul
+
+    @cached_property
+    def dim_ker(self) -> int:
+        return 0 if self._certified else super().dim_ker
+
+    @cached_property
+    def shift_invertible(self) -> bool:
+        if self._certified:
+            return self.K.shape[1] == self.bp.m
+        return super().shift_invertible
+
+    @cached_property
+    def in_mt_resolvent(self) -> bool:
+        # p = dim Gamma - n here, so p = m says dim Gamma = n + m
+        if self._certified:
+            return self.K.shape[1] == self.bp.m
+        return super().in_mt_resolvent
+
+
 def weyl(bp: BoundaryPair, z) -> WeylSample:
     """The Weyl sample at a nonreal point: C = B null(B_f' - z B_f),
-    held as S Y, from which M(z) and the gamma-field are read.
+    spanned by S K, from which M(z) and the gamma-field are read.
 
-    From n = _SPLIT_MIN_N on, S = BQ and Y come from the pair's pencil
-    split (diagonalised once per pair, no factorisation per z) wherever
-    its guard holds; otherwise S = B and Y is the SVD null space (see
-    the module docstring)."""
+    From n = _SPLIT_MIN_N on, S = BQ and K = [-X; I] come from the
+    pair's pencil split (diagonalised once per pair, no factorisation
+    per z) wherever its guard holds; otherwise S = B and K is the SVD
+    null space (see the module docstring)."""
     _require_nonreal(z)
     n, split = bp.n, bp._split
-    Y = None if split is None else split.defect_coefficients(z, bp.tol)
-    if Y is not None:
-        return WeylSample(bp, complex(z), split.BQ, Y)
+    K = None if split is None else split.defect_coefficients(z, bp.tol)
+    if K is not None:
+        return _SplitSample(bp, complex(z), split.BQ, K)
     B = bp.gamma.graph.basis
     N = null_space(B[n : 2 * n] - z * B[:n], bp.tol)
     return WeylSample(bp, complex(z), B, N.basis)

@@ -877,8 +877,10 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     per pair, where its guard holds, and from the SVD null space
     otherwise.  Only C's 2m boundary rows R are formed, and M's basis
     not at all: dim M(z), dim mul M(z) and dim ker M(z) are the sample's
-    ranks of R, R_l and R_l', and the two tests read the singular values
-    of W, at most four values-only SVDs per point.
+    ranks of R, R_l and R_l', and the two tests read the rank of W.  On
+    the split route one stacked Cholesky proves all four of full column
+    rank, with no QR or SVD; where it cannot, and on the SVD route, four
+    values-only SVDs per point decide.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),

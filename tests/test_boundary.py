@@ -49,6 +49,7 @@ from kreinrel.relations import (
     is_selfadjoint,
     is_symmetric,
     krein_adjoint,
+    point_spectrum,
     rel_contains,
     rel_equal,
     rel_from_operator,
@@ -531,6 +532,48 @@ def test_ill_conditioned_eigenvectors_refuse_the_split(monkeypatch):
         assert weyl_sweep(bp, points) == fast.pop(0)
 
 
+def _benchmark_sweep_pair():
+    """The first n = 128 pair of ``kreinrel sweep``'s benchmark at seed 1
+    (m = 16, kappa = 32) and its 50-point grid."""
+    bp = gen_unitary_boundary_pair(InstanceSpec(128, 16, 32),
+                                   rng_stream(1, 0), TOL)
+    rng = np.random.default_rng([1, 1, 0])
+    re = rng.uniform(-2.0, 2.0, 50)
+    im = rng.uniform(0.5, 2.0, 50) * rng.choice([-1.0, 1.0], 50)
+    return bp, [complex(a, b) for a, b in zip(re, im)]
+
+
+def test_failed_certificate_takes_the_singular_values(monkeypatch):
+    # a stacked Cholesky that never succeeds stands for a certificate
+    # that fails everywhere: each split-route point is then decided by
+    # the four values-only SVDs of its orthonormal boundary rows, with
+    # the same CSV
+    points = _SPLIT_Z + (0.8 - 1e-8j, -1.1 + 1e-8j)
+    sweeps = [(gen_unitary_boundary_pair(InstanceSpec(n, m, kappa),
+                                         rng_stream(34, n)), points)
+              for n, m, kappa in ((16, 2, 4), (64, 8, 16))]
+    sweeps.append(_benchmark_sweep_pair())
+    certified = [weyl_sweep(bp, pts) for bp, pts in sweeps]
+    assert all(weyl(bp, z)._certified for bp, pts in sweeps for z in pts)
+
+    def failing(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    svd, uv = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        uv.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for (bp, pts), csv in zip(sweeps, certified):
+        del uv[:]
+        # the pair's own SVDs (T, sigma0) were made by the first sweep
+        assert weyl_sweep(bp, pts) == csv
+        assert uv == [False] * (4 * len(pts))
+
+
 def _direct_sum(bp1, bp2):
     """Gamma1 ⊕ Gamma2 over H1 ⊕ H2 and C^{m1 + m2}."""
     (n1, m1), (n2, m2) = (bp1.n, bp1.m), (bp2.n, bp2.m)
@@ -787,7 +830,14 @@ def _assert_sets_match_oracle(bp, points, counts=None):
     return seen
 
 
-def test_spectral_sets_match_the_m_plus_z_oracle():
+def _upper_eigenvalue(rel, tol):
+    """The eigenvalue of ``rel`` in the upper half-plane nearest the real
+    axis."""
+    return min((complex(w) for w, _ in point_spectrum(rel, tol).eigenvalues
+                if complex(w).imag > 1e-2), key=lambda w: w.imag)
+
+
+def test_spectral_sets_match_the_m_plus_z_oracle(monkeypatch):
     degenerate = sigma_p_all_pair()
     assert delta_excluded_points(degenerate) is None  # sigma_p(T) = C
     pairs = [identity_obt(), *_oracle_pairs(), _mul_pair(), _kernel_pair(),
@@ -825,6 +875,36 @@ def test_spectral_sets_match_the_m_plus_z_oracle():
     # main-transform verdicts
     assert {(2, 1, 0), (2, 0, 1), (0, 0, 0)} <= counts
     assert resolvent == {True, False}
+    # 1e-7 to 1e-9 from a nonreal eigenvalue of J(Gamma), where W is
+    # near singular, and of T0, where R_l is near rank deficient: the
+    # block's sigma_min lies below the split's certificate bound, above
+    # or below its SVD cutoff, so the certificate declines, and the SVDs
+    # decide as the oracle and the SVD route do
+    other = gen_unitary_boundary_pair(InstanceSpec(16, 2, 4),
+                                      rng_stream(34, 16))
+    verdicts = []
+    for bp, rels in ((pairs[-3], (main_transform, BoundaryPair.T0)),
+                     (other, (main_transform,))):
+        direct = BoundaryPair(bp.H, bp.m, bp.gamma, bp.tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(boundary, "_SPLIT_MIN_N", 10**9)
+            assert direct._split is None
+        near = [w + d * 1j for rel in rels
+                for w in [_upper_eigenvalue(rel(bp), bp.tol)]
+                for d in (1e-7, 1e-8, 1e-9)]
+        samples = [weyl(bp, z) for z in near]
+        assert all(isinstance(s, boundary._SplitSample) and not s._certified
+                   for s in samples)
+        seen |= _assert_sets_match_oracle(bp, near, counts)
+        got = [(s.in_mt_resolvent, s.shift_invertible, s.dim_mul)
+               for s in samples]
+        assert got == [(t.in_mt_resolvent, t.shift_invertible, t.dim_mul)
+                       for t in (weyl(direct, z) for z in near)]
+        verdicts += got
+    # W full rank at 1e-7 and deficient below it, R_l full rank throughout
+    assert verdicts == ([(True, True, 0), (False, True, 0), (False, False, 0)]
+                        + [(True, True, 0)] * 3
+                        + [(True, True, 0)] + [(False, True, 0)] * 2)
     # a planted nonreal eigenvalue lam of T: at and near lam and conj lam
     bp, (lam, lam_bar) = _eigen_pair()
     assert delta_excluded_points(bp) == pytest.approx(

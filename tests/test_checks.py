@@ -207,8 +207,9 @@ def _sweep_grid(seed, count):
 # one LU of Fc) decides that alone, so no QZ runs; the pencil split's
 # diagonalisation is the second standard eigenproblem, and every point
 # takes the split without an LU.  The SVD count is measured: two per
-# pair, and four values-only ones per point (R, R_l, R_l' and W).
-_SWEEP64_SVDS = 202
+# pair (T's null space and point_spectrum's probe), and none per point,
+# since one stacked Cholesky certifies every point of this grid.
+_SWEEP64_SVDS = 2
 
 
 def test_generic_sweep_screens_the_point_spectrum_without_qz(monkeypatch):
@@ -249,35 +250,42 @@ def test_weyl_sweep_with_the_pencil_split_equals_the_direct_formulas(
 
 def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
     # the one n-sized SVD is point_spectrum's values-only probe; T comes
-    # from the 2m boundary rows of B and the sweep columns from the
-    # singular values alone of the 2m x m rows R of each sample
+    # from the 2m boundary rows of B, and each point's columns from one
+    # stacked Cholesky of its unnormalised boundary rows: no SVD and no
+    # QR per point
     n, m = 64, 8
     bp = gen_unitary_boundary_pair(InstanceSpec(n, m, 16), rng_stream(35))
     calls = []
-    svd = np.linalg.svd
 
-    def counting(a, *args, **kwargs):
-        # made on behalf of a Weyl sample: some caller's self is one
-        frame, per_point = sys._getframe(1), False
-        while frame is not None and not per_point:
-            per_point = isinstance(frame.f_locals.get("self"),
-                                   kreinrel.boundary.WeylSample)
-            frame = frame.f_back
-        calls.append((np.shape(a), kwargs.get("compute_uv", True),
-                      per_point))
-        return svd(a, *args, **kwargs)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+        def wrapper(a, *args, **kwargs):
+            # made on behalf of a Weyl sample: some caller's self is one
+            frame, per_point = sys._getframe(1), False
+            while frame is not None and not per_point:
+                per_point = isinstance(frame.f_locals.get("self"),
+                                       kreinrel.boundary.WeylSample)
+                frame = frame.f_back
+            calls.append((name, np.shape(a), kwargs.get("compute_uv", True),
+                          per_point))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    for name in ("svd", "qr", "cholesky"):
+        counting(name)
     grid = _sweep_grid(35, 46)
     weyl_sweep(bp, grid)
-    assert len(calls) > 0
-    large = [uv for shape, uv, _ in calls if min(shape) >= n // 2]
+    svds = [(shape, uv) for name, shape, uv, _ in calls if name == "svd"]
+    assert len(svds) > 0
+    large = [uv for shape, uv in svds if min(shape) >= n // 2]
     assert len(large) <= 1
     assert not any(large)
-    # four per point, none computing singular vectors
-    per_point = [uv for _, uv, sample in calls if sample]
-    assert len(per_point) == 4 * len(grid)
-    assert not any(per_point)
+    # one stacked Cholesky of four m x m matrices per point, and nothing
+    # else
+    per_point = [(name, shape) for name, shape, _, sample in calls if sample]
+    assert per_point == [("cholesky", (4, m, m))] * len(grid)
 
 
 def test_weyl_sweep_never_forms_the_weyl_relation(monkeypatch):

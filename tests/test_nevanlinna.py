@@ -337,17 +337,24 @@ def test_block_gram_at_n64_makes_no_n_sized_svd(monkeypatch):
     from kreinrel.transforms import scale_eps
     n = 64
     bp = scale_eps(gen_obt(InstanceSpec(n, 8, 16), rng_stream(48), TOL), 0.5)
-    shapes = []
-    svd = np.linalg.svd
+    shapes, certificates = [], []
+    svd, cholesky = np.linalg.svd, np.linalg.cholesky
 
     def counting(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def counting_cholesky(a):
+        certificates.append(np.shape(a))
+        return cholesky(a)
+
     monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     G = block_gram(bp, GRID)
     assert G.shape == (4 * bp.m, 4 * bp.m)
-    assert len(shapes) > 0
+    # the Cholesky patch is live: each grid point's main-transform test
+    # is one stacked Cholesky, which leaves no SVD to make
+    assert certificates == [(4, bp.m, bp.m)] * len(GRID.points)
     assert [s for s in shapes if min(s) >= n // 2] == []
 
 
