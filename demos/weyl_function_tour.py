@@ -66,7 +66,7 @@ def main():
     section("4. Sweeping a grid")
     bp = gen_obt(InstanceSpec(n=2, m=1, kappa_minus=1), rng_stream(5), TOL)
     pts = [complex(a, b) for b in (0.5, 1.0) for a in (-1.0, 0.0, 1.0)]
-    print(weyl_sweep(bp, pts, eps=0.25).rstrip())
+    print(weyl_sweep(bp, pts).rstrip())
 
     section("5. The main transform behind the sweep")
     mt = main_transform(bp)

@@ -32,10 +32,12 @@ L^{-1} P1 = V diag(lam) V^{-1} and G = V^{-1} L^{-1} P2 follow.  At
 each z, X = (P1 - zL)^{-1} P2 = V diag(1 / (lam - z)) G costs O(n^2 m),
 and Q K with K = [-X; I] spans the null space, so BQ K spans C; its
 orthonormal basis C = (BQ) Y, Y the thin QR of K, is formed only when
-read.  The guard: the pair is refused when the condition estimate (LAPACK
-trcon) of L (B_f rank deficient, as when mul T is nontrivial) or of V's
-triangular factor (a defective L^{-1} P1) is below _SPLIT_RCOND, and a
-point when min|lam - z| / (||V||_F ||V^{-1} L^{-1}||_F), a lower bound
+read.  The guard: the pair is refused when the reciprocal condition
+number 1 / (||A|| ||A^{-1}||) of L (B_f rank deficient, as when mul T is
+nontrivial) or of V's triangular factor (a defective L^{-1} P1) is below
+_SPLIT_RCOND; it is exact, read from the inverses that the two solves
+form anyway, and the split uses numpy alone.  A point is refused
+when min|lam - z| / (||V||_F ||V^{-1} L^{-1}||_F), a lower bound
 of sigma_min(P1 - zL), does not clear the null space's rank cutoff by
 _MARGIN.  There, and for n below ``_SPLIT_MIN_N`` or dim Gamma <= n,
 C = B N with N the SVD null space.
@@ -78,6 +80,7 @@ from .relations import (
     _RESOLVENT_SLACK,
     _SPLIT_RCOND,
     _rank_of,
+    _rcond,
     is_symmetric,
     point_spectrum,
     shmulyan,
@@ -332,27 +335,29 @@ def _pencil_split(B, n):
     deficient or the eigenvectors of L^{-1} P1 are ill-conditioned."""
     if B.shape[1] <= n:
         return None
-    from scipy.linalg import lapack, solve_triangular
     Q, R = np.linalg.qr(B[:n].conj().T, mode="complete")
-    R = R[:n]
-    # sigma(L) = sigma(B_f): a rank deficient B_f is an ill-conditioned L
-    rcond, _ = lapack.ztrcon(R, norm="1", uplo="U")
-    if rcond < _SPLIT_RCOND:
-        return None
+    L = R[:n].conj().T
     BQ = B @ Q
-    # L = R*: one triangular solve gives L^{-1} [P1 P2 I]
-    LP = solve_triangular(R, np.hstack([BQ[n : 2 * n], np.eye(n)]),
-                          trans="C")
-    lam, V = np.linalg.eig(LP[:, :n])
-    # kappa(V) = kappa(Rv) for V = Qv Rv; a defective L^{-1} P1 has a
-    # near singular V
-    Qv, Rv = np.linalg.qr(V)
-    rcond, _ = lapack.ztrcon(Rv, norm="1", uplo="U")
-    if rcond < _SPLIT_RCOND:
+    try:
+        # one solve gives L^{-1} [P1 P2 I]; sigma(L) = sigma(B_f), so a
+        # rank deficient B_f is a singular or ill-conditioned L (its
+        # infinity norm is the 1-norm of R = L*)
+        LP = np.linalg.solve(L, np.hstack([BQ[n : 2 * n], np.eye(n)]))
+        if _rcond(L, LP[:, -n:], np.inf) < _SPLIT_RCOND:
+            return None
+        lam, V = np.linalg.eig(LP[:, :n])
+        # kappa(V) = kappa(Rv) for V = Qv Rv; a defective L^{-1} P1 has a
+        # near singular V.  [G W Rv^{-1}] = Rv^{-1} [Qv* L^{-1} [P2 I]  I]
+        Qv, Rv = np.linalg.qr(V)
+        GW = np.linalg.solve(Rv, np.hstack([Qv.conj().T @ LP[:, n:],
+                                            np.eye(n)]))
+    except np.linalg.LinAlgError:  # an exactly singular L or Rv
         return None
-    # [G W] = V^{-1} L^{-1} [P2 I]
-    GW = solve_triangular(Rv, Qv.conj().T @ LP[:, n:])
-    G, W = GW[:, : -n], GW[:, -n:]
+    if _rcond(Rv, GW[:, -n:], 1) < _SPLIT_RCOND:
+        return None
+    # G is copied out of the wide GW: every point divides and multiplies
+    # it, and a strided view of GW made the sweep about 2 % slower
+    G, W = np.ascontiguousarray(GW[:, : -2 * n]), GW[:, -2 * n : -n]
     floor = 1.0 / (np.linalg.norm(V) * np.linalg.norm(W))
     return _PencilSplit(lam, V, G, floor, BQ)
 

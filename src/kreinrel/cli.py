@@ -107,7 +107,7 @@ def _cmd_sweep(args):
     res = _parse_grid(args.re)
     ims = _parse_grid(args.im)
     points = [complex(a, b) for b in ims for a in res]
-    csv_text = weyl_sweep(bp, points, eps=args.eps)
+    csv_text = weyl_sweep(bp, points)
     _write_out(csv_text, args.out)
     return 0
 
@@ -206,9 +206,6 @@ def _build_parser():
                          help="real grid lo:hi:num")
     p_sweep.add_argument("--im", default="0.5:2:5",
                          help="imaginary grid lo:hi:num (must avoid 0)")
-    p_sweep.add_argument("--eps", type=float, default=0.5,
-                         help="must be positive; no column depends on it "
-                         "(the CSV is the same for every eps > 0)")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
     p_sweep.description = ("CSV columns: " + ", ".join(SWEEP_COLUMNS))

@@ -334,10 +334,11 @@ _MERGE_RTOL = 1e-8
 # probes and boundary's main-transform resolvent test all cut at
 # rank_rel * _RESOLVENT_SLACK (times their size and scale factors).
 _RESOLVENT_SLACK = 1e3
-# Least reciprocal condition estimate (LAPACK gecon, trcon) of a factor
-# that is solved with: boundary's pencil split (L, and the triangular
-# factor of the eigenvector matrix V) and point_spectrum's screen (the
-# LU of Fc).
+# Least reciprocal condition number 1 / (||A|| ||A^{-1}||), exact from
+# the inverse in hand (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., ch. 15), of a matrix A that is solved with:
+# boundary's pencil split (L, and the triangular factor of the
+# eigenvector matrix V) and point_spectrum's screen (Fc).
 _SPLIT_RCOND = 1e-6
 # Loose pre-filter ahead of the _EIG_RTOL rank test: a pencil candidate
 # whose eigenvector residual ||(G - zF)x|| / (max(1, ||G - zF||_F) ||x||)
@@ -371,20 +372,25 @@ def _residual_ok(F, G, z, X):
             <= _EIG_RESIDUAL * scale * np.linalg.norm(X, axis=0))
 
 
+def _rcond(A, A_inv, norm):
+    """The exact reciprocal condition number 1 / (||A|| ||A^{-1}||) in
+    the given matrix norm, from an inverse already formed; 0 where the
+    inverse overflowed."""
+    r = 1.0 / (np.linalg.norm(A, norm) * np.linalg.norm(A_inv, norm))
+    return r if np.isfinite(r) else 0.0
+
+
 def _screen_rejects(F, G, Fc, Gc):
     """True when one standard eigenproblem shows that T has no
-    eigenvalue: the LU of Fc passes the _SPLIT_RCOND guard and no
-    eigenvalue of Fc^{-1} Gc passes the residual pre-filter against the
-    full G - zF."""
-    from scipy.linalg import lapack
-    lu, piv, info = lapack.zgetrf(Fc)
-    if info:
+    eigenvalue: Fc passes the _SPLIT_RCOND guard and no eigenvalue of
+    Fc^{-1} Gc passes the residual pre-filter against the full G - zF."""
+    try:
+        Fc_inv = np.linalg.inv(Fc)
+    except np.linalg.LinAlgError:  # an exactly singular Fc
         return False
-    rcond, _ = lapack.zgecon(lu, np.linalg.norm(Fc, 1))
-    if rcond < _SPLIT_RCOND:
+    if _rcond(Fc, Fc_inv, 1) < _SPLIT_RCOND:
         return False
-    X, _ = lapack.zgetrs(lu, piv, Gc)
-    candidates, vectors = np.linalg.eig(X)
+    candidates, vectors = np.linalg.eig(Fc_inv @ Gc)
     return not _residual_ok(F, G, candidates, vectors).any()
 
 
@@ -402,14 +408,16 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
 
     Eigenvalue candidates come from the pencil (G, F) built from the
     graph basis, after a unitary compression to (Gc, Fc) when the
-    pencil is rectangular.  A screen runs first: where the LU of Fc
-    passes the _SPLIT_RCOND guard, the candidates are the eigenvalues
-    of Fc^{-1} Gc (one standard eigenproblem), and if none leaves
-    G - zF an eigenvector residual below ``_EIG_RESIDUAL``, T has no
-    eigenvalue.  Otherwise - a candidate survives, or Fc fails the
-    guard (mul T != {0}, for one) - the generalized eigenvalues of
-    (Gc, Fc) (QZ) are the candidates, and each one that passes the same
-    residual filter is verified by a rank test of G - zF, so every
+    pencil is rectangular.  A screen runs first, in numpy alone: where
+    Fc is invertible and its exact reciprocal condition number
+    1 / (||Fc||_1 ||Fc^{-1}||_1) passes the _SPLIT_RCOND guard, the
+    candidates are the eigenvalues of Fc^{-1} Gc (one standard
+    eigenproblem), and if none leaves G - zF an eigenvector residual
+    below ``_EIG_RESIDUAL``, T has no eigenvalue.  Otherwise - a
+    candidate survives, or Fc fails the guard (mul T != {0}, for
+    one) - the generalized eigenvalues of (Gc, Fc) (QZ, the one call
+    that loads scipy) are the candidates, and each one that passes the
+    same residual filter is verified by a rank test of G - zF, so every
     reported eigenvalue comes from the QZ.  Infinite generalized
     eigenvalues (pencil null vectors with Fc = 0) belong to mul T and
     are discarded.  If the pencil is singular - rank deficient at three

@@ -616,6 +616,79 @@ def test_rank_deficient_b_f_takes_the_direct_formulas():
     _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
 
 
+def _raises_recorded(monkeypatch, name):
+    """Wrap np.linalg.<name> so that each LinAlgError it raises is
+    recorded before it propagates."""
+    original, raised = getattr(np.linalg, name), []
+
+    def wrapper(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return raised
+
+
+def test_exactly_singular_l_refuses_the_split(monkeypatch):
+    # B_f with an exact zero row (mul T != {0}) makes L exactly singular:
+    # the solve with L raises, and the split is refused, not the caller
+    bp = _direct_sum(
+        gen_unitary_boundary_pair(InstanceSpec(16, 3, 4), rng_stream(52)),
+        _mul_pair())
+    raised = _raises_recorded(monkeypatch, "solve")
+    assert boundary._pencil_split(bp.gamma.graph.basis, bp.n) is None
+    assert len(raised) == 1
+
+
+def _jordan_obt(lam):
+    """An ordinary boundary triple over H = (C^2, J = [[0, 1], [1, 0]])
+    with m = 2 and T = {0}: Gamma = {(f, f', f, S f + J f')} with S =
+    [[0, lam], [lam, 1]] Hermitian, so M(z) = S + zJ.  Its split operator
+    L^{-1} P1 (f -> f' on the part of Gamma orthogonal to the elements
+    with f = 0) is -JS / 2, a 2 x 2 Jordan block at -lam / 2."""
+    J = np.array([[0.0, 1.0], [1.0, 0.0]])
+    S = np.array([[0.0, lam], [lam, 1.0]])
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    g = np.vstack([np.hstack([eye, zero]), np.hstack([zero, eye]),
+                   np.hstack([eye, zero]), np.hstack([S, J])])
+    bp = BoundaryPair(make_krein(J), 2, LinearRelation(4, 4, column_space(g)))
+    return bp, lambda z: S + z * J
+
+
+def test_planted_jordan_block_refuses_the_split(monkeypatch):
+    # a Jordan block of L^{-1} P1 leaves its eigenvector matrix V near
+    # singular: the split is refused after the one eigendecomposition,
+    # and the SVD route's M(z) is the direct sum of the parts' M(z)
+    generic = gen_unitary_boundary_pair(InstanceSpec(16, 3, 4),
+                                        rng_stream(52))
+    jordan, m_jordan = _jordan_obt(0.6)
+    assert jordan.is_obt()
+    bp = _direct_sum(generic, jordan)
+    assert bp.classification == "unitary" and bp.n >= boundary._SPLIT_MIN_N
+    assert generic._split is not None
+    eig, calls = np.linalg.eig, []
+
+    def counting(A):
+        calls.append(A.shape)
+        return eig(A)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    assert boundary._pencil_split(bp.gamma.graph.basis, bp.n) is None
+    assert calls == [(bp.n, bp.n)]
+    monkeypatch.undo()
+    assert bp._split is None
+    for z in _SPLIT_Z:
+        blocks = np.zeros((bp.m, bp.m), dtype=complex)
+        blocks[: generic.m, : generic.m] = weyl(generic, z).M.to_matrix()
+        blocks[generic.m :, generic.m :] = m_jordan(z)
+        assert weyl(bp, z).S is bp.gamma.graph.basis
+        assert rel_equal(weyl(bp, z).M, rel_from_operator(blocks), bp.tol)
+    _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
+
+
 def test_multivalued_pair_weyl_family():
     bp = _multivalued_pair()
     assert bp.classification == "unitary"

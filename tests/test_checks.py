@@ -28,7 +28,7 @@ from kreinrel.errors import PreconditionError, ValidationError
 from kreinrel.generators import InstanceSpec, gen_unitary_boundary_pair, rng_stream
 from kreinrel.relations import LinearRelation, in_resolvent
 from kreinrel.spaces import make_krein
-from kreinrel.subspaces import Subspace
+from kreinrel.subspaces import Subspace, Tolerance
 
 
 def test_registry_is_complete_and_consistent():
@@ -65,6 +65,19 @@ def test_every_check_passes_a_smoke_run():
         assert rep.passed, (tid, rep)
         assert rep.trials == 3
         assert rep.vacuous_clauses  # every finite-dim reading is ledgered
+
+
+@pytest.mark.parametrize("angle_tol", [1e-6, 1e-11])
+@pytest.mark.parametrize("rank_rel", [1e-10, 1e-14])
+def test_every_check_passes_across_the_tolerance_grid(angle_tol, rank_rel):
+    # every rank cutoff and subspace comparison reads tol (the rcond
+    # guards of the split and the spectrum screen do not); the checks
+    # hold over the grid, not only at DEFAULT_TOL
+    tol = Tolerance(rank_rel=rank_rel, angle_tol=angle_tol)
+    failing = [tid for tid in THEOREM_IDS
+               if check_theorem(tid, trials=5, dims=(1, 4), seed=7,
+                                tol=tol).failures]
+    assert failing == []
 
 
 def test_report_json_is_deterministic():
@@ -213,24 +226,27 @@ _SWEEP64_SVDS = 2
 
 
 def test_generic_sweep_screens_the_point_spectrum_without_qz(monkeypatch):
-    import sys
     import scipy.linalg
-    from scipy.linalg import lapack
     bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), rng_stream(35))
     qz = _counting(monkeypatch, "eig", [scipy.linalg])
     eig = _counting(monkeypatch, "eig", [np.linalg])
     svd = _counting(monkeypatch, "svd", [np.linalg])
-    lu_callers = []
-    for name in ("zgetrf", "zgecon", "zgetrs"):
-        def wrapper(*args, _original=getattr(lapack, name), **kwargs):
-            lu_callers.append(sys._getframe(1).f_globals["__name__"])
+    # the screen's one inverse of Fc and the split's two solves (with L,
+    # then with V's triangular factor) are numpy's, by the module that
+    # makes them
+    callers = {"inv": [], "solve": []}
+    for name, seen in callers.items():
+        def wrapper(*args, _original=getattr(np.linalg, name), _seen=seen,
+                    **kwargs):
+            _seen.append(sys._getframe(1).f_globals["__name__"])
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(lapack, name, wrapper)
+        monkeypatch.setattr(np.linalg, name, wrapper)
     grid = _sweep_grid(35, 46)
     weyl_sweep(bp, grid)
     assert (len(qz), len(eig), len(svd)) == (0, 2, _SWEEP64_SVDS)
-    assert lu_callers == ["kreinrel.relations"] * 3
+    assert callers == {"inv": ["kreinrel.relations"],
+                       "solve": ["kreinrel.boundary"] * 2}
     assert all(weyl(bp, z).S is bp._split.BQ for z in grid)
 
 

@@ -103,6 +103,15 @@ def test_gen_then_sweep_pipeline(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
+def test_sweep_has_no_eps_option(tmp_path):
+    # no CSV column depends on eps, so the sweep command takes none
+    pair = tmp_path / "pair.json"
+    pair.write_text(dump(identity_obt()))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(pair), "--eps", "0.5"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("args", [
     ["check", "all", "--dims", "16-32", "--seed", "1"],
     ["sweep", "{pair}", "--re", "1:2"],
@@ -201,16 +210,51 @@ def test_sweep_of_pair_with_disagreeing_shapes_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the functions that call it, not by the package
+def _scipy_modules_after(code):
+    """The scipy modules that a fresh interpreter has loaded once it has
+    run ``code`` with the package on its path."""
     src = os.path.dirname(os.path.dirname(kreinrel.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, kreinrel; print(sorted(m for m in sys.modules " \
-           "if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    code += "\nprint(sorted(m for m in sys.modules " \
+            "if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the functions that call it, not by the package
+    assert _scipy_modules_after("import kreinrel") == []
+
+
+def test_generic_sweep_and_desk_checks_leave_scipy_unloaded():
+    # the pencil split (n = 64) and the point-spectrum screen are numpy
+    # alone; a generic pair never reaches the QZ
+    sweep = ("from kreinrel import InstanceSpec, "
+             "gen_unitary_boundary_pair, rng_stream, weyl_sweep\n"
+             "bp = gen_unitary_boundary_pair(InstanceSpec(64, 8, 16), "
+             "rng_stream(35))\n"
+             "assert bp._split is not None\n"
+             "weyl_sweep(bp, [0.3 + 0.7j, -1.2 - 0.4j, 2.0 + 1e-3j])")
+    checks = ("import os\n"
+              "from kreinrel.cli import main\n"
+              "assert main(['check', 'all', '--trials', '20', '--dims', "
+              "'1:4', '--seed', '7', '--out', os.devnull]) == 0")
+    assert _scipy_modules_after(sweep) == []
+    assert _scipy_modules_after(checks) == []
+
+
+def test_planted_eigenvalue_still_reaches_the_qz():
+    # a candidate that survives the screen sends point_spectrum to
+    # scipy's QZ, which finds the eigenvalue
+    code = ("from kreinrel.relations import point_spectrum, "
+            "rel_from_operator\n"
+            "rep = point_spectrum(rel_from_operator("
+            "[[0.4 + 0.9j, 0.0], [0.0, -1.0]]))\n"
+            "assert [d for _, d in rep.eigenvalues] == [1, 1], rep")
+    assert "scipy.linalg" in _scipy_modules_after(code)
 
 
 def test_no_unused_module_level_imports():

@@ -451,6 +451,36 @@ def test_point_spectrum_screen_matches_the_qz_route(monkeypatch):
                if r["kind"] == "unitary" and r["eigenvalues"] == 0)
 
 
+def test_exactly_singular_fc_fails_the_screen(monkeypatch):
+    # mul T != {0} with an exact zero column in F: the inverse of Fc
+    # raises, the screen answers False instead, and the QZ decides
+    import kreinrel.relations as relations
+    inv, raised = np.linalg.inv, []
+
+    def recording_inv(*args):
+        try:
+            return inv(*args)
+        except np.linalg.LinAlgError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    basis = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    basis /= np.linalg.norm(basis, axis=0)
+    T = LinearRelation(2, 2, Subspace(4, basis))
+    assert not relations._screen_rejects(T.F, T.G, T.F, T.G)
+    assert len(raised) == 1
+    # a subnormal pivot: the inverse is formed, but as NaNs, whose rcond
+    # reads 0 and fails the guard before any eigenproblem
+    Fc = np.diag([1.0, 1e-320]).astype(complex)
+    with np.errstate(all="ignore"):
+        assert not relations._screen_rejects(Fc, Fc, Fc, Fc)
+    assert len(raised) == 1
+    rep = point_spectrum(T)
+    assert [(round(z.real, 12), d) for z, d in rep.eigenvalues] == [(1.0, 1)]
+    assert not rep.all_flag
+
+
 # ------------------------------------------------------ property tests
 
 @settings(max_examples=40, deadline=None)
