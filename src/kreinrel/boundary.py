@@ -338,20 +338,23 @@ def _pencil_split(B, n):
     Q, R = np.linalg.qr(B[:n].conj().T, mode="complete")
     L = R[:n].conj().T
     BQ = B @ Q
+    # one solve gives L^{-1} [P1 P2 I]; sigma(L) = sigma(B_f), so a rank
+    # deficient B_f is a singular or ill-conditioned L (its infinity norm
+    # is the 1-norm of R = L*)
     try:
-        # one solve gives L^{-1} [P1 P2 I]; sigma(L) = sigma(B_f), so a
-        # rank deficient B_f is a singular or ill-conditioned L (its
-        # infinity norm is the 1-norm of R = L*)
         LP = np.linalg.solve(L, np.hstack([BQ[n : 2 * n], np.eye(n)]))
-        if _rcond(L, LP[:, -n:], np.inf) < _SPLIT_RCOND:
-            return None
-        lam, V = np.linalg.eig(LP[:, :n])
-        # kappa(V) = kappa(Rv) for V = Qv Rv; a defective L^{-1} P1 has a
-        # near singular V.  [G W Rv^{-1}] = Rv^{-1} [Qv* L^{-1} [P2 I]  I]
-        Qv, Rv = np.linalg.qr(V)
+    except np.linalg.LinAlgError:  # an exactly singular L
+        return None
+    if _rcond(L, LP[:, -n:], np.inf) < _SPLIT_RCOND:
+        return None
+    lam, V = np.linalg.eig(LP[:, :n])
+    # kappa(V) = kappa(Rv) for V = Qv Rv; a defective L^{-1} P1 has a near
+    # singular V.  [G W Rv^{-1}] = Rv^{-1} [Qv* L^{-1} [P2 I]  I]
+    Qv, Rv = np.linalg.qr(V)
+    try:
         GW = np.linalg.solve(Rv, np.hstack([Qv.conj().T @ LP[:, n:],
                                             np.eye(n)]))
-    except np.linalg.LinAlgError:  # an exactly singular L or Rv
+    except np.linalg.LinAlgError:  # an exactly singular Rv
         return None
     if _rcond(Rv, GW[:, -n:], 1) < _SPLIT_RCOND:
         return None

@@ -632,15 +632,29 @@ def _raises_recorded(monkeypatch, name):
     return raised
 
 
-def test_exactly_singular_l_refuses_the_split(monkeypatch):
-    # B_f with an exact zero row (mul T != {0}) makes L exactly singular:
-    # the solve with L raises, and the split is refused, not the caller
-    bp = _direct_sum(
-        gen_unitary_boundary_pair(InstanceSpec(16, 3, 4), rng_stream(52)),
-        _mul_pair())
+def test_exactly_singular_factors_refuse_the_split(monkeypatch):
+    # B_f with an exact zero row (mul T != {0}) makes L exactly singular,
+    # and eigenvectors e_1, e_1, e_3, ... make V's triangular factor so:
+    # the solve with either raises, and the split is refused, not the
+    # caller
+    generic = gen_unitary_boundary_pair(InstanceSpec(16, 3, 4),
+                                        rng_stream(52))
+    bp = _direct_sum(generic, _mul_pair())
     raised = _raises_recorded(monkeypatch, "solve")
     assert boundary._pencil_split(bp.gamma.graph.basis, bp.n) is None
     assert len(raised) == 1
+    eig = np.linalg.eig
+
+    def repeated_e1(A):
+        lam, V = eig(A)
+        V = np.eye(len(lam), dtype=complex)
+        V[:, 1] = V[:, 0]
+        return lam, V
+
+    monkeypatch.setattr(np.linalg, "eig", repeated_e1)
+    B = generic.gamma.graph.basis
+    assert boundary._pencil_split(B, generic.n) is None
+    assert len(raised) == 2
 
 
 def _jordan_obt(lam):
