@@ -66,7 +66,7 @@ def main():
     rng = rng_stream(11)
     bp3 = gen_obt(InstanceSpec(n=3, m=2, kappa_minus=1), rng, TOL)
     q = gen_qbt_map(rng, bp3.m)
-    bp4, _ = qbt_transform(bp3, q)
+    bp4 = qbt_transform(bp3, q)
     M = weyl(bp3, Z).M.to_matrix(TOL)
     M2 = weyl(bp4, Z).M.to_matrix(TOL)
     expect = q.E + q.G.conj().T @ M @ q.G
@@ -84,7 +84,7 @@ def main():
 
     section("5. A QBT map by hand")
     q = QbtMap(G=np.array([[2.0 + 1.0j]]), E=np.array([[0.5]]))
-    bp6, _ = qbt_transform(bp, q)
+    bp6 = qbt_transform(bp, q)
     got = weyl(bp6, Z).M.to_matrix()[0, 0]
     print(f"M'({Z}) = {got:+.6f}  "
           f"(0.5 + |2+i|^2 z = {0.5 + 5 * Z:+.6f})")

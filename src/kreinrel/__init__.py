@@ -75,12 +75,10 @@ from .transforms import (
     make_std_unitary,
     n_hat_v,
     p_poly,
-    qbt_relation,
     qbt_transform,
     rotation_op,
     scale_eps,
     scaled_obt,
-    std_unitary_relation,
     transform_left,
     transform_right,
     u_j,

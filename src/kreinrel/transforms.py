@@ -9,6 +9,10 @@ Two schemes are implemented:
 * left scheme Gamma -> V Gamma with isometric/unitary relations V on
   the boundary side, including the eps-scaling V_eps, the kappa-scaled
   triple, and the quasi-boundary-triple map V = (G^{-1}, 0; EG^{-1}, G*).
+
+A transform by an invertible block operator V is one row product of
+Gamma's graph basis B, diag(V, I) B or diag(I, V) B, plus one thin QR;
+``transform_left`` keeps the general route for relations V.
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ from .spaces import (
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _as_matrix,
     column_space,
     null_space,
     orth_complement,
@@ -49,7 +54,6 @@ __all__ = [
     "make_commuting_unitary",
     "u_j",
     "rotation_op",
-    "std_unitary_relation",
     "transform_right",
     "n_hat_v",
     "lft",
@@ -61,7 +65,6 @@ __all__ = [
     "scale_eps",
     "scaled_obt",
     "qbt_transform",
-    "qbt_relation",
     "v_star",
 ]
 
@@ -137,8 +140,8 @@ def make_std_unitary(A, B, C, D, K_from: KreinSpace, K_to: KreinSpace,
                               + "; ".join(failures))
     V = StdUnitaryOp(A=A, B=B, C=C, D=D, K_from=K_from, K_to=K_to)
     metric = _pair_metric(K_from, K_to)
-    if _classify_graph(std_unitary_relation(V).graph.basis, metric,
-                       DEFAULT_TOL) != "unitary":
+    if _classify_graph(rel_from_operator(V.block_matrix()).graph.basis,
+                       metric, DEFAULT_TOL) != "unitary":
         raise ValidationError("block matrix is not a unitary relation "
                               "between the hat-symmetry spaces")
     return V
@@ -182,9 +185,19 @@ def rotation_op(theta, n=1) -> StdUnitaryOp:
     return make_commuting_unitary(A, B, H, H)
 
 
-def std_unitary_relation(V: StdUnitaryOp) -> LinearRelation:
-    """The graph of the block matrix as a relation C^{2n} -> C^{2n'}."""
-    return rel_from_operator(V.block_matrix())
+def _pair_from_rows(bp: BoundaryPair, H: KreinSpace, state_rows,
+                    boundary_rows) -> BoundaryPair:
+    """The pair over H whose Gamma is spanned by [state_rows;
+    boundary_rows], an invertible block operator's image of bp's graph
+    basis: one thin QR, with the rows by decreasing norm so that rows
+    scaled far apart lose no direction (row sorting; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 19.4).
+    Non-finite entries raise ValidationError."""
+    A = _as_matrix(np.vstack([state_rows, boundary_rows]))
+    order = np.argsort(-np.linalg.norm(A, axis=1), kind="stable")
+    Q = np.linalg.qr(A[order])[0][np.argsort(order)]
+    gamma = LinearRelation(2 * H.dim, 2 * bp.m, Subspace._of(len(Q), Q))
+    return BoundaryPair(H, bp.m, gamma, bp.tol)
 
 
 # ---------------------------------------------------------------------
@@ -194,14 +207,14 @@ def std_unitary_relation(V: StdUnitaryOp) -> LinearRelation:
 def transform_right(bp: BoundaryPair, V: StdUnitaryOp) -> BoundaryPair:
     """The pair with Gamma' = Gamma V^{-1} over V's codomain space.
 
-    V must start at the state space (PreconditionError otherwise).  Its
-    graph is then an everywhere-defined operator on the doubled state
-    space, so dom V covers A_* without a test.
+    V must start at the state space (PreconditionError otherwise); then
+    Gamma V^{-1} = {(V f^, l^) : (f^, l^) in Gamma}, spanned by V times
+    the state rows of the graph basis.
     """
     if V.K_from != bp.H:
         raise PreconditionError("V does not start at the state space")
-    gamma_new = compose(bp.gamma, std_unitary_relation(V).inverse(), bp.tol)
-    return BoundaryPair(V.K_to, bp.m, gamma_new, bp.tol)
+    return _pair_from_rows(bp, V.K_to, V.block_matrix() @ bp.gamma.F,
+                           bp.gamma.G)
 
 
 def n_hat_v(v_rel: LinearRelation, a_star: LinearRelation, z,
@@ -225,7 +238,7 @@ def lft(V: StdUnitaryOp, T: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
 
     Where 0 is not an eigenvalue of W(A, B; T) = {(f, Af + Bf')}, it
     equals the composition W(C, D; T) W(A, B; T)^{-1}."""
-    return shmulyan(std_unitary_relation(V), T.graph, tol)
+    return shmulyan(rel_from_operator(V.block_matrix()), T.graph, tol)
 
 
 def p_poly(V: StdUnitaryOp, z):
@@ -330,6 +343,12 @@ def transform_left(bp: BoundaryPair, v_rel: LinearRelation):
     return BoundaryPair(bp.H, m2, gamma_new, tol), info
 
 
+def _scale_rows(bp: BoundaryPair, kappa) -> BoundaryPair:
+    """V Gamma for V = (I/kappa, 0; 0, kappa I): B's l rows / kappa."""
+    scale = np.repeat([1.0 / kappa, kappa], bp.m)[:, None]
+    return _pair_from_rows(bp, bp.H, bp.gamma.F, scale * bp.gamma.G)
+
+
 def scale_eps(bp: BoundaryPair, eps) -> BoundaryPair:
     """Gamma_eps = V_eps Gamma, V_eps = (eps^{-1/2} I, 0; 0, eps^{1/2} I).
 
@@ -337,13 +356,7 @@ def scale_eps(bp: BoundaryPair, eps) -> BoundaryPair:
     part by eps^{1/2}."""
     if not eps > 0:
         raise PreconditionError("eps must be positive")
-    m = bp.m
-    v = np.block([
-        [eps ** -0.5 * np.eye(m), np.zeros((m, m))],
-        [np.zeros((m, m)), eps ** 0.5 * np.eye(m)],
-    ])
-    pair, _ = transform_left(bp, rel_from_operator(v))
-    return pair
+    return _scale_rows(bp, eps ** 0.5)
 
 
 def scaled_obt(bp: BoundaryPair, kappa) -> BoundaryPair:
@@ -355,13 +368,7 @@ def scaled_obt(bp: BoundaryPair, kappa) -> BoundaryPair:
     if not bp.is_obt():
         raise PreconditionError("scaling is defined for ordinary boundary "
                                 "triples")
-    m = bp.m
-    v = np.block([
-        [np.eye(m) / kappa, np.zeros((m, m))],
-        [np.zeros((m, m)), kappa * np.eye(m)],
-    ])
-    pair, _ = transform_left(bp, rel_from_operator(v))
-    return pair
+    return _scale_rows(bp, kappa)
 
 
 @dataclass(frozen=True)
@@ -377,6 +384,8 @@ class QbtMap:
         m = G.shape[0]
         if G.shape != (m, m) or E.shape != (m, m):
             raise DimensionMismatchError("G and E must be square of equal size")
+        if not (np.isfinite(G).all() and np.isfinite(E).all()):
+            raise ValidationError("G and E must have finite entries")
         s = np.linalg.svd(G, compute_uv=False)
         if s.size and s[-1] <= _QBT_RTOL * s[0] * m:
             raise ValidationError("G must be invertible")
@@ -389,19 +398,13 @@ class QbtMap:
     def m(self):
         return self.G.shape[0]
 
-
-def qbt_relation(q: QbtMap) -> LinearRelation:
-    """The boundary-side relation of a QbtMap as a block operator."""
-    Ginv = np.linalg.inv(q.G)
-    m = q.m
-    v = np.block([
-        [Ginv, np.zeros((m, m))],
-        [q.E @ Ginv, q.G.conj().T],
-    ])
-    return rel_from_operator(v)
+    def block_matrix(self):
+        Ginv = np.linalg.inv(self.G)
+        return np.block([[Ginv, np.zeros_like(Ginv)],
+                         [self.E @ Ginv, self.G.conj().T]])
 
 
-def qbt_transform(bp: BoundaryPair, q: QbtMap):
+def qbt_transform(bp: BoundaryPair, q: QbtMap) -> BoundaryPair:
     """Gamma' = V Gamma for the QBT map; M'(z) = E + G* M(z) G.
 
     Requires an ordinary boundary triple, or an isometric triple with
@@ -421,8 +424,8 @@ def qbt_transform(bp: BoundaryPair, q: QbtMap):
         if problems:
             raise PreconditionError("QBT hypotheses fail: "
                                     + "; ".join(problems))
-    pair, info = transform_left(bp, qbt_relation(q))
-    return pair, info
+    return _pair_from_rows(bp, bp.H, bp.gamma.F,
+                           q.block_matrix() @ bp.gamma.G)
 
 
 def v_star(v_rel: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:

@@ -5,10 +5,11 @@ relations, random isometric pairs and a pair with sigma_p(T) = C) and
 oracles (the indefinite metric, the defect numbers, the resolvent
 matrix, the inverse of the main transform, the Gram contribution of
 two grid points, the linear fractional transformation as an explicit
-composition, the three-clause ordinary-boundary-triple test, T as
-(dom Gamma)^[perp], the defect elements C formed in full, the sweep
-counts read from M's basis and the spectral sets per point), each
-written from its definition rather than from the package's fast
+composition, the block-operator transforms of a pair as compositions
+with the operator's graph, the three-clause ordinary-boundary-triple
+test, T as (dom Gamma)^[perp], the defect elements C formed in full,
+the sweep counts read from M's basis and the spectral sets per point),
+each written from its definition rather than from the package's fast
 paths.
 """
 
@@ -39,6 +40,7 @@ from kreinrel.relations import (
     _rank_of,
     _require_square,
     compose,
+    rel_from_operator,
     in_resolvent,
     is_symmetric,
     point_spectrum,
@@ -52,7 +54,7 @@ from kreinrel.subspaces import (
     null_space,
     zero_subspace,
 )
-from kreinrel.transforms import StdUnitaryOp, make_std_unitary
+from kreinrel.transforms import QbtMap, StdUnitaryOp, make_std_unitary
 
 
 def zero_relation(n, m=None) -> LinearRelation:
@@ -196,6 +198,30 @@ def lft_composition(V: StdUnitaryOp, T: LinearRelation, tol=DEFAULT_TOL):
     if w_fwd.ker(tol).dim:
         return None
     return compose(w_rel(V.C, V.D, T, tol), w_fwd.inverse(), tol)
+
+
+def transform_right_chain(bp: BoundaryPair, V: StdUnitaryOp) -> LinearRelation:
+    """Gamma V^{-1}: Gamma composed with the inverse of V's graph."""
+    return compose(bp.gamma, rel_from_operator(V.block_matrix()).inverse())
+
+
+def transform_left_chain(bp: BoundaryPair, v) -> LinearRelation:
+    """V Gamma: the graph of the boundary-side matrix v composed with
+    Gamma."""
+    return compose(rel_from_operator(v), bp.gamma)
+
+
+def scaling_matrix(kappa, m):
+    """V = (kappa^{-1} I, 0; 0, kappa I) on C^{2m}."""
+    zero = np.zeros((m, m))
+    return np.block([[np.eye(m) / kappa, zero], [zero, kappa * np.eye(m)]])
+
+
+def qbt_matrix(q: QbtMap):
+    """V = (G^{-1}, 0; EG^{-1}, G*) on C^{2m}."""
+    Ginv = np.linalg.inv(q.G)
+    return np.block([[Ginv, np.zeros((q.m, q.m))],
+                     [q.E @ Ginv, q.G.conj().T]])
 
 
 def is_obt_three_clauses(bp: BoundaryPair):

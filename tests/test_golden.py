@@ -3,15 +3,11 @@ outcome and trial count at the recorded seeds.  The record is written
 by ``tests/golden/make_golden.py``; residuals are not part of it."""
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from golden import make_golden
 from kreinrel.checks import THEOREM_IDS
-
-sys.path.insert(0, str(Path(__file__).with_name("golden")))
-import make_golden  # noqa: E402
 
 _RECORD = json.loads(make_golden.OUTCOMES.read_text())
 

@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import lft_composition, symplectic_flip, zero_relation
+from _oracles import (
+    gen_isometric_boundary_pair,
+    lft_composition,
+    qbt_matrix,
+    scaling_matrix,
+    symplectic_flip,
+    transform_left_chain,
+    transform_right_chain,
+    zero_relation,
+)
 from kreinrel.boundary import BoundaryPair, identity_obt, weyl
 from kreinrel.errors import PreconditionError, ValidationError
 from kreinrel.generators import (
@@ -15,6 +24,7 @@ from kreinrel.generators import (
     gen_obt,
     gen_qbt_map,
     gen_std_unitary,
+    gen_unitary_boundary_pair,
     random_krein,
     random_relation,
     random_unitary,
@@ -39,10 +49,12 @@ from kreinrel.subspaces import (
     Subspace,
     column_space,
     intersect,
+    principal_angles,
     subspace_equal,
 )
 from kreinrel.transforms import (
     QbtMap,
+    StdUnitaryOp,
     delta_correction,
     in_rho_v,
     lft,
@@ -50,12 +62,10 @@ from kreinrel.transforms import (
     make_std_unitary,
     n_hat_v,
     p_poly,
-    qbt_relation,
     qbt_transform,
     rotation_op,
     scale_eps,
     scaled_obt,
-    std_unitary_relation,
     transform_left,
     transform_right,
     u_j,
@@ -94,13 +104,6 @@ def test_u_j_block_structure():
     assert np.allclose(V.A, np.eye(2))
     assert np.allclose(V.D, K.J)
     assert np.allclose(V.B, 0) and np.allclose(V.C, 0)
-
-
-def test_std_unitary_relation_is_the_graph():
-    V = rotation_op(0.3)
-    R = std_unitary_relation(V)
-    assert R.is_operator()
-    assert np.allclose(R.to_matrix(), V.block_matrix())
 
 
 def test_make_commuting_unitary_rejects_unbalanced_blocks():
@@ -199,10 +202,19 @@ def test_qbt_map_validation():
         QbtMap(G=np.eye(2), E=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("G, E", [([[np.nan]], [[0.0]]),
+                                  ([[np.inf]], [[0.0]]),
+                                  ([[1.0]], [[np.nan]]),
+                                  ([[1.0]], [[-np.inf]])])
+def test_qbt_map_rejects_non_finite_blocks(G, E):
+    with pytest.raises(ValidationError, match="finite"):
+        QbtMap(G=np.array(G), E=np.array(E))
+
+
 def test_qbt_transform_law_scalar():
     bp = identity_obt()
     q = QbtMap(G=np.array([[2.0 + 1.0j]]), E=np.array([[0.5]]))
-    bp2, _ = qbt_transform(bp, q)
+    bp2 = qbt_transform(bp, q)
     expect = 0.5 + abs(2.0 + 1.0j) ** 2 * Z
     assert np.allclose(weyl(bp2, Z).M.to_matrix(), [[expect]])
     assert rel_equal(bp2.T0(), bp.T0(), TOL)
@@ -214,7 +226,7 @@ def test_qbt_transform_random_instances():
         bp = gen_obt(InstanceSpec(2 + trial % 2, 1 + trial % 2, trial % 2),
                      rng, TOL)
         q = gen_qbt_map(rng, bp.m)
-        bp2, _ = qbt_transform(bp, q)
+        bp2 = qbt_transform(bp, q)
         M = weyl(bp, Z).M.to_matrix(TOL)
         M2 = weyl(bp2, Z).M.to_matrix(TOL)
         expect = q.E + q.G.conj().T @ M @ q.G
@@ -227,7 +239,7 @@ def test_qbt_transform_random_instances():
 def test_v_star_of_qbt_relation():
     rng = rng_stream(33)
     q = gen_qbt_map(rng, 2)
-    vs = v_star(qbt_relation(q), TOL)
+    vs = v_star(rel_from_operator(q.block_matrix()), TOL)
     assert vs.dom(TOL).dim == 0
     assert vs.mul(TOL).dim == 2
 
@@ -385,7 +397,8 @@ def test_n_hat_v_matches_window_chain():
     for trial in range(6):
         bp = gen_obt(InstanceSpec(1 + trial % 3, 1, trial % 2),
                      rng_stream(72, trial), TOL)
-        V = std_unitary_relation(gen_std_unitary(rng_stream(73, trial), bp.H))
+        V = rel_from_operator(
+            gen_std_unitary(rng_stream(73, trial), bp.H).block_matrix())
         new = n_hat_v(V, bp.a_star(), Z, TOL)
         assert subspace_equal(new, _n_hat_v_chain(V, bp.a_star(), Z), TOL)
     assert seen == {True, False}
@@ -398,7 +411,7 @@ def test_v_star_matches_window_chain():
             for V in _doubled_relations(rng, m, m2):
                 assert rel_equal(v_star(V, TOL), _v_star_chain(V), TOL)
     for m in (1, 2, 3):
-        V = qbt_relation(gen_qbt_map(rng_stream(75, m), m))
+        V = rel_from_operator(gen_qbt_map(rng_stream(75, m), m).block_matrix())
         assert rel_equal(v_star(V, TOL), _v_star_chain(V), TOL)
 
 
@@ -482,3 +495,132 @@ def test_no_krein_adjoint_in_make_std_unitary_or_transform_left(monkeypatch):
         v_rel, make_krein(hilbert_space(bp.m).hat),
         make_krein(hilbert_space(v_rel.to_dim // 2).hat))
     assert len(calls) == 1
+
+
+# ------------------------------- block operators as one row product of B
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_operator_transforms_reject_non_finite_input():
+    bp = gen_obt(InstanceSpec(3, 2, 1), rng_stream(82), TOL)
+    with pytest.raises(ValidationError, match="non-finite"):
+        scale_eps(bp, _INF)
+    for eps in (-_INF, _NAN):
+        with pytest.raises(PreconditionError):
+            scale_eps(bp, eps)
+    for kappa in (_INF, -_INF, _NAN):
+        with pytest.raises(ValidationError, match="non-finite"):
+            scaled_obt(bp, kappa)
+    V = u_j(bp.H)
+    nan_op = StdUnitaryOp(A=V.A * _NAN, B=V.B, C=V.C, D=V.D,
+                          K_from=V.K_from, K_to=V.K_to)
+    with pytest.raises(ValidationError, match="non-finite"):
+        transform_right(bp, nan_op)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_scale_eps_at_extreme_eps_keeps_the_weyl_law(n):
+    for trial in range(3):
+        bp = gen_obt(InstanceSpec(n, 1 + trial, trial),
+                     rng_stream(84, 10 * n + trial), TOL)
+        M = weyl(bp, Z).M.to_matrix(TOL)
+        for eps in (1e-6, 1e6, 1e-12):
+            bp2 = scale_eps(bp, eps)
+            assert bp2.classification == "unitary"
+            M2 = weyl(bp2, Z).M.to_matrix(TOL)
+            assert np.linalg.norm(M2 - eps * M) <= 1e-8 * np.linalg.norm(
+                eps * M)
+
+
+def test_scale_eps_stays_unitary_at_eps_1e_minus_300():
+    # V_eps is unitary for every eps > 0.  A column space of the graph of
+    # V_eps drops a direction here and reads "isometric"; QR of the row
+    # product with the rows sorted by norm keeps every direction.
+    for n in (2, 4, 16):
+        for trial in range(4):
+            spec = InstanceSpec(n, 1 + trial % min(n, 3), trial % (n + 1))
+            bp = gen_unitary_boundary_pair(spec,
+                                           rng_stream(85, 10 * n + trial))
+            for eps in (1e-300, 1e-20, 1e300):
+                bp2 = scale_eps(bp, eps)
+                assert bp2.gamma.dim == bp.gamma.dim
+                assert bp2.classification == "unitary"
+
+
+def _max_angle(rel, oracle):
+    assert rel.dim == oracle.dim
+    angles = principal_angles(rel.graph, oracle.graph)
+    return float(angles.max()) if angles.size else 0.0
+
+
+def _transform_cases(n, trial):
+    """(pair, oracle relation, oracle's state space) for the four block
+    transforms of a random OBT, and for transform_right and scale_eps of
+    a strictly isometric pair."""
+    rng = rng_stream(83, 100 * n + trial)
+    spec = InstanceSpec(n, 1 + trial % min(n, 3), trial % (n + 1))
+    bp = gen_obt(spec, rng, TOL)
+    m = bp.m
+    V = gen_std_unitary(rng, bp.H, random_krein(rng, n, int(
+        rng.integers(0, n + 1))))
+    eps = 10.0 ** rng.uniform(-3.0, 3.0)
+    kappa = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0))
+    q = gen_qbt_map(rng, m)
+    iso = gen_isometric_boundary_pair(spec, rng)
+    assert iso.classification == "isometric"
+    V_iso = gen_std_unitary(rng, iso.H)
+    return [
+        (transform_right(bp, V), transform_right_chain(bp, V), V.K_to),
+        (scale_eps(bp, eps),
+         transform_left_chain(bp, scaling_matrix(eps ** 0.5, m)), bp.H),
+        (scaled_obt(bp, kappa),
+         transform_left_chain(bp, scaling_matrix(kappa, m)), bp.H),
+        (qbt_transform(bp, q), transform_left_chain(bp, qbt_matrix(q)), bp.H),
+        (transform_right(iso, V_iso), transform_right_chain(iso, V_iso),
+         V_iso.K_to),
+        (scale_eps(iso, eps),
+         transform_left_chain(iso, scaling_matrix(eps ** 0.5, m)), iso.H),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64])
+def test_row_product_transforms_match_the_compose_chain(n):
+    for trial in range(4):
+        for pair, oracle, H in _transform_cases(n, trial):
+            assert _max_angle(pair.gamma, oracle) <= TOL.angle_tol
+            assert pair.classification == BoundaryPair(
+                H, pair.m, oracle, TOL).classification
+
+
+def test_operator_transforms_make_one_qr_and_no_relation_calculus(
+        monkeypatch):
+    import kreinrel.transforms as transforms
+    rng = rng_stream(86)
+    fresh = [gen_obt(InstanceSpec(3, 2, 1), rng, TOL) for _ in range(4)]
+    V = gen_std_unitary(rng, fresh[1].H)
+    q = gen_qbt_map(rng, 2)
+    counts = {"qr": 0, "svd": 0, "calculus": 0}
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def counting(key, real):
+        def call(*a, **k):
+            counts[key] += 1
+            return real(*a, **k)
+        return call
+
+    monkeypatch.setattr(np.linalg, "qr", counting("qr", qr))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+    for name in ("compose", "transform_left", "rel_from_operator"):
+        monkeypatch.setattr(transforms, name, counting(
+            "calculus", getattr(transforms, name)))
+    calls = [(lambda: scale_eps(fresh[0], 0.25), 0),
+             (lambda: transform_right(fresh[1], V), 0),
+             (lambda: scaled_obt(fresh[2], 2.0), 1),
+             (lambda: qbt_transform(fresh[3], q), 1)]
+    for call, svds in calls:
+        counts.update(qr=0, svd=0)
+        call()
+        assert (counts["qr"], counts["svd"]) == (1, svds)
+    assert counts["calculus"] == 0
