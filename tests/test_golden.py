@@ -1,6 +1,8 @@
 """Behaviour lock: every theorem check keeps the recorded pass/fail
-outcome and trial count at the recorded seeds.  The record is written
-by ``tests/golden/make_golden.py``; residuals are not part of it."""
+outcome and trial count at the recorded seeds, and ``weyl_sweep`` the
+recorded integer columns on the recorded pairs and grids.  The records
+are written by ``tests/golden/make_golden.py``; residuals are not part
+of them."""
 
 import json
 
@@ -23,3 +25,20 @@ def test_record_covers_every_id_at_the_generator_settings():
 @pytest.mark.parametrize("seed", make_golden.SEEDS)
 def test_check_outcomes_match_the_record(seed):
     assert make_golden.outcomes(seed) == _RECORD["seeds"][str(seed)]
+
+
+_SWEEPS = json.loads(make_golden.SWEEPS.read_text())
+
+
+@pytest.fixture(scope="module")
+def sweep_pairs():
+    return make_golden.sweep_pairs()
+
+
+def test_sweep_record_covers_every_pair(sweep_pairs):
+    assert sorted(_SWEEPS) == sorted(sweep_pairs)
+
+
+@pytest.mark.parametrize("label", sorted(_SWEEPS))
+def test_sweep_columns_match_the_record(sweep_pairs, label):
+    assert make_golden.sweep_columns(sweep_pairs[label]) == _SWEEPS[label]
