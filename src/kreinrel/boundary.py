@@ -30,21 +30,26 @@ TAC 1981).  Once per pair, Q from a QR of B_f* gives B_f Q = [L 0] with
 L n x n lower triangular, and B_f' Q = [P1 P2]; one eigendecomposition
 L^{-1} P1 = V diag(lam) V^{-1} and G = V^{-1} L^{-1} P2 follow.  At
 each z, X = (P1 - zL)^{-1} P2 = V diag(1 / (lam - z)) G costs O(n^2 m),
-and Q K with K = [-X; I] spans the null space, so BQ K spans C; its
-orthonormal basis C = (BQ) Y, Y the thin QR of K, is formed only when
-read.  The guard: the pair is refused when the reciprocal condition
-number 1 / (||A|| ||A^{-1}||) of L (B_f rank deficient, as when mul T is
+and Q K with K = [-X; I] spans the null space, so BQ K spans C; K and
+C's orthonormal basis C = (BQ) Y, Y the thin QR of K, are formed only
+when read.  The points of a grid are taken in blocks: one product of
+[V; BQ[2n:, :n] V] with the panel of every diag(1 / (lam - z)) G of a
+block gives each X of the block and its boundary rows R~ = BQ[2n:] K.
+The guard: the pair is refused when the reciprocal condition number
+1 / (||A|| ||A^{-1}||) of L (B_f rank deficient, as when mul T is
 nontrivial) or of V's triangular factor (a defective L^{-1} P1) is below
 _SPLIT_RCOND; it is exact, read from the inverses that the two solves
-form anyway, and the split uses numpy alone.  A point is refused
-when min|lam - z| / (||V||_F ||V^{-1} L^{-1}||_F), a lower bound
-of sigma_min(P1 - zL), does not clear the null space's rank cutoff by
-_MARGIN.  There, and for n below ``_SPLIT_MIN_N`` or dim Gamma <= n,
-C = B N with N the SVD null space.
+form anyway, and the split uses numpy alone.  A point is refused when
+min|lam - z| / (||V||_F ||V^{-1} L^{-1}||_F), a lower bound of
+sigma_min(P1 - zL), does not clear the null space's rank cutoff by
+_MARGIN (read for all points of a grid at once).  There, and for n
+below ``_SPLIT_MIN_N`` or dim Gamma <= n, C = B N with N the SVD null
+space.
 
-A Weyl sample (``weyl``) holds the p = dim C coefficients K of C's
-span S K (S = BQ and K = [-X; I] as above, or S = B and K = N, so Y = N)
-and decides every per-point test.  With k = dim Gamma and
+A Weyl sample (``weyl`` at one point, ``_weyl_samples`` along a grid)
+holds the p = dim C coefficients K of C's span S K (S = BQ and
+K = [-X; I] as above, or S = B and K = N, so Y = N) and decides every
+per-point test.  With k = dim Gamma and
 W = C_l' + z C_l: p = k - rank(B_f' - z B_f), so ran(A_* - z) = C^n
 exactly when p = k - n; ker(J(Gamma) - z) = C null(W), so z is in
 res(main transform) exactly when k = n + m, p = m and W is invertible,
@@ -58,13 +63,17 @@ K' of full column rank, so the ranks of R, R_l, R_l' and W give
 dim M(z) = rank R, dim mul M(z) = rank R - rank R_l, dim ker M(z) =
 rank R - rank R_l' and Sigma_Gamma without forming M: z off
 sigma0_p(T), ran(A_* - z) = C^n and 0 in res(M(z) + z), rank R = m =
-rank(G + zF) = rank W.  On the split route one Cholesky factorisation
-of a stack of four p x p Gram matrices of R~ = S[2n:] K (shifted by
-tau^2 K* K) proves all four of full column rank p, so that dim M(z) = p,
+rank(G + zF) = rank W.  On the split route four p x p Gram matrices of
+R~ = S[2n:] K per point (shifted by tau^2 K* K), positive definite,
+prove R, R_l, R_l' and W of full column rank p, so that dim M(z) = p,
 mul M(z) = ker M(z) = {0}, and both tests read p = m; no QR or SVD is
-made.  Where the proof fails (a rank deficient or nearly deficient
-block, p > m) and on the SVD route, four values-only SVDs, of R, R_l,
-R_l' and W, decide.
+made.  One Cholesky factorisation of the (b, 4, p, p) stack proves a
+block of b points; where it fails, each point's four are factorised
+alone.  Where a point's proof fails (a rank deficient or nearly
+deficient block, p > m) and on the SVD route, four values-only SVDs, of
+R, R_l, R_l' and W, decide.  A fresh 50-point sweep at n = 128, m = 16
+makes np.linalg svd/qr/cholesky/eig 2/3/4/2 times, plus 2 solve and
+1 inv, all but the four Choleskys once per pair.
 """
 
 from dataclasses import dataclass, field
@@ -301,33 +310,40 @@ _SPLIT_MIN_N = 16
 # Factor by which the split's lower bound on sigma_min(P1 - zL) must
 # clear the rank cutoff of the SVD null space it replaces.
 _MARGIN = 1e3
+# Bytes of the n x b p panel diag(1 / (lam - z_k)) G of a block of b
+# split-route points (p = dim Gamma - n), which fix b: b = 16 at n = 128,
+# p = 16.  One BLAS thread on a 2-core Xeon with a 2 MB L2, weyl_sweep on
+# the two seed-1 n = 128, m = 16 benchmark pairs, median of 10
+# alternating rounds: 0.26 ms per point at b = 1, 0.167 at b = 8, 0.169
+# at b = 16, 0.159 at b = 32, but 0.212 with the whole 50-point grid in
+# one block, whose 1.6 MB panel and 2 MB product overflow the L2.
+_PANEL_BYTES = 1 << 19
 
 
 class _PencilSplit(NamedTuple):
     """(B_f', B_f) split and diagonalised once: B_f Q = [L 0], B_f' Q =
-    [P1 P2], L^{-1} P1 = V diag(lam) V^{-1}, G = V^{-1} L^{-1} P2, and BQ,
-    the S of every split-route Weyl sample, whose K it gives per point.
-    ``floor`` is 1 / (||V||_F ||V^{-1} L^{-1}||_F)."""
+    [P1 P2], L^{-1} P1 = V diag(lam) V^{-1}, G = V^{-1} L^{-1} P2, BQ,
+    the S of every split-route Weyl sample, and VE = [V; E] with
+    E = BQ[2n:, :n] V, so that VE diag(1 / (lam - z)) G stacks X over
+    F0 - R~, R~ = BQ[2n:] K and F0 = BQ[2n:, n:].  ``floor`` is
+    1 / (||V||_F ||V^{-1} L^{-1}||_F)."""
     lam: np.ndarray
-    V: np.ndarray
     G: np.ndarray
     floor: float
     BQ: np.ndarray
+    VE: np.ndarray
 
-    def defect_coefficients(self, z, tol):
-        """K = [-X; I], unnormalised, with X = (P1 - zL)^{-1} P2 =
-        V diag(1 / (lam - z)) G, so that BQ K spans C; None when the
-        lower bound floor min|lam - z| of sigma_min(P1 - zL) fails the
-        guard."""
-        n, k = self.V.shape[0], self.BQ.shape[1]
-        d = self.lam - z
+    def guarded(self, points, tol):
+        """Which points the split decides: those where the lower bound
+        floor min|lam - z| of sigma_min(P1 - zL) clears _MARGIN times
+        the SVD null space's rank cutoff."""
+        n, k = len(self.lam), self.BQ.shape[1]
+        z = np.asarray(points, dtype=complex)
         # (P1 - zL)^{-1} = V diag(1 / d) V^{-1} L^{-1} bounds
         # sigma_min(B_f' - z B_f) >= sigma_min(P1 - zL) >= floor min|d|
-        cutoff = tol.rank_rel * (1.0 + abs(z)) * max(n, k)
-        if self.floor * np.min(np.abs(d)) <= _MARGIN * cutoff:
-            return None
-        X = self.V @ (self.G / d[:, None])
-        return np.vstack([-X, np.eye(k - n)])
+        dmin = np.abs(self.lam - z[:, None]).min(axis=1)
+        cutoff = tol.rank_rel * (1.0 + np.abs(z)) * max(n, k)
+        return self.floor * dmin > _MARGIN * cutoff
 
 
 def _pencil_split(B, n):
@@ -358,31 +374,93 @@ def _pencil_split(B, n):
         return None
     if _rcond(Rv, GW[:, -n:], 1) < _SPLIT_RCOND:
         return None
-    # G is copied out of the wide GW: every point divides and multiplies
-    # it, and a strided view of GW made the sweep about 2 % slower
-    G, W = np.ascontiguousarray(GW[:, : -2 * n]), GW[:, -2 * n : -n]
+    G, W = GW[:, : -2 * n], GW[:, -2 * n : -n]
     floor = 1.0 / (np.linalg.norm(V) * np.linalg.norm(W))
-    return _PencilSplit(lam, V, G, floor, BQ)
+    return _PencilSplit(lam, G, floor, BQ, np.vstack([V, BQ[2 * n :, :n] @ V]))
+
+
+def _hermitian_gram(A):
+    """A* A for each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2) @ A
+
+
+def _positive_definite(A):
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _certify_block(bp, split, points):
+    """X_k = V diag(1 / (lam - z_k)) G for a block of split-route points,
+    side by side in one n x b p array, and which points the certificate
+    proves: sigma_min of R, R_l, R_l' and W each above its tau."""
+    n, m = bp.n, bp.m
+    z = np.asarray(points, dtype=complex)
+    b, p = len(z), split.G.shape[1]
+    panel = (split.G[:, None, :]
+             * (1.0 / (split.lam[:, None] - z))[:, :, None]).reshape(n, b * p)
+    XE = split.VE @ panel
+    X = XE[:n]
+    Xs = X.reshape(n, b, p).swapaxes(0, 1)
+    R = (split.BQ[2 * n :, None, n:]
+         - XE[n:].reshape(2 * m, b, p)).swapaxes(0, 1)
+    # With R~ = S[2n:] K (the stack R above) and Y = K Rk^{-1}, Rk* Rk =
+    # K* K = I + X* X, R = R~ Rk^{-1}: A~* A~ - tau^2 K* K positive
+    # definite, for a block A~ of R~ or W~ = R~_l' + z R~_l, says
+    # ||A y|| > tau ||y|| for y = Rk x, that is sigma_min(A) > tau.  The
+    # first term of each tau^2 clears the SVD cutoff that decides the
+    # block: column_space's rank_rel max(2m, p) for R, R_l and R_l' (C is
+    # orthonormal, so ||R|| <= 1), and in_resolvent's rank_rel
+    # _RESOLVENT_SLACK (n + m)(1 + |z|) for W (||W|| <= 1 + |z|), which
+    # also clears shift_invertible's rank_rel _RESOLVENT_SLACK m
+    # max(sigma_m(R), ||W||).  The second clears the rounding of the Gram
+    # matrices and of their Cholesky factorisation, about p eps ||A~||^2
+    # (Higham, Accuracy and Stability, 2nd ed., 10.1; Rump, BIT 46,
+    # 2006), with ||R~|| <= ||K||_F, ||W~|| <= (1 + |z|) ||K||_F and
+    # ||K||_F^2 = p + ||X||_F^2, against tau^2 K* K >= tau^2
+    # (sigma_min(K) >= 1).  _MARGIN keeps both well clear.
+    XX = _hermitian_gram(Xs)
+    KK = XX + np.eye(p)
+    R_l, R_lp = R[:, :m], R[:, m:]
+    g_l, g_lp = _hermitian_gram(R_l), _hermitian_gram(R_lp)
+    g_w = _hermitian_gram(R_lp + z[:, None, None] * R_l)
+    rank_rel, scale = bp.tol.rank_rel, 1.0 + np.abs(z)
+    rounding = (p * np.finfo(float).eps
+                * (p + np.trace(XX, axis1=1, axis2=2).real))
+    tau_r = _MARGIN * np.maximum((rank_rel * max(2 * m, p)) ** 2, rounding)
+    tau_w = _MARGIN * np.maximum(
+        (rank_rel * _RESOLVENT_SLACK * (n + m) * scale) ** 2,
+        rounding * scale ** 2)
+    taus = np.stack([tau_r, tau_r, tau_r, tau_w], axis=1)
+    stack = (np.stack([g_l + g_lp, g_l, g_lp, g_w], axis=1)
+             - taus[:, :, None, None] * KK[:, None])
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        # some point's proof fails: retry each point's four on their own
+        return X, [_positive_definite(four) for four in stack]
+    return X, [True] * b
 
 
 @dataclass(frozen=True)
 class WeylSample:
     """The defect elements of a pair at the nonreal z, spanned by S K,
     and what they decide (see the module docstring).  C = S Y for the
-    orthonormal Y of K's span.  M(z), a relation in C^m, and the
-    gamma-field, a relation from C^m to C^n, are the spans of C's
-    (l, l') and stacked (l, f) rows; each, and each count, is formed on
-    first read and then cached.  This class is the SVD route (S = B,
-    K = N orthonormal); ``_SplitSample`` is the pencil split's."""
+    orthonormal Y, with p columns, of K's span.  M(z), a relation in
+    C^m, and the gamma-field, a relation from C^m to C^n, are the spans
+    of C's (l, l') and stacked (l, f) rows; each, and each count, is
+    formed on first read and then cached.  The route gives Y:
+    ``_NullSample`` on the SVD null space, ``_SplitSample`` on the
+    pencil split."""
     bp: BoundaryPair = field(compare=False, repr=False)
     z: complex
     S: np.ndarray = field(compare=False, repr=False)
-    K: np.ndarray = field(compare=False, repr=False)
 
-    @cached_property
-    def Y(self):
-        """K itself: the SVD null basis N is orthonormal."""
-        return self.K
+    @property
+    def p(self):
+        return self.Y.shape[1]
 
     @cached_property
     def C(self):
@@ -434,7 +512,7 @@ class WeylSample:
     @property
     def ran_full(self) -> bool:
         """ran(A_* - z) = C^n: C, and so K, has dim Gamma - n columns."""
-        return self.K.shape[1] == self.bp.gamma.dim - self.bp.n
+        return self.p == self.bp.gamma.dim - self.bp.n
 
     @property
     def W(self):
@@ -452,7 +530,7 @@ class WeylSample:
         shift_invertible) above in_resolvent's cutoff rank_rel
         _RESOLVENT_SLACK (n+m) (1 + |z|), 1 + |z| bounding sigma_max."""
         n, m = self.bp.n, self.bp.m
-        if self.bp.gamma.dim != n + m or self.K.shape[1] != m:
+        if self.bp.gamma.dim != n + m or self.p != m:
             return False
         s = self._w_singular_values
         cutoff = (self.bp.tol.rank_rel * _RESOLVENT_SLACK * (n + m)
@@ -490,58 +568,37 @@ class WeylSample:
         return -np.linalg.solve(self.W.T, self._f_rows().T).T
 
 
+@dataclass(frozen=True)
+class _NullSample(WeylSample):
+    """A Weyl sample on the SVD route: S = B and Y = K = N, the
+    orthonormal SVD null space of B_f' - z B_f."""
+    Y: np.ndarray = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class _SplitSample(WeylSample):
-    """A Weyl sample on the pencil split: S = BQ and K = [-X; I], which
-    is not orthonormal, so Y is the thin QR of K, formed on first read.
-    Each count and test is read first from one stacked Cholesky that
-    proves R, R_l, R_l' and W of full column rank, and where that proof
-    fails, from WeylSample's SVDs on Y."""
+    """A Weyl sample on the pencil split: S = BQ and K = [-X; I], with X
+    a view of its block's X (``_certify_block``).  K is not orthonormal,
+    and it and its thin QR factor Y are formed only when Y is read.  Each count
+    and test is read first from the block's stacked Cholesky, which
+    proved R, R_l, R_l' and W of full column rank or did not
+    (``_certified``), and where that proof failed, from WeylSample's
+    SVDs on Y."""
+    X: np.ndarray = field(compare=False, repr=False)
+    _certified: bool = field(compare=False)
+
+    @property
+    def p(self):
+        return self.X.shape[1]
 
     @cached_property
     def Y(self):
-        """The thin QR factor of K."""
-        return np.linalg.qr(self.K)[0]
-
-    @cached_property
-    def _certified(self) -> bool:
-        """sigma_min of R, R_l, R_l' and W each proved above its tau."""
-        # With R~ = S[2n:] K and Y = K Rk^{-1}, Rk* Rk = K* K, R = R~ Rk^{-1}:
-        # A~* A~ - tau^2 K* K positive definite, for a block A~ of R~ or
-        # W~ = R~_l' + z R~_l, says ||A y|| > tau ||y|| for y = Rk x, that
-        # is sigma_min(A) > tau.  The first term of each tau^2 clears the
-        # SVD cutoff that decides the block: column_space's rank_rel
-        # max(2m, p) for R, R_l and R_l' (C is orthonormal, so ||R|| <= 1),
-        # and in_resolvent's rank_rel _RESOLVENT_SLACK (n + m)(1 + |z|) for
-        # W (||W|| <= 1 + |z|), which also clears shift_invertible's
-        # rank_rel _RESOLVENT_SLACK m max(sigma_m(R), ||W||).  The second
-        # clears the rounding of the Gram matrices and of their Cholesky
-        # factorisation, about p eps ||A~||^2 (Higham, Accuracy and
-        # Stability, 2nd ed., 10.1; Rump, BIT 46, 2006), with ||R~|| <=
-        # ||K||_F and ||W~|| <= (1 + |z|) ||K||_F, against tau^2 K* K >=
-        # tau^2 (sigma_min(K) >= 1).  _MARGIN keeps both well clear.
-        bp, K, z = self.bp, self.K, self.z
-        n, m, p = bp.n, bp.m, K.shape[1]
-        R = self.S[2 * n :] @ K
-        W = R[m:] + z * R[:m]
-        KK = K.conj().T @ K
-        g_l, g_lp = R[:m].conj().T @ R[:m], R[m:].conj().T @ R[m:]
-        rank_rel, scale = bp.tol.rank_rel, 1.0 + abs(z)
-        rounding = p * np.finfo(float).eps * np.vdot(K, K).real
-        tau_r = _MARGIN * max((rank_rel * max(2 * m, p)) ** 2, rounding)
-        tau_w = _MARGIN * max(
-            (rank_rel * _RESOLVENT_SLACK * (n + m) * scale) ** 2,
-            rounding * scale ** 2)
-        try:
-            np.linalg.cholesky(np.stack([
-                g_l + g_lp - tau_r * KK, g_l - tau_r * KK, g_lp - tau_r * KK,
-                W.conj().T @ W - tau_w * KK]))
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        """The thin QR factor of K = [-X; I]."""
+        return np.linalg.qr(np.vstack([-self.X, np.eye(self.p)]))[0]
 
     @cached_property
     def dim_M(self) -> int:
-        return self.K.shape[1] if self._certified else super().dim_M
+        return self.p if self._certified else super().dim_M
 
     @cached_property
     def dim_mul(self) -> int:
@@ -554,33 +611,63 @@ class _SplitSample(WeylSample):
     @cached_property
     def shift_invertible(self) -> bool:
         if self._certified:
-            return self.K.shape[1] == self.bp.m
+            return self.p == self.bp.m
         return super().shift_invertible
 
     @cached_property
     def in_mt_resolvent(self) -> bool:
         # p = dim Gamma - n here, so p = m says dim Gamma = n + m
         if self._certified:
-            return self.K.shape[1] == self.bp.m
+            return self.p == self.bp.m
         return super().in_mt_resolvent
+
+
+def _weyl_samples(bp: BoundaryPair, points):
+    """The Weyl samples at the nonreal points, in order, one at a time.
+
+    From n = _SPLIT_MIN_N on, the split's guard is read for all points
+    at once, and the guarded points are certified in blocks of b
+    (_PANEL_BYTES over the n x p panel of one point): one product gives
+    every X and R~ of a block, and one Cholesky of a (b, 4, p, p) stack
+    proves them all (``_certify_block``).  The other points, and every
+    point below _SPLIT_MIN_N, take the SVD null space of B_f' - z B_f.
+    A block is formed when its first point is reached, so a caller that
+    keeps no sample holds at most one block."""
+    pts = [complex(z) for z in points]
+    for z in pts:
+        _require_nonreal(z)
+    n, split = bp.n, bp._split
+    starts, block = {}, {}  # first point of each block -> the block
+    if split is not None:
+        guarded = np.flatnonzero(split.guarded(pts, bp.tol)).tolist()
+        p = split.G.shape[1]
+        size = max(1, _PANEL_BYTES // (16 * n * p))
+        starts = {guarded[k]: guarded[k : k + size]
+                  for k in range(0, len(guarded), size)}
+    B = bp.gamma.graph.basis
+    for i, z in enumerate(pts):
+        if i in starts:
+            idx = starts.pop(i)
+            X, certified = _certify_block(bp, split, [pts[j] for j in idx])
+            block = {j: (X[:, c * p : (c + 1) * p], ok)
+                     for c, (j, ok) in enumerate(zip(idx, certified))}
+        if i in block:
+            yield _SplitSample(bp, z, split.BQ, *block.pop(i))
+        else:
+            N = null_space(B[n : 2 * n] - z * B[:n], bp.tol)
+            yield _NullSample(bp, z, B, N.basis)
 
 
 def weyl(bp: BoundaryPair, z) -> WeylSample:
     """The Weyl sample at a nonreal point: C = B null(B_f' - z B_f),
     spanned by S K, from which M(z) and the gamma-field are read.
 
-    From n = _SPLIT_MIN_N on, S = BQ and K = [-X; I] come from the
-    pair's pencil split (diagonalised once per pair, no factorisation
-    per z) wherever its guard holds; otherwise S = B and K is the SVD
-    null space (see the module docstring)."""
-    _require_nonreal(z)
-    n, split = bp.n, bp._split
-    K = None if split is None else split.defect_coefficients(z, bp.tol)
-    if K is not None:
-        return _SplitSample(bp, complex(z), split.BQ, K)
-    B = bp.gamma.graph.basis
-    N = null_space(B[n : 2 * n] - z * B[:n], bp.tol)
-    return WeylSample(bp, complex(z), B, N.basis)
+    The one-point call of ``_weyl_samples``: from n = _SPLIT_MIN_N on,
+    S = BQ and K = [-X; I] come from the pair's pencil split
+    (diagonalised once per pair, no factorisation per z) wherever its
+    guard holds, certified as a block of one point; otherwise S = B and
+    K is the SVD null space (see the module docstring)."""
+    return next(_weyl_samples(bp, (z,)))
 
 
 # ---------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .boundary import (
     BoundaryPair,
+    _weyl_samples,
     delta_excluded_points,
     gamma_sharp,
     in_delta,
@@ -868,17 +869,23 @@ SWEEP_COLUMNS = ("re_z", "im_z", "dim_M", "dim_mul", "dim_ker",
 def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     """CSV rows describing M(z) over a nonreal grid.
 
-    Each point is one Weyl sample (``weyl``), whose defect elements C
-    give M(z) and decide the Sigma and main-transform-resolvent tests;
-    sigma0_p(T), which Sigma keeps z off, is formed once per pair.  From
-    n = 16 on, C comes from the pair's pencil split, diagonalised once
-    per pair, where its guard holds, and from the SVD null space
-    otherwise.  Only C's 2m boundary rows R are formed, and M's basis
-    not at all: dim M(z), dim mul M(z) and dim ker M(z) are the sample's
-    ranks of R, R_l and R_l', and the two tests read the rank of W.  On
-    the split route one stacked Cholesky proves all four of full column
-    rank, with no QR or SVD; where it cannot, and on the SVD route, four
-    values-only SVDs per point decide.
+    Each point is one Weyl sample, all drawn from one call of the
+    sample entry along the grid, whose defect elements C give M(z) and
+    decide the Sigma and main-transform-resolvent tests; sigma0_p(T),
+    which Sigma keeps z off, is formed once per pair.  From n = 16 on, C
+    comes from the pair's pencil split, diagonalised once per pair,
+    where its guard holds, and from the SVD null space otherwise.  M's
+    basis is never formed: dim M(z), dim mul M(z) and dim ker M(z) are
+    the sample's ranks of C's 2m boundary rows R, R_l and R_l', and the
+    two tests read the rank of W.  On the split route the points go in
+    blocks of 16 at n = 128, m = 16: one product gives every block
+    point's X and unnormalised boundary rows, and one stacked Cholesky
+    proves R, R_l, R_l' and W of full column rank at all of them, with
+    no QR or SVD; where it cannot, each point of the block is retried
+    alone, and at the points it still cannot prove, and on the SVD
+    route, four values-only SVDs per point decide.  A fresh 50-point
+    sweep of an n = 128 pair whose points are all proved makes four
+    Choleskys in all.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
@@ -895,8 +902,8 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     sigma0_points(bp)  # raises before the header where T is not symmetric
     buf = io.StringIO() if out is None else out
     buf.write(",".join(SWEEP_COLUMNS) + "\n")
-    for z in pts:
-        sample = weyl(bp, z)
+    for sample in _weyl_samples(bp, pts):
+        z = sample.z
         row = (f"{z.real:.12g}", f"{z.imag:.12g}", sample.dim_M,
                sample.dim_mul, sample.dim_ker, int(sample.dim_mul == 0),
                int(sample.in_sigma), int(sample.in_mt_resolvent))

@@ -67,8 +67,13 @@ class InstanceSpec:
 
 
 def rng_stream(seed, trial=0):
-    """Philox substream ``trial`` of the run with the given seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(trial))
+    """Philox substream ``trial`` (0 <= trial < 2^64) of the run with the
+    given seed: the state of Philox(key=seed).jumped(trial), built from
+    its counter, whose third word is the jump count.  The counter is a
+    uint64 array, which keeps trials from 2^63 on exact."""
+    counter = np.array([0, 0, trial, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=int(seed),
+                                                counter=counter))
 
 
 def _cgauss(rng, rows, cols):

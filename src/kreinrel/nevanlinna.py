@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryPair, in_delta, weyl
+from .boundary import BoundaryPair, _weyl_samples, in_delta, weyl
 from .errors import DimensionMismatchError, PreconditionError
 from .relations import hilbert_adjoint, rel_equal
 
@@ -111,7 +111,8 @@ def _gram(bp, blocks, vectors):
 
 def block_gram(bp: BoundaryPair, grid: KernelSampleGrid):
     """The full Gram matrix of a sample grid (points x probe vectors)."""
-    blocks = [weyl(bp, z.conjugate()).resolvent_vectors() for z in grid.points]
+    blocks = [s.resolvent_vectors() for s in _weyl_samples(
+        bp, [z.conjugate() for z in grid.points])]
     return _gram(bp, blocks, grid.vectors)
 
 

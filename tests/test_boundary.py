@@ -397,7 +397,7 @@ def _assert_split_matches_direct(bp, points):
         M = LinearRelation(bp.m, bp.m, column_space(C[2 * bp.n :], tol))
         _assert_same_relation(sample.M, M, tol)
         decided += (bp._split is not None
-                    and bp._split.defect_coefficients(z, tol) is not None)
+                    and bool(bp._split.guarded([z], tol)[0]))
     return decided
 
 
@@ -496,8 +496,7 @@ def test_pencil_split_falls_back_on_an_eigenvalue_of_the_split_pencil():
     bp = gen_unitary_boundary_pair(InstanceSpec(16, 4, 2), rng_stream(51))
     split = bp._split
     z = _split_pencil_eigenvalue(bp)
-    for w in (z, z.conjugate()):
-        assert (split.defect_coefficients(w, bp.tol) is None) == (w == z)
+    assert split.guarded([z, z.conjugate()], bp.tol).tolist() == [False, True]
     assert _assert_split_matches_direct(bp, (z,)) == 0
     _assert_weyl_matches_oracle(bp, (z,))
 
@@ -789,8 +788,7 @@ def test_weyl_sample_matches_its_eager_defect_elements():
             sample = weyl(bp, z)
             split_route = sample.S is not bp.gamma.graph.basis
             assert split_route == (bp._split is not None
-                                   and bp._split.defect_coefficients(
-                                       z, bp.tol) is not None)
+                                   and bool(bp._split.guarded([z], bp.tol)[0]))
             routes.add((bp.n, split_route))
             resolvent.add(_assert_sample_matches_eager(sample))
     assert {(16, True), (17, True), (64, True)} <= routes
@@ -1001,6 +999,49 @@ def test_spectral_sets_match_the_m_plus_z_oracle(monkeypatch):
     got = _assert_sets_match_oracle(bp, near)
     assert [in_delta(bp, z) for z in near] == [False] * 4 + [True] * 4
     assert (False, True, True) in got
+
+
+def test_one_uncertifiable_point_leaves_its_block_certified(monkeypatch):
+    # a block of four points holds one 1e-9 from a nonreal eigenvalue of
+    # J(Gamma), where W is too near singular for the certificate: the
+    # block's stacked Cholesky fails, each of its points is retried on
+    # its own, and only that point is read from the singular values
+    bp = gen_unitary_boundary_pair(InstanceSpec(16, 2, 4), rng_stream(34, 16))
+    near = _upper_eigenvalue(main_transform(bp), bp.tol) + 1e-9j
+    rng = np.random.default_rng(59)
+    generic = [complex(a, b) * s for a, b, s in zip(
+        rng.uniform(-2.0, 2.0, 11), rng.uniform(0.5, 2.0, 11),
+        rng.choice([1.0, -1.0], 11))]
+    points = generic[:6] + [near] + generic[6:]
+    p = bp.gamma.dim - bp.n
+    monkeypatch.setattr(boundary, "_PANEL_BYTES", 4 * 16 * bp.n * p)
+    cholesky, shapes = np.linalg.cholesky, []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    samples = list(boundary._weyl_samples(bp, points))
+    assert all(isinstance(s, boundary._SplitSample) for s in samples)
+    assert [s._certified for s in samples] == [z != near for z in points]
+    assert shapes == ([(4, 4, p, p)] * 2 + [(4, p, p)] * 4
+                      + [(4, 4, p, p)])
+    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(boundary, "_SPLIT_MIN_N", 10**9)
+        direct = BoundaryPair(bp.H, bp.m, bp.gamma, bp.tol)
+        assert direct._split is None
+
+    def verdicts(sample):
+        return (sample.dim_M, sample.dim_mul, sample.dim_ker,
+                sample.ran_full, sample.shift_invertible,
+                sample.in_mt_resolvent, sample.in_sigma)
+
+    assert ([verdicts(s) for s in samples]
+            == [verdicts(weyl(direct, z)) for z in points])
+    assert not samples[6].in_mt_resolvent
+    assert weyl_sweep(bp, points) == weyl_sweep(direct, points)
 
 
 def test_weyl_sweep_rejects_nonpositive_eps():

@@ -151,12 +151,23 @@ def test_weyl_sweep_evaluates_weyl_once_per_point(monkeypatch):
     bp = gen_unitary_boundary_pair(InstanceSpec(4, 2, 1), rng_stream(31))
     pts = [complex(a, b) for a in (-1.5, 0.0, 1.2) for b in (0.7, -1.1)]
     eps = 0.5
+    # one call of the block entry per sweep, which yields one sample per
+    # point in order; the sweep makes no call of the one-point weyl
+    entry, entries, samples = kreinrel.checks._weyl_samples, [], []
+
+    def counting_entry(bp, points):
+        entries.append(points)
+        for sample in entry(bp, points):
+            samples.append(sample.z)
+            yield sample
+
+    monkeypatch.setattr(kreinrel.checks, "_weyl_samples", counting_entry)
     weyl_calls = _counting(monkeypatch, "weyl",
                            [kreinrel.boundary, kreinrel.checks])
     spectrum_calls = _counting(monkeypatch, "point_spectrum",
                                [kreinrel.relations, kreinrel.boundary])
     csv = weyl_sweep(bp, pts, eps=eps)
-    assert len(weyl_calls) == len(pts)
+    assert (len(entries), samples, weyl_calls) == (1, pts, [])
     # sigma0_p(T) is formed once per pair: a second sweep reuses it
     assert weyl_sweep(bp, pts, eps=2.0) == csv
     assert len(spectrum_calls) == 1
@@ -266,9 +277,9 @@ def test_weyl_sweep_with_the_pencil_split_equals_the_direct_formulas(
 
 def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
     # the one n-sized SVD is point_spectrum's values-only probe; T comes
-    # from the 2m boundary rows of B, and each point's columns from one
-    # stacked Cholesky of its unnormalised boundary rows: no SVD and no
-    # QR per point
+    # from the 2m boundary rows of B, and each block of points' columns
+    # from one stacked Cholesky of their unnormalised boundary rows: no
+    # SVD, no QR and no Cholesky per point
     n, m = 64, 8
     bp = gen_unitary_boundary_pair(InstanceSpec(n, m, 16), rng_stream(35))
     calls = []
@@ -277,14 +288,7 @@ def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
         original = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
-            # made on behalf of a Weyl sample: some caller's self is one
-            frame, per_point = sys._getframe(1), False
-            while frame is not None and not per_point:
-                per_point = isinstance(frame.f_locals.get("self"),
-                                       kreinrel.boundary.WeylSample)
-                frame = frame.f_back
-            calls.append((name, np.shape(a), kwargs.get("compute_uv", True),
-                          per_point))
+            calls.append((name, np.shape(a), kwargs.get("compute_uv", True)))
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapper)
@@ -293,15 +297,27 @@ def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
         counting(name)
     grid = _sweep_grid(35, 46)
     weyl_sweep(bp, grid)
-    svds = [(shape, uv) for name, shape, uv, _ in calls if name == "svd"]
+    svds = [(shape, uv) for name, shape, uv in calls if name == "svd"]
     assert len(svds) > 0
     large = [uv for shape, uv in svds if min(shape) >= n // 2]
     assert len(large) <= 1
     assert not any(large)
-    # one stacked Cholesky of four m x m matrices per point, and nothing
-    # else
-    per_point = [(name, shape) for name, shape, _, sample in calls if sample]
-    assert per_point == [("cholesky", (4, m, m))] * len(grid)
+    # one Cholesky of a (b, 4, m, m) stack per block of b points, the
+    # last block shorter, and nothing else per point: a second sweep,
+    # with the pair's split and sigma0 cached, makes only those.  At the
+    # module's panel budget the 50 points are one block, at a quarter of
+    # it four
+    b = kreinrel.boundary._PANEL_BYTES // (16 * n * m)
+    assert [c for c in calls if c[0] == "cholesky"] == [
+        ("cholesky", (len(grid), 4, m, m), True)]
+    for budget, blocks in ((b, 1), (b // 4, 4)):
+        monkeypatch.setattr(kreinrel.boundary, "_PANEL_BYTES",
+                            budget * 16 * n * m)
+        del calls[:]
+        weyl_sweep(bp, grid)
+        assert calls == [("cholesky", (min(budget, len(grid) - k), 4, m, m),
+                          True) for k in range(0, len(grid), budget)]
+        assert len(calls) == blocks
 
 
 def test_weyl_sweep_never_forms_the_weyl_relation(monkeypatch):

@@ -42,6 +42,25 @@ def test_rng_stream_substreams_are_independent_and_reproducible():
     assert not np.array_equal(a, c)
 
 
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def test_rng_stream_equals_the_jumped_philox_stream():
+    for seed in (0, 1, 7, 123, 2**40 + 5, 2**64 + 3, 2**127 + 11):
+        for trial in (0, 1, 19, 99, 2**32, 2**63 + 1, 2**64 - 1):
+            got = rng_stream(seed, trial)
+            jumped = np.random.Generator(
+                np.random.Philox(key=seed).jumped(trial))
+            assert _same_state(got.bit_generator.state,
+                               jumped.bit_generator.state)
+            assert np.array_equal(got.normal(size=20), jumped.normal(size=20))
+            assert np.array_equal(got.integers(0, 2**62, 20),
+                                  jumped.integers(0, 2**62, 20))
+
+
 def test_conditioned_matrix_singular_values_clipped():
     rng = rng_stream(1)
     A = conditioned_matrix(rng, 4, 4)

@@ -352,9 +352,10 @@ def test_block_gram_at_n64_makes_no_n_sized_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     G = block_gram(bp, GRID)
     assert G.shape == (4 * bp.m, 4 * bp.m)
-    # the Cholesky patch is live: each grid point's main-transform test
-    # is one stacked Cholesky, which leaves no SVD to make
-    assert certificates == [(4, bp.m, bp.m)] * len(GRID.points)
+    # the Cholesky patch is live: the grid's main-transform tests are one
+    # Cholesky of a (b, 4, m, m) stack, b the grid's points, which leaves
+    # no SVD to make
+    assert certificates == [(len(GRID.points), 4, bp.m, bp.m)]
     assert [s for s in shapes if min(s) >= n // 2] == []
 
 
