@@ -72,8 +72,8 @@ block of b points; where it fails, each point's four are factorised
 alone.  Where a point's proof fails (a rank deficient or nearly
 deficient block, p > m) and on the SVD route, four values-only SVDs, of
 R, R_l, R_l' and W, decide.  A fresh 50-point sweep at n = 128, m = 16
-makes np.linalg svd/qr/cholesky/eig 2/3/4/2 times, plus 2 solve and
-1 inv, all but the four Choleskys once per pair.
+makes np.linalg svd/qr/cholesky/eig 2/3/13/2 times, plus 2 solve and
+1 inv, all but the 13 Choleskys (blocks of 4) once per pair.
 """
 
 from dataclasses import dataclass, field
@@ -311,13 +311,17 @@ _SPLIT_MIN_N = 16
 # clear the rank cutoff of the SVD null space it replaces.
 _MARGIN = 1e3
 # Bytes of the n x b p panel diag(1 / (lam - z_k)) G of a block of b
-# split-route points (p = dim Gamma - n), which fix b: b = 16 at n = 128,
-# p = 16.  One BLAS thread on a 2-core Xeon with a 2 MB L2, weyl_sweep on
-# the two seed-1 n = 128, m = 16 benchmark pairs, median of 10
-# alternating rounds: 0.26 ms per point at b = 1, 0.167 at b = 8, 0.169
-# at b = 16, 0.159 at b = 32, but 0.212 with the whole 50-point grid in
-# one block, whose 1.6 MB panel and 2 MB product overflow the L2.
-_PANEL_BYTES = 1 << 19
+# split-route points (p = dim Gamma - n), which fix b: b = 4 at n = 128,
+# p = 16, 16 at n = 64, p = 8.  One BLAS thread on a 2-core Xeon (2 MB
+# L2), weyl_sweep on the two seed-1 n = 128, m = 16 benchmark pairs, 20
+# alternating rounds, time per point against b = 4 (median, quartiles):
+# b = 1 1.26 (1.14-1.39), b = 2 1.10, b = 8 0.89 (0.85-0.95), b = 16
+# 0.95, the whole 50-point grid 0.91 (0.82-1.10).  A sweep's working set
+# (tracemalloc peak) grows with b: 0.75 MB at b = 4, 1.5 MB at b = 8 and
+# 2.7 MB at b = 16, against 0.15 MB one point at a time, and a process
+# that keeps 3000 sweeps' output peaked 0.6, 1.5 and 3.2 MB higher.  So
+# b stays small: most of the gain, little of the memory.
+_PANEL_BYTES = 1 << 17
 
 
 class _PencilSplit(NamedTuple):
@@ -374,14 +378,11 @@ def _pencil_split(B, n):
         return None
     if _rcond(Rv, GW[:, -n:], 1) < _SPLIT_RCOND:
         return None
-    G, W = GW[:, : -2 * n], GW[:, -2 * n : -n]
+    # G is copied out of the wide GW, which a view would keep alive with
+    # the pair (0.5 MB at n = 128)
+    G, W = np.ascontiguousarray(GW[:, : -2 * n]), GW[:, -2 * n : -n]
     floor = 1.0 / (np.linalg.norm(V) * np.linalg.norm(W))
     return _PencilSplit(lam, G, floor, BQ, np.vstack([V, BQ[2 * n :, :n] @ V]))
-
-
-def _hermitian_gram(A):
-    """A* A for each matrix of a stack."""
-    return A.conj().swapaxes(-1, -2) @ A
 
 
 def _positive_definite(A):
@@ -399,14 +400,20 @@ def _certify_block(bp, split, points):
     n, m = bp.n, bp.m
     z = np.asarray(points, dtype=complex)
     b, p = len(z), split.G.shape[1]
-    panel = (split.G[:, None, :]
-             * (1.0 / (split.lam[:, None] - z))[:, :, None]).reshape(n, b * p)
-    XE = split.VE @ panel
+    panel = split.G[:, None, :] * (1.0 / (split.lam[:, None] - z))[:, :, None]
+    XE = split.VE @ panel.reshape(n, b * p)
     X = XE[:n]
     Xs = X.reshape(n, b, p).swapaxes(0, 1)
-    R = (split.BQ[2 * n :, None, n:]
-         - XE[n:].reshape(2 * m, b, p)).swapaxes(0, 1)
-    # With R~ = S[2n:] K (the stack R above) and Y = K Rk^{-1}, Rk* Rk =
+    # R~_l, R~_l' and W~ of each point, and conj(X) in the panel's memory:
+    # the block's working set stays near the panel's size
+    RW = np.empty((b, 3, m, p), dtype=complex)
+    np.subtract(split.BQ[2 * n :, n:].reshape(2, m, p),
+                XE[n:].reshape(2 * m, b, p).swapaxes(0, 1).reshape(b, 2, m, p),
+                out=RW[:, :2])
+    np.multiply(RW[:, 0], z[:, None, None], out=RW[:, 2])
+    RW[:, 2] += RW[:, 1]
+    KK = np.conjugate(Xs, out=panel.swapaxes(0, 1)).swapaxes(1, 2) @ Xs
+    # With R~ = S[2n:] K (rows R_l and R_l' of RW) and Y = K Rk^{-1}, Rk* Rk =
     # K* K = I + X* X, R = R~ Rk^{-1}: A~* A~ - tau^2 K* K positive
     # definite, for a block A~ of R~ or W~ = R~_l' + z R~_l, says
     # ||A y|| > tau ||y|| for y = Rk x, that is sigma_min(A) > tau.  The
@@ -421,21 +428,19 @@ def _certify_block(bp, split, points):
     # 2006), with ||R~|| <= ||K||_F, ||W~|| <= (1 + |z|) ||K||_F and
     # ||K||_F^2 = p + ||X||_F^2, against tau^2 K* K >= tau^2
     # (sigma_min(K) >= 1).  _MARGIN keeps both well clear.
-    XX = _hermitian_gram(Xs)
-    KK = XX + np.eye(p)
-    R_l, R_lp = R[:, :m], R[:, m:]
-    g_l, g_lp = _hermitian_gram(R_l), _hermitian_gram(R_lp)
-    g_w = _hermitian_gram(R_lp + z[:, None, None] * R_l)
+    stack = np.empty((b, 4, p, p), dtype=complex)
+    np.matmul(RW.conj().swapaxes(2, 3), RW, out=stack[:, 1:])
+    np.add(stack[:, 1], stack[:, 2], out=stack[:, 0])
     rank_rel, scale = bp.tol.rank_rel, 1.0 + np.abs(z)
     rounding = (p * np.finfo(float).eps
-                * (p + np.trace(XX, axis1=1, axis2=2).real))
+                * (p + np.trace(KK, axis1=1, axis2=2).real))
+    KK += np.eye(p)
     tau_r = _MARGIN * np.maximum((rank_rel * max(2 * m, p)) ** 2, rounding)
     tau_w = _MARGIN * np.maximum(
         (rank_rel * _RESOLVENT_SLACK * (n + m) * scale) ** 2,
         rounding * scale ** 2)
-    taus = np.stack([tau_r, tau_r, tau_r, tau_w], axis=1)
-    stack = (np.stack([g_l + g_lp, g_l, g_lp, g_w], axis=1)
-             - taus[:, :, None, None] * KK[:, None])
+    stack[:, :3] -= (tau_r[:, None, None] * KK)[:, None]
+    stack[:, 3] -= tau_w[:, None, None] * KK
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:

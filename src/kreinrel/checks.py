@@ -878,13 +878,13 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     basis is never formed: dim M(z), dim mul M(z) and dim ker M(z) are
     the sample's ranks of C's 2m boundary rows R, R_l and R_l', and the
     two tests read the rank of W.  On the split route the points go in
-    blocks of 16 at n = 128, m = 16: one product gives every block
+    blocks of 4 at n = 128, m = 16: one product gives every block
     point's X and unnormalised boundary rows, and one stacked Cholesky
     proves R, R_l, R_l' and W of full column rank at all of them, with
     no QR or SVD; where it cannot, each point of the block is retried
     alone, and at the points it still cannot prove, and on the SVD
     route, four values-only SVDs per point decide.  A fresh 50-point
-    sweep of an n = 128 pair whose points are all proved makes four
+    sweep of an n = 128 pair whose points are all proved makes 13
     Choleskys in all.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),

@@ -305,19 +305,22 @@ def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
     # one Cholesky of a (b, 4, m, m) stack per block of b points, the
     # last block shorter, and nothing else per point: a second sweep,
     # with the pair's split and sigma0 cached, makes only those.  At the
-    # module's panel budget the 50 points are one block, at a quarter of
-    # it four
+    # module's panel budget the 50 points are four blocks (b = 16), at a
+    # quarter of it 13, and at four times it one
+    def blocks(b):
+        return [("cholesky", (min(b, len(grid) - k), 4, m, m), True)
+                for k in range(0, len(grid), b)]
+
     b = kreinrel.boundary._PANEL_BYTES // (16 * n * m)
-    assert [c for c in calls if c[0] == "cholesky"] == [
-        ("cholesky", (len(grid), 4, m, m), True)]
-    for budget, blocks in ((b, 1), (b // 4, 4)):
+    assert b == 16
+    assert [c for c in calls if c[0] == "cholesky"] == blocks(b)
+    for budget, count in ((b, 4), (b // 4, 13), (b * 4, 1)):
         monkeypatch.setattr(kreinrel.boundary, "_PANEL_BYTES",
                             budget * 16 * n * m)
         del calls[:]
         weyl_sweep(bp, grid)
-        assert calls == [("cholesky", (min(budget, len(grid) - k), 4, m, m),
-                          True) for k in range(0, len(grid), budget)]
-        assert len(calls) == blocks
+        assert calls == blocks(budget)
+        assert len(calls) == count
 
 
 def test_weyl_sweep_never_forms_the_weyl_relation(monkeypatch):
