@@ -66,12 +66,16 @@ class InstanceSpec:
             raise PreconditionError("kappa_minus must lie between 0 and n")
 
 
+_WORD = (1 << 64) - 1
+
+
 def rng_stream(seed, trial=0):
-    """Philox substream ``trial`` (0 <= trial < 2^64) of the run with the
-    given seed: the state of Philox(key=seed).jumped(trial), built from
-    its counter, whose third word is the jump count.  The counter is a
-    uint64 array, which keeps trials from 2^63 on exact."""
-    counter = np.array([0, 0, trial, 0], dtype=np.uint64)
+    """Philox substream ``trial`` of the run with the given seed: the
+    state of Philox(key=seed).jumped(trial), built from its counter,
+    whose upper two words hold the jump count modulo 2^128.  The counter
+    is a uint64 array, which keeps trials from 2^63 on exact."""
+    t = int(trial)
+    counter = np.array([0, 0, t & _WORD, (t >> 64) & _WORD], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=int(seed),
                                                 counter=counter))
 

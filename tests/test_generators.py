@@ -50,7 +50,8 @@ def _same_state(a, b):
 
 def test_rng_stream_equals_the_jumped_philox_stream():
     for seed in (0, 1, 7, 123, 2**40 + 5, 2**64 + 3, 2**127 + 11):
-        for trial in (0, 1, 19, 99, 2**32, 2**63 + 1, 2**64 - 1):
+        for trial in (0, 1, 19, 99, 2**32, 2**63 + 1, 2**64 - 1, 2**64 + 7,
+                      2**127 + 3, -1):
             got = rng_stream(seed, trial)
             jumped = np.random.Generator(
                 np.random.Philox(key=seed).jumped(trial))
