@@ -319,7 +319,7 @@ _MARGIN = 1e3
 # 0.95, the whole 50-point grid 0.91 (0.82-1.10).  A sweep's working set
 # (tracemalloc peak) grows with b: 0.75 MB at b = 4, 1.5 MB at b = 8 and
 # 2.7 MB at b = 16, against 0.15 MB one point at a time, and a process
-# that keeps 3000 sweeps' output peaked 0.6, 1.5 and 3.2 MB higher.  So
+# that keeps 3000 sweeps' output peaked 0.6, 1.5 and 2.7 MB higher.  So
 # b stays small: most of the gain, little of the memory.
 _PANEL_BYTES = 1 << 17
 
@@ -637,7 +637,8 @@ def _weyl_samples(bp: BoundaryPair, points):
     proves them all (``_certify_block``).  The other points, and every
     point below _SPLIT_MIN_N, take the SVD null space of B_f' - z B_f.
     A block is formed when its first point is reached, so a caller that
-    keeps no sample holds at most one block."""
+    keeps no sample holds one block, and two only while the next is
+    formed."""
     pts = [complex(z) for z in points]
     for z in pts:
         _require_nonreal(z)

@@ -1009,7 +1009,7 @@ def test_one_uncertifiable_point_leaves_its_block_certified(monkeypatch):
     bp = gen_unitary_boundary_pair(InstanceSpec(16, 2, 4), rng_stream(34, 16))
     near = _upper_eigenvalue(main_transform(bp), bp.tol) + 1e-9j
     rng = np.random.default_rng(59)
-    generic = [complex(a, b) * s for a, b, s in zip(
+    generic = [complex(a, b * s) for a, b, s in zip(
         rng.uniform(-2.0, 2.0, 11), rng.uniform(0.5, 2.0, 11),
         rng.choice([1.0, -1.0], 11))]
     points = generic[:6] + [near] + generic[6:]
