@@ -106,7 +106,6 @@ from .nevanlinna import (
     block_gram,
     gen_nevanlinna_probe,
     neg_squares_estimate,
-    weyl_symmetry_check,
 )
 from .checks import (
     SWEEP_COLUMNS,

@@ -150,8 +150,8 @@ class BoundaryPair:
         diag(hat J_H, -hat J_L) plus the count dim Gamma = n + m.
     gamma_sharp
         Gamma_# = (Gamma+)^{-1} = null(B* W) for Gamma's graph basis B
-        and W = diag(hat J_H, -hat J_L), cached on first read, as is the
-        pair built on it.
+        and W = diag(hat J_H, -hat J_L); Gamma itself, and the pair
+        itself, when unitary.  Cached on first read, as is the pair.
     sigma0_p(T)
         and its symmetric closure, from one point_spectrum of T, cached
         on first read.
@@ -172,12 +172,14 @@ class BoundaryPair:
 
     @cached_property
     def gamma_sharp(self) -> LinearRelation:
-        return gamma_sharp(self.gamma, self.H, self.L_dim, self.tol)
+        return (self.gamma if self.classification == "unitary" else
+                gamma_sharp(self.gamma, self.H, self.L_dim, self.tol))
 
     @cached_property
     def _sharp_pair(self):
         """The pair (H, C^m, Gamma_#), whose Weyl family gives M(z)*."""
-        return BoundaryPair(self.H, self.L_dim, self.gamma_sharp, self.tol)
+        return (self if self.classification == "unitary" else
+                BoundaryPair(self.H, self.L_dim, self.gamma_sharp, self.tol))
 
     @cached_property
     def _sigma0(self):
@@ -233,9 +235,7 @@ class BoundaryPair:
         """
         if self.classification == "not_isometric":
             raise PreconditionError("pair is not isometric; T is undefined")
-        sharp = (self.gamma if self.classification == "unitary"
-                 else self.gamma_sharp)
-        B, n2 = sharp.graph.basis, 2 * self.n
+        B, n2 = self.gamma_sharp.graph.basis, 2 * self.n
         T = LinearRelation(self.n, self.n, Subspace._of(
             n2, B[:n2] @ null_space(B[n2:], self.tol).basis))
         if not is_symmetric(T, self.H, self.tol):

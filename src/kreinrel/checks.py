@@ -44,9 +44,10 @@ from .generators import (
     random_unitary,
     rng_stream,
 )
-from .nevanlinna import KernelSampleGrid, gen_nevanlinna_probe
+from .nevanlinna import KernelSampleGrid, _symmetry_residual, gen_nevanlinna_probe
 from .relations import (
     LinearRelation,
+    _rel_residual,
     compose,
     cw_sum,
     full_relation,
@@ -71,7 +72,6 @@ from .subspaces import (
     contains as sub_contains,
     intersect,
     null_space,
-    principal_angles,
     subspace_equal,
 )
 from .transforms import (
@@ -158,15 +158,6 @@ def _sub_relation(rng, R, k=None):
     coeff = random_unitary(rng, d)[:, :k]
     return LinearRelation(R.from_dim, R.to_dim,
                           column_space(R.graph.basis @ coeff))
-
-
-def _rel_residual(T, S):
-    """Max principal angle between graphs; 1.0 on dimension mismatch."""
-    if T.graph.dim != S.graph.dim:
-        return 1.0
-    if T.graph.dim == 0:
-        return 0.0
-    return float(np.max(principal_angles(T.graph, S.graph)))
 
 
 # Largest _mat_residual between the two sides of a matrix identity of
@@ -321,13 +312,7 @@ def _check_projp1(rng, dims, tol):
 
 def _check_rrz(rng, dims, tol):
     bp = _rand_bp(rng, dims, tol)
-    sharp = bp._sharp_pair
-    worst = 0.0
-    for _ in range(3):
-        z = _nonreal_z(rng)
-        lhs = hilbert_adjoint(weyl(bp, z).M, tol)
-        rhs = weyl(sharp, z.conjugate()).M
-        worst = max(worst, _rel_residual(lhs, rhs))
+    worst = _symmetry_residual(bp, [_nonreal_z(rng) for _ in range(3)])
     return worst <= tol.angle_tol, worst
 
 

@@ -1,10 +1,10 @@
 """Sampled analytic diagnostics for Weyl families.
 
 Three conditions characterize a generalized Nevanlinna family on a
-sampled grid: (1) the symmetry M(z)* = M(zbar), (2) invertibility of
-M(z) + wI for a suitable w (instantiated as w = z after eps-scaling),
-and (3) the negative-squares count of Gram matrices built from
-resolvent vectors of the main transform,
+sampled grid: (1) the symmetry M(z)* = M_{Gamma_#}(zbar), (2)
+invertibility of M(z) + wI for a suitable w (instantiated as w = z
+after eps-scaling), and (3) the negative-squares count of Gram matrices
+built from resolvent vectors of the main transform,
 
     G[(alpha,a), (beta,b)] =
         [P_H (J(Gamma) - conj(z_beta))^{-1} (0, e_a),
@@ -12,7 +12,10 @@ resolvent vectors of the main transform,
 
 The resolvent vectors are those of the Weyl sample at w = conj(z)
 (``WeylSample.resolvent_vectors``), read from its defect elements
-without forming the main transform.
+without forming the main transform.  Each condition reads a grid in one
+``_weyl_samples`` pass ((1) one on the pair and one on its Gamma_# pair,
+the pair itself when unitary), and kappa' has one route,
+``_kappa_prime``.
 
 Negative squares are estimated by sampling and never claimed exact;
 the report carries the grid metadata.
@@ -24,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryPair, _weyl_samples, in_delta, weyl
+from .boundary import BoundaryPair, _weyl_samples, in_delta
 from .errors import DimensionMismatchError, PreconditionError
-from .relations import hilbert_adjoint, rel_equal
+from .relations import _rel_residual, hilbert_adjoint
 
 __all__ = [
     "KernelSampleGrid",
     "NegSquaresReport",
-    "weyl_symmetry_check",
     "block_gram",
     "neg_squares_estimate",
     "gen_nevanlinna_probe",
@@ -87,33 +89,30 @@ class NegSquaresReport:
     grids_used: int
 
 
-def weyl_symmetry_check(bp: BoundaryPair, z):
-    """M(z)* = M_{Gamma_#}(zbar) as subspace equality; for unitary
-    pairs this is the symmetry condition M(z)* = M(zbar)."""
-    tol = bp.tol
-    z = complex(z)
-    lhs = hilbert_adjoint(weyl(bp, z).M, tol)  # rejects a real z
-    rhs = weyl(bp._sharp_pair, z.conjugate()).M
-    return rel_equal(lhs, rhs, tol)
+def _symmetry_residual(bp: BoundaryPair, points):
+    """The largest principal angle between M(z)* and M_{Gamma_#}(zbar)
+    over the nonreal points, 1.0 on a dimension mismatch."""
+    sharp = _weyl_samples(bp._sharp_pair, np.conj(points))
+    return max((_rel_residual(hilbert_adjoint(s.M, bp.tol), t.M)
+                for s, t in zip(_weyl_samples(bp, points), sharp)),
+               default=0.0)
 
 
-def _gram(bp, blocks, vectors):
+def _gram(bp, samples, vectors):
     """The Gram matrix of the columns X v, X the resolvent vectors of each
-    grid point in turn, v the probe vectors (default: C^m's basis)."""
+    sample in turn, v the probe vectors (default: C^m's basis)."""
     m = bp.m
     if vectors is not None and any(len(v) != m for v in vectors):
         raise DimensionMismatchError(
             f"probe vectors must lie in the boundary space C^{m}")
     V = np.eye(m) if vectors is None else np.column_stack(vectors)
-    C = np.hstack([X @ V for X in blocks])
+    C = np.hstack([s.resolvent_vectors() @ V for s in samples])
     return C.conj().T @ bp.H.J @ C
 
 
 def block_gram(bp: BoundaryPair, grid: KernelSampleGrid):
     """The full Gram matrix of a sample grid (points x probe vectors)."""
-    blocks = [s.resolvent_vectors() for s in _weyl_samples(
-        bp, [z.conjugate() for z in grid.points])]
-    return _gram(bp, blocks, grid.vectors)
+    return _gram(bp, _weyl_samples(bp, np.conj(grid.points)), grid.vectors)
 
 
 def count_negative(G):
@@ -131,36 +130,44 @@ def _require_unitary(bp):
         raise PreconditionError("negative squares are probed for unitary pairs")
 
 
+def _kappa_prime(bp, samples, vectors):
+    """kappa': the negative squares of the samples' Gram matrix."""
+    return count_negative(_gram(bp, samples, vectors))
+
+
 def neg_squares_estimate(bp: BoundaryPair, grids) -> NegSquaresReport:
     """Max count of negative Gram eigenvalues over the sample grids."""
     _require_unitary(bp)
-    kappa = max((count_negative(block_gram(bp, g)) for g in grids), default=0)
+    kappa = max((_kappa_prime(bp, _weyl_samples(bp, np.conj(g.points)),
+                              g.vectors) for g in grids), default=0)
     return NegSquaresReport(kappa, bp.H.neg_index, len(grids))
 
 
 def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     """Outcomes of conditions (1)-(3) on the grid, reported not asserted.
 
-    (1) the symmetry check at every grid point; (2) invertibility of
-    M_eps(z) + z on the admissible part of the grid (|z| > eps, inside
-    delta) after eps-scaling - the choice w = z; (3) the negative
-    squares estimate on the scaled pair.
+    (1) M(z)* = M_{Gamma_#}(zbar) to angle_tol at every grid point;
+    (2) invertibility of M_eps(z) + z on the admissible part of the grid
+    (|z| > eps, inside delta) after eps-scaling - the choice w = z; (3)
+    the negative squares estimate on the scaled pair.
     """
     from .transforms import scale_eps
-    cond1 = all(weyl_symmetry_check(bp, z) for z in grid.points)
+    cond1 = _symmetry_residual(bp, grid.points) <= bp.tol.angle_tol
     scaled = scale_eps(bp, eps)
     admissible = [z for z in grid.points if in_delta(bp, z) and abs(z) > eps]
     if admissible:
-        cond2 = all(weyl(scaled, z).shift_invertible for z in admissible)
+        cond2 = all(s.shift_invertible
+                    for s in _weyl_samples(scaled, admissible))
     else:
         cond2 = None  # no admissible z on this grid (delta may be empty)
-    samples = {z: weyl(scaled, z.conjugate()) for z in grid.points}
+    samples = dict(zip(grid.points,
+                       _weyl_samples(scaled, np.conj(grid.points))))
     usable = [z for z in grid.points if samples[z].in_mt_resolvent]
     usable = [z for z in usable if _has_conjugate(z, usable)]
     if usable:
         _require_unitary(scaled)
-        blocks = [samples[z].resolvent_vectors() for z in usable]
-        kappa_prime = count_negative(_gram(scaled, blocks, grid.vectors))
+        kappa_prime = _kappa_prime(scaled, [samples[z] for z in usable],
+                                   grid.vectors)
         cond3 = kappa_prime <= scaled.H.neg_index
     else:
         cond3, kappa_prime = None, None

@@ -32,6 +32,7 @@ from .subspaces import (
     full_space,
     null_space,
     orth_complement,
+    principal_angles,
     subspace_equal,
     subspace_sum,
 )
@@ -199,6 +200,13 @@ def rel_equal(T: LinearRelation, S: LinearRelation, tol=DEFAULT_TOL):
     if (T.from_dim, T.to_dim) != (S.from_dim, S.to_dim):
         return False
     return subspace_equal(T.graph, S.graph, tol)
+
+
+def _rel_residual(T: LinearRelation, S: LinearRelation):
+    """Max principal angle between graphs; 1.0 on dimension mismatch."""
+    if T.graph.dim != S.graph.dim:
+        return 1.0
+    return float(np.max(principal_angles(T.graph, S.graph), initial=0.0))
 
 
 def rel_contains(T: LinearRelation, S: LinearRelation, tol=DEFAULT_TOL):

@@ -4,7 +4,8 @@ Fixtures (the trivial relation, the symplectic flip, random symmetric
 relations, random isometric pairs and a pair with sigma_p(T) = C) and
 oracles (the indefinite metric, the defect numbers, the resolvent
 matrix, the inverse of the main transform, the Gram contribution of
-two grid points, the linear fractional transformation as an explicit
+two grid points, the symmetry M(z)* = M_{Gamma_#}(zbar) one point
+at a time, the linear fractional transformation as an explicit
 composition, the block-operator transforms of a pair as compositions
 with the operator's graph, the three-clause ordinary-boundary-triple
 test, T as (dom Gamma)^[perp], the defect elements C formed in full,
@@ -40,6 +41,8 @@ from kreinrel.relations import (
     _rank_of,
     _require_square,
     compose,
+    hilbert_adjoint,
+    rel_equal,
     rel_from_operator,
     in_resolvent,
     is_symmetric,
@@ -179,6 +182,16 @@ def nev_kernel(bp: BoundaryPair, z, w):
     X = weyl(bp, np.conj(w)).resolvent_vectors()
     Y = weyl(bp, np.conj(z)).resolvent_vectors()
     return Y.conj().T @ bp.H.J @ X
+
+
+def weyl_symmetry_check(bp: BoundaryPair, z):
+    """M(z)* = M_{Gamma_#}(zbar) as subspace equality; for unitary
+    pairs this is the symmetry condition M(z)* = M(zbar)."""
+    tol = bp.tol
+    z = complex(z)
+    lhs = hilbert_adjoint(weyl(bp, z).M, tol)  # rejects a real z
+    rhs = weyl(bp._sharp_pair, z.conjugate()).M
+    return rel_equal(lhs, rhs, tol)
 
 
 def w_rel(A, B, T: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:

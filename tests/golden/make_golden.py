@@ -22,6 +22,10 @@ CHANGES.md:
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +46,9 @@ TRIALS = 20
 DIMS = (1, 4)
 OUTCOMES = Path(__file__).with_name("check_outcomes.json")
 SWEEPS = Path(__file__).with_name("sweep_columns.json")
+DEMO_STDOUT = Path(__file__).with_name("demo_stdout.json")
+ROOT = Path(__file__).resolve().parents[2]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # (n, m, kappa) of the seeded unitary pairs; n >= 16 takes the split
 SWEEP_SPECS = ((1, 1, 1), (2, 2, 1), (4, 3, 2), (16, 2, 4), (17, 3, 0),
                (64, 8, 16))
@@ -119,12 +126,41 @@ def sweep_columns(bp):
     return [row.split(",", 2)[2] for row in rows]
 
 
+# a residual printed in exponent form below 1e-12
+_ROUNDING = re.compile(r"\d\.\d+e-(1[2-9]|[2-9]\d|\d{3})\b")
+# a zero literal with a minus sign, and the digit or point before it
+# when the sign joins the imaginary part to the real part
+_NEGATIVE_ZERO = re.compile(r"([\d.]?)-(0\.0*)(?!\d)")
+
+
+def mask(text):
+    """``text`` with its rounding-level residuals and negative zeros
+    masked."""
+    text = _ROUNDING.sub("<1e-12", text)
+    return _NEGATIVE_ZERO.sub(
+        lambda m: m[1] + ("+" if m[1] else "") + m[2], text)
+
+
+def demo_stdout(demo):
+    """The masked standard output of one demo script, run against the
+    package in this tree's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return mask(done.stdout)
+
+
 def main():
     record = {"trials": TRIALS, "dims": list(DIMS),
               "seeds": {str(s): outcomes(s) for s in SEEDS}}
     OUTCOMES.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     sweeps = {label: sweep_columns(bp) for label, bp in sweep_pairs().items()}
     SWEEPS.write_text(json.dumps(sweeps, indent=1, sort_keys=True) + "\n")
+    demos = {demo.name: demo_stdout(demo) for demo in DEMOS}
+    DEMO_STDOUT.write_text(json.dumps(demos, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

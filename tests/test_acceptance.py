@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import inverse_main_transform
+from _oracles import inverse_main_transform, weyl_symmetry_check
 from kreinrel.boundary import (
     BoundaryPair,
     main_transform,
@@ -30,7 +30,6 @@ from kreinrel.nevanlinna import (
     KernelSampleGrid,
     gen_nevanlinna_probe,
     neg_squares_estimate,
-    weyl_symmetry_check,
 )
 from kreinrel.relations import (
     LinearRelation,

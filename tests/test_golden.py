@@ -1,8 +1,9 @@
 """Behaviour lock: every theorem check keeps the recorded pass/fail
 outcome and trial count at the recorded seeds, and ``weyl_sweep`` the
-recorded integer columns on the recorded pairs and grids.  The records
-are written by ``tests/golden/make_golden.py``; residuals are not part
-of them."""
+recorded integer columns on the recorded pairs and grids, and every
+demo its recorded standard output.  The records are written by
+``tests/golden/make_golden.py``; residuals are not part of them, and
+rounding-level text in the demos' output is masked."""
 
 import json
 
@@ -42,3 +43,15 @@ def test_sweep_record_covers_every_pair(sweep_pairs):
 @pytest.mark.parametrize("label", sorted(_SWEEPS))
 def test_sweep_columns_match_the_record(sweep_pairs, label):
     assert make_golden.sweep_columns(sweep_pairs[label]) == _SWEEPS[label]
+
+
+_DEMO_STDOUT = json.loads(make_golden.DEMO_STDOUT.read_text())
+
+
+def test_demo_record_covers_every_demo():
+    assert sorted(_DEMO_STDOUT) == [demo.name for demo in make_golden.DEMOS]
+
+
+@pytest.mark.parametrize("demo", make_golden.DEMOS, ids=lambda p: p.name)
+def test_demo_stdout_matches_the_record(demo):
+    assert make_golden.demo_stdout(demo) == _DEMO_STDOUT[demo.name]

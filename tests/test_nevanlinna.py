@@ -5,25 +5,28 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    gen_isometric_boundary_pair,
     inverse_main_transform,
     nev_kernel,
     resolvent_matrix,
     sigma_p_all_pair,
+    weyl_symmetry_check,
 )
 from kreinrel.boundary import BoundaryPair, main_transform, weyl
 from kreinrel.errors import PreconditionError
 from kreinrel.generators import (
     InstanceSpec,
     gen_obt,
+    gen_unitary_boundary_pair,
     rng_stream,
 )
 from kreinrel.nevanlinna import (
     KernelSampleGrid,
+    _symmetry_residual,
     block_gram,
     count_negative,
     gen_nevanlinna_probe,
     neg_squares_estimate,
-    weyl_symmetry_check,
 )
 from kreinrel.relations import LinearRelation, in_resolvent, rel_from_operator
 from kreinrel.spaces import make_krein
@@ -191,18 +194,63 @@ def test_weyl_symmetry_on_random_pairs():
 
 
 def test_weyl_symmetry_check_builds_the_sharp_pair_once(monkeypatch):
-    bp = gen_obt(InstanceSpec(3, 2, 1), rng_stream(45, 1), TOL)
-    built, init = [], BoundaryPair.__init__
+    import kreinrel.boundary as boundary
+    unitary = gen_obt(InstanceSpec(3, 2, 1), rng_stream(45, 1), TOL)
+    isometric = gen_isometric_boundary_pair(InstanceSpec(3, 2, 1),
+                                            rng_stream(11, 0))
+    assert isometric.classification == "isometric"
+    built, sharps, init = [], [], BoundaryPair.__init__
 
     def counting(self, *a, **k):
         built.append(a)
         init(self, *a, **k)
 
+    def counting_sharp(*a, _real=boundary.gamma_sharp, **k):
+        sharps.append(a)
+        return _real(*a, **k)
+
     monkeypatch.setattr(BoundaryPair, "__init__", counting)
-    for z in GRID.points:
-        assert weyl_symmetry_check(bp, z)
-    assert len(built) == 1
-    assert bp._sharp_pair.gamma is bp.gamma_sharp
+    monkeypatch.setattr(boundary, "gamma_sharp", counting_sharp)
+    # Gamma_# = Gamma for a unitary pair: no second pair, no null space
+    for bp, second in ((unitary, 0), (isometric, 1)):
+        built.clear()
+        sharps.clear()
+        for z in GRID.points:
+            assert weyl_symmetry_check(bp, z)
+        assert _symmetry_residual(bp, GRID.points) <= TOL.angle_tol
+        assert len(built) == len(sharps) == second
+        assert (bp._sharp_pair is bp) == (second == 0)
+        assert bp._sharp_pair.gamma is bp.gamma_sharp
+
+
+def test_symmetry_residual_agrees_with_the_pointwise_oracle():
+    points = GRID.points + (0.3 + 1e-3j, -1.2 - 0.4j)
+    unitary = [gen_obt(InstanceSpec(n, m, k), rng_stream(45, n), TOL)
+               for n, m, k in ((1, 1, 0), (2, 1, 1), (3, 2, 1), (4, 3, 2))]
+    unitary += [gen_unitary_boundary_pair(InstanceSpec(n, n // 8, n // 4),
+                                          rng_stream(38, n))
+                for n in (16, 64)]  # the split route
+    isometric = [gen_isometric_boundary_pair(InstanceSpec(3, 2, 1),
+                                             rng_stream(11, trial))
+                 for trial in range(40)]
+    worst = 0.0
+    for bp in unitary + isometric:
+        assert bp.classification in ("unitary", "isometric")
+        assert (bp._sharp_pair is not bp) == (bp.classification
+                                              == "isometric")
+        for z in points:
+            assert ((_symmetry_residual(bp, [z]) <= TOL.angle_tol)
+                    == weyl_symmetry_check(bp, z))
+        worst = max(worst, _symmetry_residual(bp, points))
+    assert sum(bp.classification == "isometric" for bp in isometric) == 40
+    assert worst <= TOL.angle_tol
+    # a wrong Gamma_# pair (another pair's) fails both, at every point
+    for bp in unitary[1:4]:
+        bp.__dict__["_sharp_pair"] = gen_obt(InstanceSpec(bp.n, bp.m, 0),
+                                             rng_stream(12, bp.n), TOL)
+        for z in points:
+            assert _symmetry_residual(bp, [z]) > TOL.angle_tol
+            assert not weyl_symmetry_check(bp, z)
 
 
 # -------------------------------------------------------- full probe
@@ -230,43 +278,69 @@ def test_probe_on_one_negative_square_fixture():
 def test_probe_computes_the_point_spectrum_once(monkeypatch):
     import kreinrel.boundary as boundary
     import kreinrel.nevanlinna as nevanlinna
-    import kreinrel.transforms as transforms
     assert not hasattr(nevanlinna, "main_transform")
-    counts = {"point_spectrum": 0, "weyl": 0}
-    scaled = []
+    assert not hasattr(nevanlinna, "weyl")
+    spectra, passes = [], []
 
     def counting_spectrum(*a, _real=boundary.point_spectrum, **k):
-        counts["point_spectrum"] += 1
+        spectra.append(a)
         return _real(*a, **k)
 
-    def counting_weyl(bp, z, _real=nevanlinna.weyl):
-        # weyl_symmetry_check calls weyl on the pair and on its Gamma_#
-        # pair; count the calls on the scaled pair only
-        if scaled and bp is scaled[-1]:
-            counts["weyl"] += 1
-        return _real(bp, z)
-
-    def recording_scale_eps(*a, _real=transforms.scale_eps, **k):
-        scaled.append(_real(*a, **k))
-        return scaled[-1]
+    def counting_samples(bp, points, _real=nevanlinna._weyl_samples):
+        points = list(points)
+        record = [bp, len(points), 0]
+        passes.append(record)
+        for sample in _real(bp, points):
+            record[2] += 1
+            yield sample
 
     monkeypatch.setattr(boundary, "point_spectrum", counting_spectrum)
-    monkeypatch.setattr(nevanlinna, "weyl", counting_weyl)
-    monkeypatch.setattr(transforms, "scale_eps", recording_scale_eps)
+    monkeypatch.setattr(nevanlinna, "_weyl_samples", counting_samples)
     grid = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 3 + 0.5j,
                                     3 - 0.5j, -1 + 2j, -1 - 2j))
+    size = len(grid.points)
     degenerate = sigma_p_all_pair()
     pairs = [gen_obt(InstanceSpec(3, 2, 1), rng_stream(46), TOL), degenerate]
     for bp in pairs:
-        for key in counts:
-            counts[key] = 0
+        spectra.clear()
+        passes.clear()
         out = gen_nevanlinna_probe(bp, 0.5, grid)
-        # one Weyl sample of the scaled pair per grid point, for the
-        # usable filter and the Gram matrix alike, and one per
-        # admissible point for condition 2
-        assert counts == {"point_spectrum": 1,
-                          "weyl": len(grid.points) + out["admissible_points"]}
+        admissible = out["admissible_points"]
+        # one pass per grid read, one sample per point: condition 1 on
+        # the pair and on its Gamma_# pair (the pair itself, as it is
+        # unitary), condition 2 on the scaled pair at the admissible
+        # points, condition 3 on the scaled pair at the whole grid
+        assert [p[1:] for p in passes[:2]] == [[size, size]] * 2
+        assert passes[0][0] is passes[1][0] is bp
+        scaled = passes[2:]
+        assert [p[1:] for p in scaled] == (
+            [[admissible, admissible]] if admissible else []) + [[size, size]]
+        assert len({id(p[0]) for p in scaled}) == 1 and scaled[0][0] is not bp
+        assert len(spectra) == 1
     assert out["condition2"] is None and out["admissible_points"] == 0
+
+
+def test_probe_output_does_not_depend_on_the_route(monkeypatch):
+    import kreinrel.boundary as boundary
+    rng = np.random.default_rng(16)
+    up = [complex(a, b) for a, b in zip(rng.uniform(-2, 2, 8),
+                                        rng.uniform(0.3, 2, 8))]
+    grid = KernelSampleGrid(points=tuple(up + [z.conjugate() for z in up]))
+
+    def probes():
+        pairs = [gen_unitary_boundary_pair(InstanceSpec(n, n // 8, n // 4),
+                                           rng_stream(38, n))
+                 for n in (16, 64)]
+        return pairs, [gen_nevanlinna_probe(bp, 0.25, grid) for bp in pairs]
+
+    pairs, split = probes()
+    assert all(bp._split is not None for bp in pairs)
+    assert all(out["condition1"] and out["kappa_prime"] is not None
+               for out in split)
+    monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 10 ** 9)
+    pairs, svd = probes()
+    assert all(bp._split is None for bp in pairs)
+    assert svd == split
 
 
 # ----------------------------------------- against the main transform

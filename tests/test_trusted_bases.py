@@ -20,8 +20,8 @@ from kreinrel.subspaces import Subspace
 # sample takes the SVD route, so no count moves with the split route's
 # Cholesky certificate).
 _PASS_VALIDATED = 89
-_PASS_SVDS = 1084
-_PASS_UV_SVDS = 800
+_PASS_SVDS = 1080
+_PASS_UV_SVDS = 796
 
 
 def _desk_pass(trials):
