@@ -15,7 +15,7 @@ The resolvent vectors are those of the Weyl sample at w = conj(z)
 without forming the main transform.  Each condition reads a grid in one
 ``_weyl_samples`` pass ((1) one on the pair and one on its Gamma_# pair,
 the pair itself when unitary), and kappa' has one route,
-``_kappa_prime``.
+``count_negative`` of ``_gram``.
 
 Negative squares are estimated by sampling and never claimed exact;
 the report carries the grid metadata.
@@ -130,16 +130,10 @@ def _require_unitary(bp):
         raise PreconditionError("negative squares are probed for unitary pairs")
 
 
-def _kappa_prime(bp, samples, vectors):
-    """kappa': the negative squares of the samples' Gram matrix."""
-    return count_negative(_gram(bp, samples, vectors))
-
-
 def neg_squares_estimate(bp: BoundaryPair, grids) -> NegSquaresReport:
     """Max count of negative Gram eigenvalues over the sample grids."""
     _require_unitary(bp)
-    kappa = max((_kappa_prime(bp, _weyl_samples(bp, np.conj(g.points)),
-                              g.vectors) for g in grids), default=0)
+    kappa = max((count_negative(block_gram(bp, g)) for g in grids), default=0)
     return NegSquaresReport(kappa, bp.H.neg_index, len(grids))
 
 
@@ -166,8 +160,8 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     usable = [z for z in usable if _has_conjugate(z, usable)]
     if usable:
         _require_unitary(scaled)
-        kappa_prime = _kappa_prime(scaled, [samples[z] for z in usable],
-                                   grid.vectors)
+        kappa_prime = count_negative(
+            _gram(scaled, [samples[z] for z in usable], grid.vectors))
         cond3 = kappa_prime <= scaled.H.neg_index
     else:
         cond3, kappa_prime = None, None

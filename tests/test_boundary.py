@@ -231,10 +231,13 @@ def test_weyl_symmetry_against_gamma_sharp():
             InstanceSpec(3, 2, trial % 3), rng_stream(23, trial), TOL)
         z = 0.7 + 1.3j
         lhs = hilbert_adjoint(weyl(bp, z).M, TOL)
-        sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, TOL)
+        # the null-space Gamma_#, not the pair's unitary shortcut
+        g_sharp = gamma_sharp(bp.gamma, bp.H, bp.m, TOL)
+        assert rel_equal(g_sharp, bp.gamma_sharp, TOL)
+        sharp = BoundaryPair(bp.H, bp.m, g_sharp, TOL)
         rhs = weyl(sharp, z.conjugate()).M
         assert rel_equal(lhs, rhs, TOL)
-        assert rel_equal(rhs, _weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m,
+        assert rel_equal(rhs, _weyl_of_gamma(g_sharp, bp.n, bp.m,
                                              z.conjugate(), TOL), TOL)
 
 
@@ -298,7 +301,8 @@ def _assert_weyl_matches_oracle(bp, points):
     for M(z), gamma(z), and M_{Gamma_#}(conj z) against both the
     relation calculus and the former weyl_of_gamma."""
     tol = bp.tol
-    sharp = BoundaryPair(bp.H, bp.m, bp.gamma_sharp, tol)
+    g_sharp = gamma_sharp(bp.gamma, bp.H, bp.m, tol)
+    sharp = BoundaryPair(bp.H, bp.m, g_sharp, tol)
     for z in points:
         sample = weyl(bp, z)
         M, gamma_field = _weyl_oracle(bp, z)
@@ -306,10 +310,11 @@ def _assert_weyl_matches_oracle(bp, points):
         assert rel_equal(sample.gamma_field, gamma_field, tol)
         zc = z.conjugate()
         M_sharp = weyl(sharp, zc).M
+        assert rel_equal(M_sharp, weyl(bp._sharp_pair, zc).M, tol)
         assert rel_equal(
-            M_sharp, _weyl_of_gamma_oracle(bp.gamma_sharp, bp.n, zc, tol), tol)
+            M_sharp, _weyl_of_gamma_oracle(g_sharp, bp.n, zc, tol), tol)
         assert rel_equal(
-            M_sharp, _weyl_of_gamma(bp.gamma_sharp, bp.n, bp.m, zc, tol), tol)
+            M_sharp, _weyl_of_gamma(g_sharp, bp.n, bp.m, zc, tol), tol)
 
 
 def test_weyl_matches_relation_calculus_oracle():
@@ -1388,6 +1393,7 @@ def test_no_krein_adjoint_in_gamma_sharp_t_plus_or_main_transform(
                 monkeypatch.setattr(
                     mod, attr,
                     lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
+    gamma_sharp(bp.gamma, bp.H, bp.m, bp.tol)
     bp.gamma_sharp
     bp.t_plus()
     inverse_main_transform(main_transform(bp), bp.H, bp.m)
