@@ -48,7 +48,7 @@ def main():
     section("2. One negative square, after rescaling")
     bp = BoundaryPair(make_krein(np.array([[-1.0]])), 1,
                       rel_from_operator(np.diag([-1.0, 1.0])))
-    print(f"M(i) = {weyl(bp, 1j).M.to_matrix()[0, 0]:+.4f}  (M(z) = -z)")
+    print(f"M(i) = {weyl(bp, 1j).M.to_matrix(bp.tol)[0, 0]:+.4f}  (M(z) = -z)")
     mt = main_transform(bp)
     print("raw main transform has resolvent points on the grid:",
           any(in_resolvent(mt, z, TOL) for z in GRID.points))

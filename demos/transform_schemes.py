@@ -48,7 +48,7 @@ def main():
     V = rotation_op(th)
     bp2, info = transform_left(bp, rel_from_operator(V.block_matrix()))
     c, s = np.cos(th), np.sin(th)
-    got = weyl(bp2, Z).M.to_matrix()[0, 0]
+    got = weyl(bp2, Z).M.to_matrix(bp2.tol)[0, 0]
     expect = (-s + c * Z) / (c + s * Z)
     print(f"bundle used: {info['bundle']}")
     print(f"M'({Z}) = {got:+.6f}")
@@ -56,10 +56,10 @@ def main():
 
     section("2. Scalings are the simplest left transforms")
     for kappa in (2.0, np.sqrt(3.0)):
-        got = weyl(scaled_obt(bp, kappa), Z).M.to_matrix()[0, 0]
+        got = weyl(scaled_obt(bp, kappa), Z).M.to_matrix(bp.tol)[0, 0]
         print(f"kappa = {kappa:.4f}:  M'(z) = {got:+.6f}"
               f"  (kappa^2 z = {kappa ** 2 * Z:+.6f})")
-    got = weyl(scale_eps(bp, 0.25), Z).M.to_matrix()[0, 0]
+    got = weyl(scale_eps(bp, 0.25), Z).M.to_matrix(bp.tol)[0, 0]
     print(f"eps = 0.25:    M'(z) = {got:+.6f}  (eps z = {0.25 * Z:+.6f})")
 
     section("3. The quasi-boundary-triple map: M' = E + G* M G")
@@ -77,15 +77,15 @@ def main():
     print(f"z = {Z} lies in rho_V: {in_rho_v(bp, V, Z)}")
     bp5 = transform_right(bp, V)
     delta = delta_correction(bp, V, Z)
-    got = weyl(bp5, Z).M.to_matrix()[0, 0]
-    expect = weyl(bp, Z).M.to_matrix()[0, 0] + delta[0, 0]
+    got = weyl(bp5, Z).M.to_matrix(bp5.tol)[0, 0]
+    expect = weyl(bp, Z).M.to_matrix(bp.tol)[0, 0] + delta[0, 0]
     print(f"M'({Z}) = {got:+.6f}")
     print(f"M(z) + Delta(z) = {expect:+.6f}")
 
     section("5. A QBT map by hand")
     q = QbtMap(G=np.array([[2.0 + 1.0j]]), E=np.array([[0.5]]))
     bp6 = qbt_transform(bp, q)
-    got = weyl(bp6, Z).M.to_matrix()[0, 0]
+    got = weyl(bp6, Z).M.to_matrix(bp6.tol)[0, 0]
     print(f"M'({Z}) = {got:+.6f}  "
           f"(0.5 + |2+i|^2 z = {0.5 + 5 * Z:+.6f})")
 

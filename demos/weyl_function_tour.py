@@ -39,7 +39,7 @@ def main():
           f"negative index = {bp.H.neg_index}")
     for z in (1j, 2 + 1j, -0.5 - 2j):
         M = weyl(bp, z).M
-        print(f"  M({z}) = {M.to_matrix()[0, 0]:+.6f}")
+        print(f"  M({z}) = {M.to_matrix(bp.tol)[0, 0]:+.6f}")
 
     section("2. A random unitary boundary pair on an indefinite space")
     rng = rng_stream(2024)

@@ -125,7 +125,7 @@ __all__ = [
 ]
 
 
-def gamma_sharp(gamma: LinearRelation, H: KreinSpace, L_dim, tol=DEFAULT_TOL):
+def gamma_sharp(gamma: LinearRelation, H: KreinSpace, L_dim, tol):
     """Gamma_# = (Gamma+)^{-1} between the doubled symmetries: the
     companion null(B* W) of Gamma's graph basis B in the metric
     W = diag(hat J_H, -hat J_L)."""
@@ -749,7 +749,7 @@ def in_delta(bp: BoundaryPair, z):
             and not any(_near(z, w) for w in excluded))
 
 
-def m_plus_z(M: LinearRelation, z, tol=DEFAULT_TOL):
+def m_plus_z(M: LinearRelation, z, tol):
     """M(z) + zI as a relation: the slow path of ``shift_invertible``."""
     basis = np.vstack([M.F, M.G + z * M.F])
     return LinearRelation(M.from_dim, M.to_dim,

@@ -140,14 +140,14 @@ def _rand_bp(rng, dims, tol):
     return gen_unitary_boundary_pair(spec, rng, tol)
 
 
-def _rand_obt(rng, dims, tol, kappa=None):
+def _rand_obt(rng, dims, tol):
     n = _dim(rng, dims)
     m = max(1, _dim(rng, (1, min(n, 3))))
-    k = int(rng.integers(0, n + 1)) if kappa is None else kappa
+    k = int(rng.integers(0, n + 1))
     return gen_obt(InstanceSpec(n, m, k), rng, tol)
 
 
-def _sub_relation(rng, R, k=None):
+def _sub_relation(rng, R, tol, k=None):
     """A random sub-relation of R (random subspace of its graph)."""
     d = R.graph.dim
     if k is None:
@@ -157,7 +157,7 @@ def _sub_relation(rng, R, k=None):
                               Subspace(R.graph.ambient_dim, []))
     coeff = random_unitary(rng, d)[:, :k]
     return LinearRelation(R.from_dim, R.to_dim,
-                          column_space(R.graph.basis @ coeff))
+                          column_space(R.graph.basis @ coeff, tol))
 
 
 # Largest _mat_residual between the two sides of a matrix identity of
@@ -184,11 +184,6 @@ def _mat_residual(A, B):
     return float(np.linalg.norm(A - B) / max(1.0, np.linalg.norm(A)))
 
 
-def _restrict_ran(rng_rel, S, tol):
-    """The sub-relation of rng_rel with range restricted to S."""
-    return rng_rel.inverse().restrict_domain(S, tol).inverse()
-
-
 # ---------------------------------------------------------------------
 # relation-calculus lemmas
 # ---------------------------------------------------------------------
@@ -199,7 +194,7 @@ def _check_pop_lemma(rng, dims, tol):
     if rng.uniform() < 0.3:
         L = R
     else:
-        L = _sub_relation(rng, R)
+        L = _sub_relation(rng, R, tol)
     eq = rel_equal(L, R, tol)
     dom_mul = (subspace_equal(L.dom(tol), R.dom(tol), tol)
                and subspace_equal(L.mul(tol), R.mul(tol), tol))
@@ -215,8 +210,10 @@ def _check_derk_lemma(rng, dims, tol):
     K1 = random_krein(rng, n, int(rng.integers(0, n + 1)))
     K2 = random_krein(rng, q, int(rng.integers(0, q + 1)))
     R = random_relation(rng, n, q)
-    # first bullet: ran X ⊆ dom R gives (RX)+ = X+ R+
-    X = _restrict_ran(random_relation(rng, p, n), R.dom(tol), tol)
+    # first bullet: ran X ⊆ dom R gives (RX)+ = X+ R+; X is a random
+    # relation with its range restricted to dom R
+    X = random_relation(rng, p, n).inverse().restrict_domain(
+        R.dom(tol), tol).inverse()
     lhs = krein_adjoint(compose(R, X, tol), K0, K2, tol)
     rhs = compose(krein_adjoint(X, K0, K1, tol),
                   krein_adjoint(R, K1, K2, tol), tol)
@@ -270,10 +267,10 @@ def _check_wie(rng, dims, tol):
     return res <= tol.angle_tol, res
 
 
-def _z_slice(rng, n, z, k):
+def _z_slice(rng, n, z, k, tol):
     """A k-dim relation of pairs (f, zf)."""
     F = random_subspace(rng, n, k).basis
-    return LinearRelation(n, n, column_space(np.vstack([F, z * F])))
+    return LinearRelation(n, n, column_space(np.vstack([F, z * F]), tol))
 
 
 def _check_behrndt20(rng, dims, tol):
@@ -282,9 +279,9 @@ def _check_behrndt20(rng, dims, tol):
     L = random_relation(rng, n, n, graph_dim=int(rng.integers(0, n)))
     if rng.uniform() < 0.5:
         # construct R = L + z-slice so that side (i) holds
-        R = cw_sum(L, _z_slice(rng, n, z, int(rng.integers(1, n))), tol)
+        R = cw_sum(L, _z_slice(rng, n, z, int(rng.integers(1, n)), tol), tol)
     else:
-        R = cw_sum(L, _sub_relation(rng, random_relation(rng, n, n)), tol)
+        R = cw_sum(L, _sub_relation(rng, random_relation(rng, n, n), tol), tol)
     side_i = rel_equal(R, cw_sum(L, R.graph_restriction(z, tol), tol), tol)
     side_ii = subspace_equal(R.ran_shifted(z, tol), L.ran_shifted(z, tol), tol)
     return side_i == side_ii, 0.0
@@ -294,13 +291,13 @@ def _check_projp1(rng, dims, tol):
     n = max(2, _dim(rng, dims))
     z = _nonreal_z(rng)
     L = random_relation(rng, n, n, graph_dim=int(rng.integers(0, n)))
-    extra = _z_slice(rng, n, z, int(rng.integers(1, n)))
+    extra = _z_slice(rng, n, z, int(rng.integers(1, n)), tol)
     R = cw_sum(L, extra, tol)
     if not rel_equal(R, cw_sum(L, R.graph_restriction(z, tol), tol), tol):
         return True, 0.0  # hypothesis (i) failed to materialize; vacuous
     # intermediate L1: L plus part of the z-slice
     k = int(rng.integers(0, extra.graph.dim + 1))
-    L1 = cw_sum(L, _sub_relation(rng, extra, k), tol)
+    L1 = cw_sum(L, _sub_relation(rng, extra, tol, k), tol)
     lhs = cw_sum(L, L1.graph_restriction(z, tol), tol)
     res = _rel_residual(L1, lhs)
     return res <= tol.angle_tol, res
@@ -361,7 +358,7 @@ def _check_mrTG_selfadjoint(rng, dims, tol):
     if not is_selfadjoint(mt, K, tol):
         return False, 1.0
     # a strictly isometric pair must not give a self-adjoint transform
-    sub = _sub_relation(rng, bp.gamma, max(0, bp.gamma.graph.dim - 1))
+    sub = _sub_relation(rng, bp.gamma, tol, max(0, bp.gamma.graph.dim - 1))
     bp_iso = BoundaryPair(bp.H, bp.m, sub, tol)
     if bp_iso.classification != "unitary":
         if is_selfadjoint(main_transform(bp_iso), K, tol):
@@ -436,21 +433,14 @@ def _check_IUBP(rng, dims, tol):
     return res <= tol.angle_tol, res
 
 
-def _find_rho_v_z(rng, bp, V):
-    for _ in range(16):
-        z = _nonreal_z(rng)
-        if in_rho_v(bp, V, z):
-            return z
-    return None
-
-
 def _check_IUBP3(rng, dims, tol):
     bp = _rand_obt(rng, dims, tol)
     if rng.uniform() < 0.25:
         V = u_j(bp.H)  # the U_J family is part of the suite
     else:
         V = gen_std_unitary(rng, bp.H)
-    z = _find_rho_v_z(rng, bp, V)
+    z = next((z for z in (_nonreal_z(rng) for _ in range(16))
+              if in_rho_v(bp, V, z)), None)
     if z is None:
         return True, 0.0
     delta = delta_correction(bp, V, z)
@@ -479,7 +469,7 @@ def _delta0_fixture(rng, tol, aligned):
     # u = (1,1)/sqrt(2) and J = diag(1,-1) reads Im v2 = Im v1
     v2 = s + 1j * float(np.imag(v1))
     v = np.array([v1, v2], dtype=complex)
-    T = LinearRelation(2, 2, column_space(np.concatenate([u, v])))
+    T = LinearRelation(2, 2, column_space(np.concatenate([u, v]), tol))
     if not is_symmetric(T, H, tol):
         raise GenerationError("fixture relation is not symmetric")
     for _ in range(64):
@@ -693,7 +683,7 @@ def _check_QBTex(rng, dims, tol):
 
 
 def _check_thmVVV(rng, dims, tol):
-    bp = _rand_obt(rng, dims, tol, kappa=None)
+    bp = _rand_obt(rng, dims, tol)
     q = gen_qbt_map(rng, bp.m)
     bp2 = qbt_transform(bp, q)
     if bp2.classification == "not_isometric":

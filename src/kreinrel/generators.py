@@ -156,15 +156,11 @@ def hypermax_neutral(rng, metric) -> Subspace:
 # boundary pairs
 # ---------------------------------------------------------------------
 
-def _spec_space(spec: InstanceSpec, rng):
-    return random_krein(rng, spec.n, spec.kappa_minus)
-
-
 def gen_unitary_boundary_pair(spec: InstanceSpec, rng=None,
                               tol=DEFAULT_TOL) -> BoundaryPair:
     """A random unitary boundary pair with the requested signature."""
     rng = rng_stream(spec.seed) if rng is None else rng
-    H = _spec_space(spec, rng)
+    H = random_krein(rng, spec.n, spec.kappa_minus)
     graph = hypermax_neutral(rng, _pair_metric(H, hilbert_space(spec.m)))
     gamma = LinearRelation(2 * spec.n, 2 * spec.m, graph)
     return BoundaryPair(H, spec.m, gamma, tol)

@@ -26,6 +26,7 @@ from .spaces import KreinSpace, _classify_graph
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _as_matrix,
     _rank,
     column_space,
     contains,
@@ -98,25 +99,25 @@ class LinearRelation:
         )
 
     # -- parts ---------------------------------------------------------
-    def dom(self, tol=DEFAULT_TOL):
+    def dom(self, tol):
         return column_space(self.F, tol)
 
-    def ran(self, tol=DEFAULT_TOL):
+    def ran(self, tol):
         return column_space(self.G, tol)
 
-    def ker(self, tol=DEFAULT_TOL):
+    def ker(self, tol):
         """ker T = F null(G): [F; G] null(G) is orthonormal and G null(G)
         lies below the rank cutoff, so F null(G) is orthonormal as it
         stands (one SVD)."""
         return Subspace._of(self.from_dim,
                             self.F @ null_space(self.G, tol).basis)
 
-    def mul(self, tol=DEFAULT_TOL):
+    def mul(self, tol):
         """mul T = G null(F), orthonormal as it stands (see ``ker``)."""
         return Subspace._of(self.to_dim,
                             self.G @ null_space(self.F, tol).basis)
 
-    def is_operator(self, tol=DEFAULT_TOL):
+    def is_operator(self, tol):
         """mul T = {0}, i.e. null(F) = {0}: the graph basis is
         orthonormal, so G null(F) has the dimension of null(F)."""
         return null_space(self.F, tol).dim == 0
@@ -127,12 +128,12 @@ class LinearRelation:
         return LinearRelation(self.to_dim, self.from_dim, Subspace._of(
             self.to_dim + self.from_dim, basis))
 
-    def ran_shifted(self, z, tol=DEFAULT_TOL):
+    def ran_shifted(self, z, tol):
         """ran(T - zI) as a subspace, without forming the relation."""
         _require_square(self)
         return column_space(self.G - z * self.F, tol)
 
-    def eigenspace(self, z, tol=DEFAULT_TOL) -> Subspace:
+    def eigenspace(self, z, tol) -> Subspace:
         """N_z(T) = ker(T - zI) = {f : (f, zf) in T}.  F null(G - zF)
         is orthonormal only after scaling by sqrt(1 + |z|^2), with an
         error that grows with |z|, so it is re-orthonormalised."""
@@ -140,7 +141,7 @@ class LinearRelation:
         coeff = null_space(self.G - z * self.F, tol)
         return column_space(self.F @ coeff.basis, tol)
 
-    def graph_restriction(self, z, tol=DEFAULT_TOL):
+    def graph_restriction(self, z, tol):
         """T ∩ zI = {(f, zf) : f in N_z(T)} as a relation: the graph
         basis times null(G - zF), which is orthonormal as it stands."""
         _require_square(self)
@@ -148,7 +149,7 @@ class LinearRelation:
         return LinearRelation(self.from_dim, self.to_dim, Subspace._of(
             self.graph.ambient_dim, self.graph.basis @ coeff.basis))
 
-    def restrict_domain(self, S: Subspace, tol=DEFAULT_TOL):
+    def restrict_domain(self, S: Subspace, tol):
         """The restriction {(f, f') in T : f in S}: the graph basis
         times null(S_perp* F), which is orthonormal as it stands."""
         if S.ambient_dim != self.from_dim:
@@ -158,7 +159,7 @@ class LinearRelation:
             self.graph.ambient_dim, self.graph.basis @ coeff.basis))
 
     # -- matrix views --------------------------------------------------
-    def to_matrix(self, tol=DEFAULT_TOL):
+    def to_matrix(self, tol):
         """Matrix of an everywhere-defined operator relation."""
         n = self.from_dim
         if self.dim != n:
@@ -177,13 +178,16 @@ def _require_square(T):
 # constructors
 # ---------------------------------------------------------------------
 
-def rel_from_operator(M, tol=DEFAULT_TOL) -> LinearRelation:
-    """The graph of a matrix as a relation."""
+def rel_from_operator(M) -> LinearRelation:
+    """The graph of a matrix as a relation, spanned by the n left singular
+    vectors of [I; M]: sigma_min >= 1, so the rank is n at any tolerance."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatchError("expected a matrix")
     m, n = M.shape
-    return LinearRelation(n, m, column_space(np.vstack([np.eye(n), M]), tol))
+    A = _as_matrix(np.vstack([np.eye(n), M]))
+    return LinearRelation(n, m, Subspace._of(
+        n + m, np.linalg.svd(A, full_matrices=False)[0]))
 
 
 def identity_relation(n) -> LinearRelation:
@@ -196,7 +200,7 @@ def full_relation(n, m=None) -> LinearRelation:
     return LinearRelation(n, m, full_space(n + m))
 
 
-def rel_equal(T: LinearRelation, S: LinearRelation, tol=DEFAULT_TOL):
+def rel_equal(T: LinearRelation, S: LinearRelation, tol):
     if (T.from_dim, T.to_dim) != (S.from_dim, S.to_dim):
         return False
     return subspace_equal(T.graph, S.graph, tol)
@@ -209,7 +213,7 @@ def _rel_residual(T: LinearRelation, S: LinearRelation):
     return float(np.max(principal_angles(T.graph, S.graph), initial=0.0))
 
 
-def rel_contains(T: LinearRelation, S: LinearRelation, tol=DEFAULT_TOL):
+def rel_contains(T: LinearRelation, S: LinearRelation, tol):
     """True iff S is a subrelation of T (graph containment)."""
     if (T.from_dim, T.to_dim) != (S.from_dim, S.to_dim):
         return False
@@ -220,7 +224,7 @@ def rel_contains(T: LinearRelation, S: LinearRelation, tol=DEFAULT_TOL):
 # sums and composition
 # ---------------------------------------------------------------------
 
-def cw_sum(V: LinearRelation, W: LinearRelation, tol=DEFAULT_TOL):
+def cw_sum(V: LinearRelation, W: LinearRelation, tol):
     """Componentwise sum: the subspace sum of the graphs."""
     if (V.from_dim, V.to_dim) != (W.from_dim, W.to_dim):
         raise DimensionMismatchError("componentwise sum needs matching spaces")
@@ -228,7 +232,7 @@ def cw_sum(V: LinearRelation, W: LinearRelation, tol=DEFAULT_TOL):
         V.from_dim, V.to_dim, subspace_sum(V.graph, W.graph, tol))
 
 
-def op_sum(T: LinearRelation, R: LinearRelation, tol=DEFAULT_TOL):
+def op_sum(T: LinearRelation, R: LinearRelation, tol):
     """Operatorwise sum {(f, a + b) : (f, a) in T, (f, b) in R}: with
     (a; b) spanning null([T_F, -R_F]), the span of
     [T_F a; T_G a + R_G b]."""
@@ -242,7 +246,8 @@ def op_sum(T: LinearRelation, R: LinearRelation, tol=DEFAULT_TOL):
 
 def compose(R: LinearRelation, X: LinearRelation, tol=DEFAULT_TOL):
     """The composition R X = {(f, h) : exists g, (f,g) in X, (g,h) in R}:
-    with (a; b) spanning null([X_G, -R_F]), the span of [X_F a; R_G b]."""
+    with (a; b) spanning null([X_G, -R_F]), the span of [X_F a; R_G b].
+    ``tol`` keeps its default for perfbench's ``compose(T, T)``."""
     if X.to_dim != R.from_dim:
         raise DimensionMismatchError("inner dimensions of the composition differ")
     N = null_space(np.hstack([X.G, -R.F]), tol).basis
@@ -255,7 +260,7 @@ def compose(R: LinearRelation, X: LinearRelation, tol=DEFAULT_TOL):
 # adjoints
 # ---------------------------------------------------------------------
 
-def hilbert_adjoint(T: LinearRelation, tol=DEFAULT_TOL):
+def hilbert_adjoint(T: LinearRelation, tol):
     """T* = {(k, h) : <f', k> = <f, h> for all (f, f') in T}."""
     constraint = np.hstack([T.G.conj().T, -T.F.conj().T])
     ns = null_space(constraint, tol)
@@ -263,7 +268,7 @@ def hilbert_adjoint(T: LinearRelation, tol=DEFAULT_TOL):
 
 
 def krein_adjoint(T: LinearRelation, K_from: KreinSpace, K_to: KreinSpace,
-                  tol=DEFAULT_TOL):
+                  tol):
     """T+ = {(k, h) : [f', k]_to = [f, h]_from for all (f, f') in T}.
 
     Solved as a single null-space problem from the graph basis; equal
@@ -288,12 +293,12 @@ def _hat_class(T: LinearRelation, K: KreinSpace, tol):
     return _classify_graph(T.graph.basis, K.hat, tol)
 
 
-def is_symmetric(T: LinearRelation, K: KreinSpace, tol=DEFAULT_TOL):
+def is_symmetric(T: LinearRelation, K: KreinSpace, tol):
     """T ⊆ T+ with respect to the Krein space K."""
     return _hat_class(T, K, tol) != "not_isometric"
 
 
-def is_selfadjoint(T: LinearRelation, K: KreinSpace, tol=DEFAULT_TOL):
+def is_selfadjoint(T: LinearRelation, K: KreinSpace, tol):
     """T = T+ with respect to the Krein space K."""
     return _hat_class(T, K, tol) == "unitary"
 
@@ -302,7 +307,7 @@ def is_selfadjoint(T: LinearRelation, K: KreinSpace, tol=DEFAULT_TOL):
 # Shmul'yan transform
 # ---------------------------------------------------------------------
 
-def shmulyan(V: LinearRelation, S: Subspace, tol=DEFAULT_TOL) -> LinearRelation:
+def shmulyan(V: LinearRelation, S: Subspace, tol) -> LinearRelation:
     """The Shmul'yan transform V(S) = ran(V|_S) as a relation, for a
     subspace S of the space V maps from.
 
@@ -411,7 +416,7 @@ def sigma_p_contains(T: LinearRelation, z):
     return _rank_of(T.G - z * T.F, _EIG_RTOL) < T.dim
 
 
-def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
+def point_spectrum(T: LinearRelation, tol) -> SpectrumReport:
     """Finite point spectrum of a square relation.
 
     Eigenvalue candidates come from the pencil (G, F) built from the
@@ -467,7 +472,7 @@ def point_spectrum(T: LinearRelation, tol=DEFAULT_TOL) -> SpectrumReport:
     return SpectrumReport(tuple(found), False)
 
 
-def in_resolvent(T: LinearRelation, z, tol=DEFAULT_TOL):
+def in_resolvent(T: LinearRelation, z, tol):
     """Finite-dimensional resolvent test: dim graph = n and trivial N_z."""
     _require_square(T)
     if T.dim != T.from_dim:

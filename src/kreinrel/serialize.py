@@ -14,7 +14,7 @@ from .boundary import BoundaryPair
 from .errors import DimensionMismatchError, ValidationError
 from .relations import LinearRelation
 from .spaces import KreinSpace, make_krein
-from .subspaces import DEFAULT_TOL, Subspace
+from .subspaces import Subspace
 
 __all__ = [
     "matrix_to_json",
@@ -96,10 +96,10 @@ def boundary_pair_to_json(bp: BoundaryPair):
     }
 
 
-def boundary_pair_from_json(d, tol=DEFAULT_TOL):
-    # classification is recomputed by the constructor
+def boundary_pair_from_json(d):
+    # no tolerance is stored: BoundaryPair's default reclassifies
     return BoundaryPair(krein_from_json(d["H"]), int(d["L_dim"]),
-                        relation_from_json(d["gamma"]), tol)
+                        relation_from_json(d["gamma"]))
 
 
 _TAGGED = {

@@ -5,19 +5,22 @@ complex matrix), and all operations reduce to singular value
 decompositions.  The inner product is linear in the first argument and
 conjugate-linear in the second: <x, y> = sum_i x[i] * conj(y[i]).
 
-Numerical rank uses the standard cutoff ``rank_rel * sigma_max *
+Numerical rank uses the cutoff ``rank_rel * max(1, sigma_max) *
 max(rows, cols)``; subspace equality means equal dimension plus maximal
-principal angle below ``angle_tol``.
+principal angle below ``angle_tol``.  Every ``tol`` comes from the caller:
+``DEFAULT_TOL`` is chosen only at the entry points (``BoundaryPair``,
+``check_theorem``, the ``gen_*`` pair generators and the CLI).
 
 Bases are validated (finite entries, orthonormal columns) where data
 enters: the public ``Subspace`` constructor, the generators and
 ``serialize.load``, and the inputs of ``column_space`` and
 ``null_space``.  Bases that are orthonormal by construction skip the
 check through the private ``Subspace._of``: the singular vectors of
-``column_space`` and ``null_space``, ``zero_subspace`` and
-``full_space``, signed row permutations of an orthonormal basis,
-products B N of an orthonormal basis B with an orthonormal null basis N,
-and the row blocks F null(G) and G null(F) of a graph basis [F; G].
+``column_space``, ``null_space`` and ``relations.rel_from_operator``,
+``zero_subspace`` and ``full_space``, signed row permutations of an
+orthonormal basis, products B N of an orthonormal basis B with an
+orthonormal null basis N, and the row blocks F null(G) and G null(F) of
+a graph basis [F; G].
 """
 
 from dataclasses import dataclass
@@ -154,7 +157,7 @@ def _rank(s, shape, rtol):
     return int(np.count_nonzero(s > cutoff))
 
 
-def column_space(M, tol=DEFAULT_TOL):
+def column_space(M, tol):
     """Orthonormal basis of the span of the columns of ``M``."""
     A = _as_matrix(M)
     n, k = A.shape
@@ -165,7 +168,7 @@ def column_space(M, tol=DEFAULT_TOL):
     return Subspace._of(n, u[:, :r])
 
 
-def null_space(M, tol=DEFAULT_TOL):
+def null_space(M, tol):
     """Orthonormal basis of ``{x : Mx = 0}``."""
     A = _as_matrix(M)
     n, k = A.shape
@@ -185,7 +188,7 @@ def _check_ambient(U, V):
         )
 
 
-def intersect(U, V, tol=DEFAULT_TOL):
+def intersect(U, V, tol):
     """The intersection of two subspaces of the same ambient space."""
     _check_ambient(U, V)
     if U.dim == 0 or V.dim == 0:
@@ -198,20 +201,20 @@ def intersect(U, V, tol=DEFAULT_TOL):
     return column_space(vectors, tol)
 
 
-def subspace_sum(U, V, tol=DEFAULT_TOL):
+def subspace_sum(U, V, tol):
     """The (componentwise) sum U + V."""
     _check_ambient(U, V)
     return column_space(np.hstack([U.basis, V.basis]), tol)
 
 
-def orth_complement(U, tol=DEFAULT_TOL):
+def orth_complement(U, tol):
     """Euclidean orthogonal complement within the ambient space."""
     if U.dim == 0:
         return full_space(U.ambient_dim)
     return null_space(U.basis.conj().T, tol)
 
 
-def contains(U, V, tol=DEFAULT_TOL):
+def contains(U, V, tol):
     """True iff V is a subspace of U (within ``angle_tol``)."""
     _check_ambient(U, V)
     if V.dim == 0:
@@ -244,7 +247,7 @@ def principal_angles(U, V):
     return angles
 
 
-def subspace_equal(U, V, tol=DEFAULT_TOL):
+def subspace_equal(U, V, tol):
     """Equality test: equal dimension and max principal angle <= angle_tol."""
     _check_ambient(U, V)
     if U.dim != V.dim:

@@ -38,8 +38,8 @@ from .spaces import (
     krein_adjoint_matrix,
 )
 from .subspaces import (
-    DEFAULT_TOL,
     Subspace,
+    Tolerance,
     _as_matrix,
     column_space,
     null_space,
@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 _BLOCK_ATOL = 1e-10
+# make_std_unitary's unitary-graph test validates outside blocks beside
+# ``atol``, as _ORTHONORMAL_ATOL does bases: it follows no caller's tol
+_GRAPH_TOL = Tolerance()
 # in_rho_v's cutoff on p_V(z; T0): unit-scale blocks, rounding far below
 _P_RTOL = 1e-8
 # QbtMap's cutoff on sigma_min(G): a singular G is rejected, not inverted
@@ -141,7 +144,7 @@ def make_std_unitary(A, B, C, D, K_from: KreinSpace, K_to: KreinSpace,
     V = StdUnitaryOp(A=A, B=B, C=C, D=D, K_from=K_from, K_to=K_to)
     metric = _pair_metric(K_from, K_to)
     if _classify_graph(rel_from_operator(V.block_matrix()).graph.basis,
-                       metric, DEFAULT_TOL) != "unitary":
+                       metric, _GRAPH_TOL) != "unitary":
         raise ValidationError("block matrix is not a unitary relation "
                               "between the hat-symmetry spaces")
     return V
@@ -218,7 +221,7 @@ def transform_right(bp: BoundaryPair, V: StdUnitaryOp) -> BoundaryPair:
 
 
 def n_hat_v(v_rel: LinearRelation, a_star: LinearRelation, z,
-            tol=DEFAULT_TOL) -> Subspace:
+            tol) -> Subspace:
     """N^V_z(A_*) = dom(V ∩ (A_* × zI)) - the z-eigen-slice pulled
     through V, a subspace of the doubled domain space: the span of
     V_F null([P* V_F; V_G'' - z V_G']), with P an orthonormal basis of
@@ -233,7 +236,7 @@ def n_hat_v(v_rel: LinearRelation, a_star: LinearRelation, z,
 
 # -- linear fractional transformations --------------------------------
 
-def lft(V: StdUnitaryOp, T: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
+def lft(V: StdUnitaryOp, T: LinearRelation, tol) -> LinearRelation:
     """phi_V(T), the Shmul'yan transform V(T) of T by V's graph.
 
     Where 0 is not an eigenvalue of W(A, B; T) = {(f, Af + Bf')}, it
@@ -295,7 +298,7 @@ def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z):
 # left scheme: Gamma -> V Gamma
 # ---------------------------------------------------------------------
 
-def boundary_v_classification(v_rel: LinearRelation, tol=DEFAULT_TOL):
+def boundary_v_classification(v_rel: LinearRelation, tol):
     """Classification of a relation between doubled boundary spaces:
     the Gram test of its graph in diag(hat J_m, -hat J_m')."""
     if v_rel.from_dim % 2 or v_rel.to_dim % 2:
@@ -428,7 +431,7 @@ def qbt_transform(bp: BoundaryPair, q: QbtMap) -> BoundaryPair:
                            q.block_matrix() @ bp.gamma.G)
 
 
-def v_star(v_rel: LinearRelation, tol=DEFAULT_TOL) -> LinearRelation:
+def v_star(v_rel: LinearRelation, tol) -> LinearRelation:
     """V_* = dom(V ∩ (L^2 × ({0} × cH))), read as a relation in the
     boundary space; dom V_* = {0} together with Gamma_1(T0) ⊆ mul V_*
     forces T'_0 = T0.  The span of V_F null(V_G'), V_G' the first half

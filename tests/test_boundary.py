@@ -127,7 +127,7 @@ def test_is_obt_agrees_with_the_three_clause_definition():
             InstanceSpec(n, m, int(rng.integers(0, n + 1))), rng))
     pairs += [_direct_sum(bp, _multivalued_pair()) for bp in pairs[-100:]]
     multivalued = [bp for bp in pairs if bp.classification == "unitary"
-                   and not bp.gamma.is_operator()]
+                   and not bp.gamma.is_operator(bp.tol)]
     assert len(multivalued) > 100
     assert any(bp.is_obt() for bp in pairs)
     for bp in pairs:
@@ -206,8 +206,8 @@ def test_identity_obt_weyl_function_is_z():
     bp = identity_obt()
     for z in (1j, 2 + 1j, -0.5 - 2j):
         s = weyl(bp, z)
-        assert s.M.is_operator()
-        assert np.allclose(s.M.to_matrix(), [[z]])
+        assert s.M.is_operator(bp.tol)
+        assert np.allclose(s.M.to_matrix(bp.tol), [[z]])
 
 
 def test_flip_pair_weyl_function_is_reciprocal():
@@ -215,7 +215,7 @@ def test_flip_pair_weyl_function_is_reciprocal():
     flip = rel_from_operator(np.array([[0.0, 1.0], [1.0, 0.0]]))
     bp = BoundaryPair(make_krein(np.array([[-1.0]])), 1, flip)
     for z in (1j, 1 + 1j, 2 - 0.5j):
-        assert np.allclose(weyl(bp, z).M.to_matrix(), [[1 / z]])
+        assert np.allclose(weyl(bp, z).M.to_matrix(bp.tol), [[1 / z]])
 
 
 def test_weyl_rejects_real_point():
@@ -320,7 +320,7 @@ def _assert_weyl_matches_oracle(bp, points):
 def test_weyl_matches_relation_calculus_oracle():
     pairs = list(_oracle_pairs())
     assert any(bp.classification == "isometric" for bp in pairs)
-    assert any(not bp.gamma.is_operator() for bp in pairs)
+    assert any(not bp.gamma.is_operator(bp.tol) for bp in pairs)
     for bp in pairs:
         _assert_weyl_matches_oracle(bp, _ORACLE_Z)
 
@@ -425,7 +425,7 @@ def _deficient_part(bp, z):
     them: dim Gamma = n + m - 1, yet its C at z has m columns."""
     B = bp.gamma.graph.basis
     C = defect_elements(bp.gamma, bp.n, z, bp.tol)
-    d = B @ null_space(C.conj().T @ B).basis
+    d = B @ null_space(C.conj().T @ B, bp.tol).basis
     part = LinearRelation(2 * bp.n, 2 * bp.m, Subspace(
         len(B), np.column_stack([C[:, 0], d[:, 0]])))
     return BoundaryPair(bp.H, bp.m, part)
@@ -446,7 +446,7 @@ def test_pencil_split_matches_direct_formulas_at_desk_scale(monkeypatch):
     monkeypatch.setattr(boundary, "_SPLIT_MIN_N", 1)
     decided, seen = {}, set()
     for bp in [*_oracle_pairs(), empty, _mul_pair(), eigen, part]:
-        key = (bp.classification, bp.gamma.is_operator())
+        key = (bp.classification, bp.gamma.is_operator(bp.tol))
         decided[key] = decided.get(key, 0) + _assert_split_matches_direct(
             bp, points)
         _assert_weyl_matches_oracle(bp, _SPLIT_Z[:2])
@@ -608,7 +608,7 @@ def _mul_pair():
 
 
 def test_rank_deficient_b_f_takes_the_direct_formulas():
-    assert np.allclose(weyl(_mul_pair(), 1j).M.to_matrix(), [[2.0]])
+    assert np.allclose(weyl(_mul_pair(), 1j).M.to_matrix(TOL), [[2.0]])
     bp = _direct_sum(
         gen_unitary_boundary_pair(InstanceSpec(16, 3, 4), rng_stream(52)),
         _mul_pair())
@@ -672,7 +672,8 @@ def _jordan_obt(lam):
     eye, zero = np.eye(2), np.zeros((2, 2))
     g = np.vstack([np.hstack([eye, zero]), np.hstack([zero, eye]),
                    np.hstack([eye, zero]), np.hstack([S, J])])
-    bp = BoundaryPair(make_krein(J), 2, LinearRelation(4, 4, column_space(g)))
+    bp = BoundaryPair(make_krein(J), 2,
+                      LinearRelation(4, 4, column_space(g, TOL)))
     return bp, lambda z: S + z * J
 
 
@@ -700,7 +701,8 @@ def test_planted_jordan_block_refuses_the_split(monkeypatch):
     assert bp._split is None
     for z in _SPLIT_Z:
         blocks = np.zeros((bp.m, bp.m), dtype=complex)
-        blocks[: generic.m, : generic.m] = weyl(generic, z).M.to_matrix()
+        blocks[: generic.m, : generic.m] = weyl(generic, z).M.to_matrix(
+            generic.tol)
         blocks[generic.m :, generic.m :] = m_jordan(z)
         assert weyl(bp, z).S is bp.gamma.graph.basis
         assert rel_equal(weyl(bp, z).M, rel_from_operator(blocks), bp.tol)
@@ -712,7 +714,8 @@ def test_multivalued_pair_weyl_family():
     assert bp.classification == "unitary"
     for z in _ORACLE_Z:
         M = weyl(bp, z).M
-        expect = column_space(np.array([[1, 0, z, 0], [0, 0, 0, 1]]).T)
+        expect = column_space(np.array([[1, 0, z, 0], [0, 0, 0, 1]]).T,
+                              bp.tol)
         assert rel_equal(M, LinearRelation(2, 2, expect), TOL)
         assert M.mul(TOL).dim == 1
 
@@ -810,7 +813,7 @@ def test_m_plus_z_shifts_operator_values():
     bp = identity_obt()
     M = weyl(bp, 1j).M
     shifted = m_plus_z(M, 1j, TOL)
-    assert np.allclose(shifted.to_matrix(), [[2j]])
+    assert np.allclose(shifted.to_matrix(bp.tol), [[2j]])
 
 
 # ----------------------------------------------------- main transform
@@ -1272,8 +1275,8 @@ def test_boundary_v_classification_matches_old_chain():
         for v_rel in (unitary, sub, random_relation(rng, 2 * m, 2 * m2)):
             sharp = krein_adjoint(
                 v_rel, make_krein(hilbert_space(m).hat),
-                make_krein(hilbert_space(m2).hat)).inverse()
-            cls = boundary_v_classification(v_rel)
+                make_krein(hilbert_space(m2).hat), TOL).inverse()
+            cls = boundary_v_classification(v_rel, TOL)
             assert cls == _classification_oracle(v_rel, sharp, DEFAULT_TOL)
             seen.add(cls)
     assert seen == {"unitary", "isometric", "not_isometric"}
@@ -1366,7 +1369,7 @@ def test_direct_forms_match_old_chains():
     seen = set()
     for bp in _gram_oracle_pairs():
         compared = _assert_direct_forms_match_chains(bp)
-        seen.add((bp.classification, bp.gamma.is_operator(), compared))
+        seen.add((bp.classification, bp.gamma.is_operator(bp.tol), compared))
     assert {c for c, _, _ in seen} == {"unitary", "isometric",
                                        "not_isometric"}
     assert ("unitary", False, True) in seen  # multivalued Gamma
@@ -1398,6 +1401,6 @@ def test_no_krein_adjoint_in_gamma_sharp_t_plus_or_main_transform(
     bp.t_plus()
     inverse_main_transform(main_transform(bp), bp.H, bp.m)
     assert calls == []
-    kreinrel.relations.krein_adjoint(bp.underlying_T(), bp.H, bp.H)
+    kreinrel.relations.krein_adjoint(bp.underlying_T(), bp.H, bp.H, bp.tol)
     kreinrel.spaces.make_krein(bp.H.J)
     assert len(calls) == 2

@@ -70,9 +70,12 @@ def test_every_check_passes_a_smoke_run():
 @pytest.mark.parametrize("angle_tol", [1e-6, 1e-11])
 @pytest.mark.parametrize("rank_rel", [1e-10, 1e-14])
 def test_every_check_passes_across_the_tolerance_grid(angle_tol, rank_rel):
-    # every rank cutoff and subspace comparison reads tol (the rcond
-    # guards of the split and the spectrum screen do not); the checks
-    # hold over the grid, not only at DEFAULT_TOL
+    # every null space, column space and Gram classification below
+    # check_theorem reads tol (test_tolerance.py traces it), except
+    # make_std_unitary's unitary-graph test; the module-level cutoffs
+    # (_EIG_RTOL, _P_RTOL, the rcond guards of the split and the
+    # spectrum screen, ...) do not.  The checks hold over the grid, not
+    # only at DEFAULT_TOL
     tol = Tolerance(rank_rel=rank_rel, angle_tol=angle_tol)
     failing = [tid for tid in THEOREM_IDS
                if check_theorem(tid, trials=5, dims=(1, 4), seed=7,

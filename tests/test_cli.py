@@ -251,8 +251,9 @@ def test_planted_eigenvalue_still_reaches_the_qz():
     # scipy's QZ, which finds the eigenvalue
     code = ("from kreinrel.relations import point_spectrum, "
             "rel_from_operator\n"
+            "from kreinrel.subspaces import DEFAULT_TOL\n"
             "rep = point_spectrum(rel_from_operator("
-            "[[0.4 + 0.9j, 0.0], [0.0, -1.0]]))\n"
+            "[[0.4 + 0.9j, 0.0], [0.0, -1.0]]), DEFAULT_TOL)\n"
             "assert [d for _, d in rep.eigenvalues] == [1, 1], rep")
     assert "scipy.linalg" in _scipy_modules_after(code)
 

@@ -12,6 +12,7 @@ from kreinrel.spaces import (
     krein_adjoint_matrix,
     make_krein,
 )
+from kreinrel.subspaces import DEFAULT_TOL
 
 
 def _rng(seed):
@@ -88,7 +89,7 @@ def test_symmetry_accepted_by_make_krein_serves_every_user():
     # J^2 - I) must not be checked again at a stricter bound
     K = make_krein(np.diag([1.0 + 4.5e-9, -1.0]))
     assert K.neg_index == 1
-    assert is_symmetric(identity_relation(2), K)
+    assert is_symmetric(identity_relation(2), K, DEFAULT_TOL)
     # (f, f') -> (f, Jf') is a unitary boundary relation
     u_j = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), K.J]])
     assert BoundaryPair(K, 2, rel_from_operator(u_j)).classification == "unitary"

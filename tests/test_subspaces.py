@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kreinrel.errors import DimensionMismatchError, ValidationError
 from kreinrel.subspaces import (
+    DEFAULT_TOL,
     Subspace,
     Tolerance,
     column_space,
@@ -20,6 +21,8 @@ from kreinrel.subspaces import (
     subspace_sum,
     zero_subspace,
 )
+
+TOL = DEFAULT_TOL
 
 
 def _rng(seed):
@@ -38,7 +41,7 @@ def test_zero_subspace_is_first_class():
     z = zero_subspace(3)
     assert z.dim == 0
     assert z.ambient_dim == 3
-    assert subspace_equal(z, intersect(z, full_space(3)))
+    assert subspace_equal(z, intersect(z, full_space(3), TOL), TOL)
 
 
 def test_constructor_rejects_non_orthonormal():
@@ -63,7 +66,7 @@ def test_kernel_entry_points_reject_nonfinite(op, bad):
     A = np.eye(3, 2, dtype=complex)
     A[1, 0] = bad
     with pytest.raises(ValidationError):
-        op(A)
+        op(A, TOL)
 
 
 def test_tolerance_validation():
@@ -75,25 +78,25 @@ def test_tolerance_validation():
 
 def test_column_space_rank_deficient():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert column_space(A).dim == 1
+    assert column_space(A, TOL).dim == 1
 
 
 def test_column_space_drops_pure_noise():
     # a matrix that is numerically zero must not produce a normalized
     # noise direction (regression: relative rank cutoffs amplify noise)
     A = 1e-15 * np.ones((3, 2))
-    assert column_space(A).dim == 0
+    assert column_space(A, TOL).dim == 0
 
 
 def test_null_space_of_noise_matrix_is_full():
     A = 1e-15 * np.ones((2, 3))
-    assert null_space(A).dim == 3
+    assert null_space(A, TOL).dim == 3
 
 
 def test_null_space_complements_column_space():
     rng = _rng(0)
     A = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    assert null_space(A).dim + column_space(A.conj().T).dim == 6
+    assert null_space(A, TOL).dim + column_space(A.conj().T, TOL).dim == 6
 
 
 # ------------------------------------------------------------- lattice
@@ -102,16 +105,17 @@ def test_intersect_and_sum_known_planes():
     e = np.eye(3, dtype=complex)
     U = Subspace(3, e[:, :2])          # span(e1, e2)
     V = Subspace(3, e[:, 1:])          # span(e2, e3)
-    W = intersect(U, V)
+    W = intersect(U, V, TOL)
     assert W.dim == 1
-    assert contains(W, Subspace(3, e[:, 1:2]))
-    assert subspace_sum(U, V).dim == 3
+    assert contains(W, Subspace(3, e[:, 1:2]), TOL)
+    assert subspace_sum(U, V, TOL).dim == 3
 
 
 def test_orth_complement_involution():
     rng = _rng(1)
     U = _random_subspace(rng, 5, 2)
-    assert subspace_equal(orth_complement(orth_complement(U)), U)
+    assert subspace_equal(orth_complement(orth_complement(U, TOL), TOL), U,
+                          TOL)
 
 
 def test_principal_angles_orthogonal_planes():
@@ -130,19 +134,19 @@ def test_principal_angles_resolve_tiny_rotations():
     V = Subspace(2, np.array([[np.cos(theta)], [np.sin(theta)]]))
     ang = principal_angles(U, V)
     assert abs(float(ang[0]) - theta) < 1e-10
-    assert not subspace_equal(U, V)  # above the 1e-8 equality gate
+    assert not subspace_equal(U, V, TOL)  # above the 1e-8 equality gate
     theta_ok = 3e-9
     W = Subspace(2, np.array([[np.cos(theta_ok)], [np.sin(theta_ok)]]))
-    assert subspace_equal(U, W)      # below the gate
+    assert subspace_equal(U, W, TOL)      # below the gate
 
 
 def test_contains_vs_equality():
     e = np.eye(3, dtype=complex)
     U = Subspace(3, e[:, :2])
     V = Subspace(3, e[:, :1])
-    assert contains(U, V)
-    assert not contains(V, U)
-    assert not subspace_equal(U, V)
+    assert contains(U, V, TOL)
+    assert not contains(V, U, TOL)
+    assert not subspace_equal(U, V, TOL)
 
 
 # ------------------------------------------------------ property tests
@@ -157,10 +161,10 @@ def test_prop_complement_dims(n, seed):
     rng = _rng(seed)
     k = int(rng.integers(0, n + 1))
     U = _random_subspace(rng, n, k)
-    C = orth_complement(U)
+    C = orth_complement(U, TOL)
     assert U.dim + C.dim == n
-    assert intersect(U, C).dim == 0
-    assert subspace_sum(U, C).dim == n
+    assert intersect(U, C, TOL).dim == 0
+    assert subspace_sum(U, C, TOL).dim == n
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +173,7 @@ def test_prop_modular_dimension_formula(n, seed):
     rng = _rng(seed)
     U = _random_subspace(rng, n, int(rng.integers(0, n + 1)))
     V = _random_subspace(rng, n, int(rng.integers(0, n + 1)))
-    assert (subspace_sum(U, V).dim + intersect(U, V).dim
+    assert (subspace_sum(U, V, TOL).dim + intersect(U, V, TOL).dim
             == U.dim + V.dim)
 
 
@@ -189,7 +193,7 @@ def test_prop_intersection_contained_in_both(n, seed):
     rng = _rng(seed)
     U = _random_subspace(rng, n, int(rng.integers(0, n + 1)))
     V = _random_subspace(rng, n, int(rng.integers(0, n + 1)))
-    W = intersect(U, V)
-    assert contains(U, W) and contains(V, W)
-    S = subspace_sum(U, V)
-    assert contains(S, U) and contains(S, V)
+    W = intersect(U, V, TOL)
+    assert contains(U, W, TOL) and contains(V, W, TOL)
+    S = subspace_sum(U, V, TOL)
+    assert contains(S, U, TOL) and contains(S, V, TOL)

@@ -119,12 +119,12 @@ def test_lft_rotation_on_scalar():
     V = rotation_op(th)
     c, s = np.cos(th), np.sin(th)
     T = rel_from_operator(np.array([[Z]]))
-    r = lft(V, T)
+    r = lft(V, T, TOL)
     composition = lft_composition(V, T)
     assert composition is not None
     expect = (-s + c * Z) / (c + s * Z)
-    assert np.allclose(r.to_matrix(), [[expect]])
-    assert rel_equal(r, composition)
+    assert np.allclose(r.to_matrix(TOL), [[expect]])
+    assert rel_equal(r, composition, TOL)
 
 
 def test_lft_noninvertible_branch_still_defined():
@@ -132,7 +132,7 @@ def test_lft_noninvertible_branch_still_defined():
     # multivalued relation {0} x C: the Shmul'yan form handles it
     V = symplectic_flip(1)
     T = rel_from_operator(np.zeros((1, 1)))
-    r = lft(V, T)
+    r = lft(V, T, TOL)
     assert lft_composition(V, T) is None
     assert r.mul(TOL).dim == 1
     assert r.dom(TOL).dim == 0
@@ -155,7 +155,7 @@ def test_left_rotation_transforms_weyl_fractionally():
     assert info["bundle"] == "dom_v_covers_ran_gamma"
     c, s = np.cos(th), np.sin(th)
     expect = (-s + c * Z) / (c + s * Z)
-    assert np.allclose(weyl(bp2, Z).M.to_matrix(), [[expect]])
+    assert np.allclose(weyl(bp2, Z).M.to_matrix(bp2.tol), [[expect]])
     assert bp2.classification == "unitary"
 
 
@@ -175,7 +175,8 @@ def test_scaled_obt_law():
     bp = identity_obt()
     for kappa in (2.0, np.sqrt(3.0), -2.0):
         bp2 = scaled_obt(bp, kappa)
-        assert np.allclose(weyl(bp2, Z).M.to_matrix(), [[kappa ** 2 * Z]])
+        assert np.allclose(weyl(bp2, Z).M.to_matrix(bp2.tol),
+                           [[kappa ** 2 * Z]])
 
 
 def test_scaled_obt_rejects_trivial_kappa():
@@ -188,7 +189,7 @@ def test_scale_eps_law():
     bp = identity_obt()
     for eps in (0.25, 2.0):
         bp2 = scale_eps(bp, eps)
-        assert np.allclose(weyl(bp2, Z).M.to_matrix(), [[eps * Z]])
+        assert np.allclose(weyl(bp2, Z).M.to_matrix(bp2.tol), [[eps * Z]])
     with pytest.raises(PreconditionError):
         scale_eps(bp, -1.0)
 
@@ -216,7 +217,7 @@ def test_qbt_transform_law_scalar():
     q = QbtMap(G=np.array([[2.0 + 1.0j]]), E=np.array([[0.5]]))
     bp2 = qbt_transform(bp, q)
     expect = 0.5 + abs(2.0 + 1.0j) ** 2 * Z
-    assert np.allclose(weyl(bp2, Z).M.to_matrix(), [[expect]])
+    assert np.allclose(weyl(bp2, Z).M.to_matrix(bp2.tol), [[expect]])
     assert rel_equal(bp2.T0(), bp.T0(), TOL)
 
 
@@ -253,8 +254,8 @@ def test_right_scheme_with_state_rotation_and_delta():
     bp2 = transform_right(bp, V)
     assert bp2.classification == "unitary"
     delta = delta_correction(bp, V, Z)
-    expect = weyl(bp, Z).M.to_matrix() + delta
-    assert np.allclose(weyl(bp2, Z).M.to_matrix(), expect)
+    expect = weyl(bp, Z).M.to_matrix(bp.tol) + delta
+    assert np.allclose(weyl(bp2, Z).M.to_matrix(bp2.tol), expect)
 
 
 def test_right_scheme_with_u_j_preserves_classification():
@@ -309,7 +310,7 @@ def test_delta_correction_matches_old_chain():
             bp = gen_obt(InstanceSpec(n, m, trial % (n + 1)), rng)
             kind = "u_j" if trial % 2 else "random"
             V = u_j(bp.H) if kind == "u_j" else gen_std_unitary(rng, bp.H)
-            if not bp.underlying_T().is_operator():
+            if not bp.underlying_T().is_operator(bp.tol):
                 continue
             for z in (0.7 + 1.1j, -0.3 - 0.8j):
                 if not in_rho_v(bp, V, z):
@@ -493,7 +494,7 @@ def test_no_krein_adjoint_in_make_std_unitary_or_transform_left(monkeypatch):
     assert calls == []
     kreinrel.relations.krein_adjoint(
         v_rel, make_krein(hilbert_space(bp.m).hat),
-        make_krein(hilbert_space(v_rel.to_dim // 2).hat))
+        make_krein(hilbert_space(v_rel.to_dim // 2).hat), bp.tol)
     assert len(calls) == 1
 
 
