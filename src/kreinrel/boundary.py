@@ -63,15 +63,15 @@ K' of full column rank, so the ranks of R, R_l, R_l' and W give
 dim M(z) = rank R, dim mul M(z) = rank R - rank R_l, dim ker M(z) =
 rank R - rank R_l' and Sigma_Gamma without forming M: z off
 sigma0_p(T), ran(A_* - z) = C^n and 0 in res(M(z) + z), rank R = m =
-rank(G + zF) = rank W.  On the split route four p x p Gram matrices of
-R~ = S[2n:] K per point (shifted by tau^2 K* K), positive definite,
-prove R, R_l, R_l' and W of full column rank p, so that dim M(z) = p,
-mul M(z) = ker M(z) = {0}, and both tests read p = m; no QR or SVD is
-made.  One Cholesky factorisation of the (b, 4, p, p) stack proves a
-block of b points; where it fails, each point's four are factorised
-alone.  Where a point's proof fails (a rank deficient or nearly
-deficient block, p > m) and on the SVD route, four values-only SVDs, of
-R, R_l, R_l' and W, decide.  A fresh 50-point sweep at n = 128, m = 16
+rank(G + zF) = rank W.  On the split route three p x p Gram matrices of
+the blocks of R~ = S[2n:] K per point (shifted by tau^2 K* K), positive
+definite, prove R_l, R_l' and W, and with R_l also R, of full column
+rank p, so that dim M(z) = p, mul M(z) = ker M(z) = {0}, and both tests
+read p = m; no QR or SVD is made.  One Cholesky factorisation of the
+(b, 3, p, p) stack proves a block of b points; where it fails, each
+point's three are factorised alone.  Where a point's proof fails (a
+rank deficient or nearly deficient block, p > m) and on the SVD route,
+four values-only SVDs, of R, R_l, R_l' and W, decide.  A fresh 50-point sweep at n = 128, m = 16
 makes np.linalg svd/qr/cholesky/eig 2/3/13/2 times, plus 2 solve and
 1 inv, all but the 13 Choleskys (blocks of 4) once per pair.
 """
@@ -138,6 +138,13 @@ def gamma_sharp(gamma: LinearRelation, H: KreinSpace, L_dim, tol):
         gamma.graph.basis.conj().T @ metric, tol))
 
 
+def _read_only(rel: LinearRelation) -> LinearRelation:
+    """rel with its graph basis made read-only: a cached relation is
+    shared by every reader of its pair."""
+    rel.graph.basis.setflags(write=False)
+    return rel
+
+
 class BoundaryPair:
     """State space, boundary dimension and boundary relation Gamma.
 
@@ -155,6 +162,11 @@ class BoundaryPair:
     sigma0_p(T)
         and its symmetric closure, from one point_spectrum of T, cached
         on first read.
+    T, T0, the elements of T0 and the OBT test
+        cached on first read, as the pair is fixed, so that every check
+        and transform reads what the first reader derived; the cached
+        bases are read-only.  A PreconditionError is raised again on
+        every read, never cached.
     """
 
     def __init__(self, H: KreinSpace, L_dim, gamma: LinearRelation,
@@ -184,8 +196,12 @@ class BoundaryPair:
     @cached_property
     def _sigma0(self):
         """(sigma0_p(T), its symmetric closure), or (None, None) when
-        sigma_p(T) = C; raises where ``underlying_T`` does."""
-        rep = point_spectrum(self.underlying_T(), self.tol)
+        sigma_p(T) = C; raises where ``underlying_T`` does.  T is read
+        from the cache when a caller filled it, and otherwise derived for
+        this use alone: a pair read only through its Weyl family (a
+        sweep) keeps no T (0.46 MB at n = 128, m = 16)."""
+        T = self._T if "_T" in self.__dict__ else self._derive_T()
+        rep = point_spectrum(T, self.tol)
         if rep.all_flag:
             return None, None
         pts = tuple(complex(z) for z, _ in rep.eigenvalues
@@ -216,7 +232,12 @@ class BoundaryPair:
 
         Onto needs no test of its own: for a unitary Gamma,
         (ran Gamma)^[perp] = ker Gamma+ = ker Gamma^{-1} = mul Gamma, so
-        Gamma is onto C^{2m} exactly when it is an operator."""
+        Gamma is onto C^{2m} exactly when it is an operator.  Cached on
+        first read."""
+        return self._is_obt
+
+    @cached_property
+    def _is_obt(self):
         return (self.classification == "unitary"
                 and self.gamma.is_operator(self.tol))
 
@@ -231,8 +252,17 @@ class BoundaryPair:
         the check.  A strictly isometric pair need not: there ker
         Gamma_# = (dom Gamma)^[perp] can be larger than ker Gamma and
         fail to be neutral, and then the pair is not associated with a
-        symmetric T (PreconditionError).
+        symmetric T (PreconditionError, raised on every call).  Cached
+        on first read, with a read-only basis.
         """
+        return self._T
+
+    @cached_property
+    def _T(self):
+        return _read_only(self._derive_T())
+
+    def _derive_T(self):
+        """T as ``underlying_T`` describes it, derived afresh."""
         if self.classification == "not_isometric":
             raise PreconditionError("pair is not isometric; T is undefined")
         B, n2 = self.gamma_sharp.graph.basis, 2 * self.n
@@ -263,10 +293,14 @@ class BoundaryPair:
         B = self.gamma.graph.basis
         return B @ null_space(B[rows], self.tol).basis
 
+    @cached_property
     def _t0_elements(self):
         """B null(B_l): the elements (f, f', 0, l') of Gamma, whose
-        (f, f') rows span T0 and whose l' rows are Gamma_1 on them."""
-        return self._where_zero(slice(2 * self.n, 2 * self.n + self.m))
+        (f, f') rows span T0 and whose l' rows are Gamma_1 on them.
+        Cached on first read, read-only."""
+        X = self._where_zero(slice(2 * self.n, 2 * self.n + self.m))
+        X.setflags(write=False)
+        return X
 
     def _kernel(self, X):
         """The relation in H spanned by the (f, f') rows of X."""
@@ -274,8 +308,13 @@ class BoundaryPair:
                               column_space(X[: 2 * self.n], self.tol))
 
     def T0(self) -> LinearRelation:
-        """T0 = ker Gamma_0, spanned by B_H null(B_l)."""
-        return self._kernel(self._t0_elements())
+        """T0 = ker Gamma_0, spanned by B_H null(B_l).  Cached on first
+        read, with a read-only basis."""
+        return self._T0
+
+    @cached_property
+    def _T0(self):
+        return _read_only(self._kernel(self._t0_elements))
 
     def T1(self) -> LinearRelation:
         """T1 = ker Gamma_1, spanned by B_H null(B_l')."""
@@ -396,7 +435,8 @@ def _positive_definite(A):
 def _certify_block(bp, split, points):
     """X_k = V diag(1 / (lam - z_k)) G for a block of split-route points,
     side by side in one n x b p array, and which points the certificate
-    proves: sigma_min of R, R_l, R_l' and W each above its tau."""
+    proves: sigma_min of R, R_l, R_l' and W each above its tau, R's
+    through R_l's."""
     n, m = bp.n, bp.m
     z = np.asarray(points, dtype=complex)
     b, p = len(z), split.G.shape[1]
@@ -416,9 +456,11 @@ def _certify_block(bp, split, points):
     # With R~ = S[2n:] K (rows R_l and R_l' of RW) and Y = K Rk^{-1}, Rk* Rk =
     # K* K = I + X* X, R = R~ Rk^{-1}: A~* A~ - tau^2 K* K positive
     # definite, for a block A~ of R~ or W~ = R~_l' + z R~_l, says
-    # ||A y|| > tau ||y|| for y = Rk x, that is sigma_min(A) > tau.  The
-    # first term of each tau^2 clears the SVD cutoff that decides the
-    # block: column_space's rank_rel max(2m, p) for R, R_l and R_l' (C is
+    # ||A y|| > tau ||y|| for y = Rk x, that is sigma_min(A) > tau.  R =
+    # [R_l; R_l'] needs no Gram matrix of its own: ||R x||^2 >= ||R_l x||^2
+    # and R's tau is R_l's, so the proof for R_l proves R.  The first term
+    # of each tau^2 clears the SVD cutoff that decides the block:
+    # column_space's rank_rel max(2m, p) for R, R_l and R_l' (C is
     # orthonormal, so ||R|| <= 1), and in_resolvent's rank_rel
     # _RESOLVENT_SLACK (n + m)(1 + |z|) for W (||W|| <= 1 + |z|), which
     # also clears shift_invertible's rank_rel _RESOLVENT_SLACK m
@@ -428,9 +470,8 @@ def _certify_block(bp, split, points):
     # 2006), with ||R~|| <= ||K||_F, ||W~|| <= (1 + |z|) ||K||_F and
     # ||K||_F^2 = p + ||X||_F^2, against tau^2 K* K >= tau^2
     # (sigma_min(K) >= 1).  _MARGIN keeps both well clear.
-    stack = np.empty((b, 4, p, p), dtype=complex)
-    np.matmul(RW.conj().swapaxes(2, 3), RW, out=stack[:, 1:])
-    np.add(stack[:, 1], stack[:, 2], out=stack[:, 0])
+    stack = np.empty((b, 3, p, p), dtype=complex)
+    np.matmul(RW.conj().swapaxes(2, 3), RW, out=stack)
     rank_rel, scale = bp.tol.rank_rel, 1.0 + np.abs(z)
     rounding = (p * np.finfo(float).eps
                 * (p + np.trace(KK, axis1=1, axis2=2).real))
@@ -439,13 +480,13 @@ def _certify_block(bp, split, points):
     tau_w = _MARGIN * np.maximum(
         (rank_rel * _RESOLVENT_SLACK * (n + m) * scale) ** 2,
         rounding * scale ** 2)
-    stack[:, :3] -= (tau_r[:, None, None] * KK)[:, None]
-    stack[:, 3] -= tau_w[:, None, None] * KK
+    stack[:, :2] -= (tau_r[:, None, None] * KK)[:, None]
+    stack[:, 2] -= tau_w[:, None, None] * KK
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        # some point's proof fails: retry each point's four on their own
-        return X, [_positive_definite(four) for four in stack]
+        # some point's proof fails: retry each point's three on their own
+        return X, [_positive_definite(grams) for grams in stack]
     return X, [True] * b
 
 
@@ -633,7 +674,7 @@ def _weyl_samples(bp: BoundaryPair, points):
     From n = _SPLIT_MIN_N on, the split's guard is read for all points
     at once, and the guarded points are certified in blocks of b
     (_PANEL_BYTES over the n x p panel of one point): one product gives
-    every X and R~ of a block, and one Cholesky of a (b, 4, p, p) stack
+    every X and R~ of a block, and one Cholesky of a (b, 3, p, p) stack
     proves them all (``_certify_block``).  The other points, and every
     point below _SPLIT_MIN_N, take the SVD null space of B_f' - z B_f.
     A block is formed when its first point is reached, so a caller that

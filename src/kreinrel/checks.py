@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -451,12 +452,22 @@ def _check_IUBP3(rng, dims, tol):
     return res <= _MAT_RTOL, res
 
 
+@cache
+def _delta0_space():
+    """(C^2, diag(1, -1)) and its U_J, built once and shared by every
+    delta0 fixture; their arrays are read-only."""
+    H = make_krein(np.diag([1.0, -1.0]))
+    V = u_j(H)
+    for X in (H.J, V.A, V.B, V.C, V.D):
+        X.setflags(write=False)
+    return H, V
+
+
 def _delta0_fixture(rng, tol, aligned):
-    """An OBT on (C^2, diag(1,-1)) for a 1-dim symmetric operator T and
-    the evaluation point z, with N_z(T+) inside ker p_{U_J}(z) exactly
-    when ``aligned``."""
-    J = np.diag([1.0, -1.0])
-    H = make_krein(J)
+    """An OBT on (C^2, diag(1,-1)) for a 1-dim symmetric operator T, its
+    U_J and the evaluation point z, with N_z(T+) inside ker p_{U_J}(z)
+    exactly when ``aligned``."""
+    H, V = _delta0_space()
     z = _nonreal_z(rng)
     u = np.array([1.0, 1.0]) / np.sqrt(2)
     if aligned:
@@ -475,15 +486,13 @@ def _delta0_fixture(rng, tol, aligned):
     for _ in range(64):
         bp = gen_unitary_pair_with_T(T, H, 1, rng, tol)
         if bp.is_obt() and bp.underlying_T().is_operator(tol):
-            return bp, z
+            return bp, V, z
     raise GenerationError("no OBT realization found for the fixture")
 
 
 def _check_delta0(rng, dims, tol):
-    V_of = u_j
     for aligned in (True, False):
-        bp, z = _delta0_fixture(rng, tol, aligned)
-        V = V_of(bp.H)
+        bp, V, z = _delta0_fixture(rng, tol, aligned)
         if not in_rho_v(bp, V, z):
             return True, 0.0
         delta = delta_correction(bp, V, z)
@@ -498,8 +507,7 @@ def _check_delta0(rng, dims, tol):
 
 def _check_delta0b(rng, dims, tol):
     for aligned in (True, False):
-        bp, z = _delta0_fixture(rng, tol, aligned)
-        V = u_j(bp.H)
+        bp, V, z = _delta0_fixture(rng, tol, aligned)
         if not in_rho_v(bp, V, z):
             return True, 0.0
         delta = delta_correction(bp, V, z)
@@ -648,7 +656,7 @@ def _check_Vstar(rng, dims, tol):
     if vs.dom(tol).dim != 0 or vs.mul(tol).dim != bp.m:
         return False, 1.0
     # Gamma_1(T0) ⊆ mul V_* is what pins T'_0 = T0
-    g1_t0 = column_space(bp._t0_elements()[2 * bp.n + bp.m :], tol)
+    g1_t0 = column_space(bp._t0_elements[2 * bp.n + bp.m :], tol)
     return sub_contains(vs.mul(tol), g1_t0, tol), 0.0
 
 

@@ -12,10 +12,13 @@ built from resolvent vectors of the main transform,
 
 The resolvent vectors are those of the Weyl sample at w = conj(z)
 (``WeylSample.resolvent_vectors``), read from its defect elements
-without forming the main transform.  Each condition reads a grid in one
-``_weyl_samples`` pass ((1) one on the pair and one on its Gamma_# pair,
-the pair itself when unitary), and kappa' has one route,
-``count_negative`` of ``_gram``.
+without forming the main transform.  The conditions read their grid
+in ``_weyl_samples`` passes, and kappa' has one route,
+``count_negative`` of ``_gram``.  On a grid exactly closed under
+conjugation each pair reads each distinct point once: (1) makes one
+pass when the pair is unitary (its own Gamma_# pair), and (2) and (3)
+share one pass on the scaled pair.  Otherwise (1) makes one pass on the
+pair and one on its Gamma_# pair, and (2) and (3) one pass each.
 
 Negative squares are estimated by sampling and never claimed exact;
 the report carries the grid metadata.
@@ -89,13 +92,33 @@ class NegSquaresReport:
     grids_used: int
 
 
+def _exactly_closed(points):
+    """Every point's conjugate is one of the points, exactly."""
+    pts = set(points)
+    return {z.conjugate() for z in pts} == pts
+
+
+def _samples_by_point(bp, points):
+    """The Weyl sample at each distinct point, read in one pass."""
+    distinct = list(dict.fromkeys(points))
+    return dict(zip(distinct, _weyl_samples(bp, distinct)))
+
+
 def _symmetry_residual(bp: BoundaryPair, points):
     """The largest principal angle between M(z)* and M_{Gamma_#}(zbar)
-    over the nonreal points, 1.0 on a dimension mismatch."""
-    sharp = _weyl_samples(bp._sharp_pair, np.conj(points))
+    over the nonreal points, 1.0 on a dimension mismatch.  A unitary
+    pair is its own Gamma_# pair: on points exactly closed under
+    conjugation each is read once, and the sample at zbar is the
+    Gamma_# sample of z."""
+    pts = [complex(z) for z in points]
+    if bp._sharp_pair is bp and _exactly_closed(pts):
+        samples = _samples_by_point(bp, pts)
+        pairs = ((samples[z], samples[z.conjugate()]) for z in pts)
+    else:
+        pairs = zip(_weyl_samples(bp, pts),
+                    _weyl_samples(bp._sharp_pair, np.conj(pts)))
     return max((_rel_residual(hilbert_adjoint(s.M, bp.tol), t.M)
-                for s, t in zip(_weyl_samples(bp, points), sharp)),
-               default=0.0)
+                for s, t in pairs), default=0.0)
 
 
 def _gram(bp, samples, vectors):
@@ -148,15 +171,23 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     from .transforms import scale_eps
     cond1 = _symmetry_residual(bp, grid.points) <= bp.tol.angle_tol
     scaled = scale_eps(bp, eps)
-    admissible = [z for z in grid.points if in_delta(bp, z) and abs(z) > eps]
+    pts = grid.points
+    admissible = [z for z in pts if in_delta(bp, z) and abs(z) > eps]
+    if _exactly_closed(pts):
+        # one pass: the admissible points and the conjugates are all
+        # grid points
+        read = _samples_by_point(scaled, pts)
+        at_admissible = [read[z] for z in admissible]
+        at_conjugates = [read[z.conjugate()] for z in pts]
+    else:
+        at_admissible = _weyl_samples(scaled, admissible)
+        at_conjugates = _weyl_samples(scaled, np.conj(pts))
     if admissible:
-        cond2 = all(s.shift_invertible
-                    for s in _weyl_samples(scaled, admissible))
+        cond2 = all(s.shift_invertible for s in at_admissible)
     else:
         cond2 = None  # no admissible z on this grid (delta may be empty)
-    samples = dict(zip(grid.points,
-                       _weyl_samples(scaled, np.conj(grid.points))))
-    usable = [z for z in grid.points if samples[z].in_mt_resolvent]
+    samples = dict(zip(pts, at_conjugates))
+    usable = [z for z in pts if samples[z].in_mt_resolvent]
     usable = [z for z in usable if _has_conjugate(z, usable)]
     if usable:
         _require_unitary(scaled)

@@ -287,7 +287,7 @@ def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z):
     if not in_rho_v(bp, V, z):
         raise PreconditionError(f"z={z} is not in rho_V")
     n = bp.n
-    X = bp._t0_elements()
+    X = bp._t0_elements
     gamma_mat = weyl(bp, z).gamma_field.to_matrix(tol)   # m -> n
     P = _p_pencil(V, z, X[:n], X[n : 2 * n])
     rhs = p_poly(V, z) @ gamma_mat                       # n' x m

@@ -1033,8 +1033,8 @@ def test_one_uncertifiable_point_leaves_its_block_certified(monkeypatch):
     samples = list(boundary._weyl_samples(bp, points))
     assert all(isinstance(s, boundary._SplitSample) for s in samples)
     assert [s._certified for s in samples] == [z != near for z in points]
-    assert shapes == ([(4, 4, p, p)] * 2 + [(4, p, p)] * 4
-                      + [(4, 4, p, p)])
+    assert shapes == ([(4, 3, p, p)] * 2 + [(3, p, p)] * 4
+                      + [(4, 3, p, p)])
     monkeypatch.undo()
     with monkeypatch.context() as patch:
         patch.setattr(boundary, "_SPLIT_MIN_N", 10**9)
@@ -1228,6 +1228,69 @@ def test_gram_derivations_match_old_chains():
     assert {("isometric", True), ("isometric", False)} <= {
         (c, s) for c, s, _ in seen}
     assert {f for _, _, f in seen} == {True, False}
+
+
+def test_pair_caches_are_shared_exact_and_read_only():
+    # T, T0, the elements of T0 and the OBT test on the old chains' pairs
+    # (unitary, strictly isometric, not isometric, multivalued Gamma): a
+    # second read returns the first object, which equals a fresh pair's
+    # derivation; underlying_T's PreconditionError is raised on every
+    # read and never cached; the cached bases are read-only
+    def assert_read_only(A):
+        with pytest.raises(ValueError):
+            A[...] = 0
+
+    kinds = set()
+    for bp in _gram_oracle_pairs():
+        fresh = BoundaryPair(bp.H, bp.m, bp.gamma, bp.tol)
+        assert bp.is_obt() == fresh.is_obt()
+        X = bp._t0_elements
+        assert bp._t0_elements is X
+        assert np.array_equal(X, fresh._t0_elements)
+        T0 = bp.T0()
+        assert bp.T0() is T0
+        assert np.array_equal(T0.graph.basis, fresh.T0().graph.basis)
+        for A in (X, T0.graph.basis, T0.F, T0.G):
+            assert_read_only(A)
+        try:
+            T = bp.underlying_T()
+        except PreconditionError:
+            for _ in range(2):
+                with pytest.raises(PreconditionError):
+                    bp.underlying_T()
+            assert "_T" not in vars(bp)
+            kinds.add((bp.classification, "no T"))
+            continue
+        assert bp.underlying_T() is T
+        assert np.array_equal(T.graph.basis, BoundaryPair(
+            bp.H, bp.m, bp.gamma, bp.tol).underlying_T().graph.basis)
+        for A in (T.graph.basis, T.F, T.G):
+            assert_read_only(A)
+        multivalued = (bp.classification == "unitary"
+                       and not bp.gamma.is_operator(bp.tol))
+        kinds.add((bp.classification, "multivalued" if multivalued else "T"))
+    assert kinds >= {("unitary", "T"), ("unitary", "multivalued"),
+                     ("isometric", "T"), ("isometric", "no T"),
+                     ("not_isometric", "no T")}
+
+
+def test_a_sweep_keeps_no_t_on_its_pair(monkeypatch):
+    # sigma0_p(T) reads T from the cache when a caller filled it, and
+    # otherwise derives it without caching: a pair read only through its
+    # Weyl family holds no T
+    derived, real = [], boundary.is_symmetric
+
+    def counting(*a):
+        derived.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(boundary, "is_symmetric", counting)
+    pairs = [gen_unitary_boundary_pair(InstanceSpec(16, 2, 4),
+                                       rng_stream(34, 16)) for _ in range(2)]
+    weyl_sweep(pairs[0], [1j, 0.5 - 2j])
+    assert "_T" not in vars(pairs[0]) and len(derived) == 1
+    pairs[1].underlying_T()
+    assert pairs[1]._sigma0 == pairs[0]._sigma0 and len(derived) == 2
 
 
 def test_gram_derivations_match_old_chains_at_n64():

@@ -97,6 +97,33 @@ def test_report_depends_on_seed_stream_not_call_order():
     assert a == b
 
 
+def test_delta0_fixtures_draw_one_pair_each(monkeypatch):
+    # the fixture redraws gen_unitary_pair_with_T until the pair is an OBT
+    # with an operator T; at the desk's 20 trials and three seeds, every
+    # fixture of both delta0 ids takes its first draw
+    draws, fixtures = [], []
+    draw, fixture = (kreinrel.checks.gen_unitary_pair_with_T,
+                     kreinrel.checks._delta0_fixture)
+
+    def counting_draw(*a, **k):
+        draws.append(a)
+        return draw(*a, **k)
+
+    def counting_fixture(*a, **k):
+        fixtures.append(a)
+        return fixture(*a, **k)
+
+    monkeypatch.setattr(kreinrel.checks, "gen_unitary_pair_with_T",
+                        counting_draw)
+    monkeypatch.setattr(kreinrel.checks, "_delta0_fixture", counting_fixture)
+    for seed in (7, 1, 123):
+        for tid in ("delta0", "delta0b"):
+            assert check_theorem(tid, trials=20, dims=(1, 4),
+                                 seed=seed).passed
+    # two fixtures (aligned and not) per trial, none cut short
+    assert len(draws) == len(fixtures) == 3 * 2 * 20 * 2
+
+
 def test_report_passed_property():
     rep = CheckReport(theorem_id="x", trials=2, failures=1,
                       worst_residual=0.5, vacuous_clauses=(), seed=0)
@@ -305,13 +332,13 @@ def test_weyl_sweep_at_n64_makes_few_n_sized_svds(monkeypatch):
     large = [uv for shape, uv in svds if min(shape) >= n // 2]
     assert len(large) <= 1
     assert not any(large)
-    # one Cholesky of a (b, 4, m, m) stack per block of b points, the
+    # one Cholesky of a (b, 3, m, m) stack per block of b points, the
     # last block shorter, and nothing else per point: a second sweep,
     # with the pair's split and sigma0 cached, makes only those.  At the
     # module's panel budget the 50 points are four blocks (b = 16), at a
     # quarter of it 13, and at four times it one
     def blocks(b):
-        return [("cholesky", (min(b, len(grid) - k), 4, m, m), True)
+        return [("cholesky", (min(b, len(grid) - k), 3, m, m), True)
                 for k in range(0, len(grid), b)]
 
     b = kreinrel.boundary._PANEL_BYTES // (16 * n * m)

@@ -306,18 +306,114 @@ def test_probe_computes_the_point_spectrum_once(monkeypatch):
         passes.clear()
         out = gen_nevanlinna_probe(bp, 0.5, grid)
         admissible = out["admissible_points"]
-        # one pass per grid read, one sample per point: condition 1 on
-        # the pair and on its Gamma_# pair (the pair itself, as it is
-        # unitary), condition 2 on the scaled pair at the admissible
-        # points, condition 3 on the scaled pair at the whole grid
-        assert [p[1:] for p in passes[:2]] == [[size, size]] * 2
-        assert passes[0][0] is passes[1][0] is bp
-        scaled = passes[2:]
-        assert [p[1:] for p in scaled] == (
-            [[admissible, admissible]] if admissible else []) + [[size, size]]
-        assert len({id(p[0]) for p in scaled}) == 1 and scaled[0][0] is not bp
+        # the grid is exactly closed under conjugation, so each pair reads
+        # each point once: condition 1 on the pair, which is unitary and
+        # so its own Gamma_# pair, and conditions 2 and 3 on the scaled
+        # pair, whose admissible points and conjugates are grid points
+        assert [p[1:] for p in passes] == [[size, size]] * 2
+        assert passes[0][0] is bp and passes[1][0] is not bp
+        assert 0 < admissible <= size or bp is degenerate
         assert len(spectra) == 1
     assert out["condition2"] is None and out["admissible_points"] == 0
+
+
+def _two_pass_probe(bp, eps, grid):
+    """Conditions (1)-(3), kappa' and the symmetry residual read with two
+    passes per pair: the pair and its Gamma_# pair for (1), the scaled
+    pair's admissible points for (2) and its conjugate grid for (3)."""
+    from kreinrel.boundary import _weyl_samples, in_delta
+    from kreinrel.nevanlinna import _gram, _has_conjugate
+    from kreinrel.relations import _rel_residual, hilbert_adjoint
+    from kreinrel.transforms import scale_eps
+    pts = grid.points
+    pairs = zip(_weyl_samples(bp, pts),
+                _weyl_samples(bp._sharp_pair, np.conj(pts)))
+    residual = max(_rel_residual(hilbert_adjoint(s.M, bp.tol), t.M)
+                   for s, t in pairs)
+    scaled = scale_eps(bp, eps)
+    admissible = [z for z in pts if in_delta(bp, z) and abs(z) > eps]
+    cond2 = (all(s.shift_invertible for s in _weyl_samples(scaled, admissible))
+             if admissible else None)
+    samples = dict(zip(pts, _weyl_samples(scaled, np.conj(pts))))
+    usable = [z for z in pts if samples[z].in_mt_resolvent]
+    usable = [z for z in usable if _has_conjugate(z, usable)]
+    kappa = (count_negative(_gram(scaled, [samples[z] for z in usable],
+                                  grid.vectors)) if usable else None)
+    return {"condition1": residual <= bp.tol.angle_tol, "condition2": cond2,
+            "condition3": None if kappa is None
+            else kappa <= scaled.H.neg_index,
+            "kappa_prime": kappa}, residual
+
+
+def _probe_outcomes(out):
+    return {k: out[k] for k in ("condition1", "condition2", "condition3",
+                                "kappa_prime")}
+
+
+def test_probe_falls_back_to_two_passes(monkeypatch):
+    # a strictly isometric pair (Gamma_# != Gamma, T symmetric) reads
+    # condition 1 on the pair and on its Gamma_# pair; a grid closed
+    # under conjugation only within _CONJ_ATOL reads two passes per pair,
+    # as before.  Both give the two-pass outcomes
+    import kreinrel.nevanlinna as nevanlinna
+    passes = []
+
+    def counting_samples(bp, points, _real=nevanlinna._weyl_samples):
+        points = list(points)
+        passes.append((bp, len(points)))
+        yield from _real(bp, points)
+
+    isometric = gen_isometric_boundary_pair(InstanceSpec(1, 3, 0),
+                                            rng_stream(42, 130))
+    assert isometric.classification == "isometric"
+    isometric.underlying_T()  # T is symmetric: the probe can run
+    exact = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 3 + 0.5j,
+                                     3 - 0.5j))
+    near = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1.0000000000001j))
+    unitary = gen_obt(InstanceSpec(3, 2, 1), rng_stream(49), TOL)
+    for bp, grid in ((isometric, exact), (unitary, near)):
+        want, residual = _two_pass_probe(bp, 0.5, grid)
+        monkeypatch.setattr(nevanlinna, "_weyl_samples", counting_samples)
+        passes.clear()
+        out = gen_nevanlinna_probe(bp, 0.5, grid)
+        monkeypatch.undo()
+        assert _probe_outcomes(out) == want
+        assert _symmetry_residual(bp, grid.points) == residual
+        size, admissible = len(grid.points), out["admissible_points"]
+        assert passes[:2] == [(bp, size), (bp._sharp_pair, size)]
+        scaled = [n for _, n in passes[2:]]
+        if grid is exact:
+            assert bp._sharp_pair is not bp and scaled == [size]
+        else:
+            assert bp._sharp_pair is bp
+            assert scaled == [admissible, size] and admissible > 0
+    assert want["kappa_prime"] is not None
+
+
+def test_one_pass_probe_matches_the_two_pass_reading():
+    rng = np.random.default_rng(17)
+    up = [complex(a, b) for a, b in zip(rng.uniform(-2, 2, 6),
+                                        rng.uniform(0.3, 2, 6))]
+    grid = KernelSampleGrid(points=tuple(up + [z.conjugate() for z in up]))
+    pairs = [gen_obt(InstanceSpec(n, m, k), rng_stream(50, n), TOL)
+             for n, m, k in ((1, 1, 0), (2, 1, 1), (3, 2, 1), (4, 3, 2))]
+    pairs += [gen_unitary_boundary_pair(InstanceSpec(n, 1 + n % 3, n // 2),
+                                        rng_stream(51, n))
+              for n in range(1, 5)]
+    pairs += [gen_unitary_boundary_pair(InstanceSpec(n, n // 8, n // 4),
+                                        rng_stream(38, n))
+              for n in (16, 64)]  # the split route
+    pairs += [_neg_index_one_pair(), sigma_p_all_pair()]
+    seen = set()
+    for bp in pairs:
+        for eps in (0.25, 1.0):
+            out = _probe_outcomes(gen_nevanlinna_probe(bp, eps, grid))
+            want, residual = _two_pass_probe(bp, eps, grid)
+            assert out == want
+            assert _symmetry_residual(bp, grid.points) == residual
+            seen.add((out["condition2"], out["kappa_prime"]))
+    assert {c2 for c2, _ in seen} >= {True, None}
+    assert {k for _, k in seen} >= {0, 1}
 
 
 def test_probe_output_does_not_depend_on_the_route(monkeypatch):
@@ -427,9 +523,9 @@ def test_block_gram_at_n64_makes_no_n_sized_svd(monkeypatch):
     G = block_gram(bp, GRID)
     assert G.shape == (4 * bp.m, 4 * bp.m)
     # the Cholesky patch is live: the grid's main-transform tests are one
-    # Cholesky of a (b, 4, m, m) stack, b the grid's points, which leaves
+    # Cholesky of a (b, 3, m, m) stack, b the grid's points, which leaves
     # no SVD to make
-    assert certificates == [(len(GRID.points), 4, bp.m, bp.m)]
+    assert certificates == [(len(GRID.points), 3, bp.m, bp.m)]
     assert [s for s in shapes if min(s) >= n // 2] == []
 
 

@@ -616,10 +616,15 @@ def test_operator_transforms_make_one_qr_and_no_relation_calculus(
     for name in ("compose", "transform_left", "rel_from_operator"):
         monkeypatch.setattr(transforms, name, counting(
             "calculus", getattr(transforms, name)))
+    # gen_obt has filled each pair's cached OBT test, so scaled_obt and
+    # qbt_transform make no SVD; on a pair that never ran it, the test
+    # is one SVD
+    uncached = BoundaryPair(fresh[2].H, 2, fresh[2].gamma, TOL)
     calls = [(lambda: scale_eps(fresh[0], 0.25), 0),
              (lambda: transform_right(fresh[1], V), 0),
-             (lambda: scaled_obt(fresh[2], 2.0), 1),
-             (lambda: qbt_transform(fresh[3], q), 1)]
+             (lambda: scaled_obt(fresh[2], 2.0), 0),
+             (lambda: qbt_transform(fresh[3], q), 0),
+             (lambda: scaled_obt(uncached, 2.0), 1)]
     for call, svds in calls:
         counts.update(qr=0, svd=0)
         call()

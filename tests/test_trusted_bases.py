@@ -4,7 +4,12 @@ validated constructions and SVDs in one desk pass."""
 
 import numpy as np
 
-from kreinrel.checks import THEOREM_IDS, check_theorem, weyl_sweep
+from kreinrel.checks import (
+    THEOREM_IDS,
+    _delta0_space,
+    check_theorem,
+    weyl_sweep,
+)
 from kreinrel.errors import ValidationError
 from kreinrel.generators import (
     InstanceSpec,
@@ -18,10 +23,44 @@ from kreinrel.subspaces import Subspace
 # makes and of those that compute singular vectors (the Weyl samples'
 # counts and Sigma tests read singular values only; every desk-scale
 # sample takes the SVD route, so no count moves with the split route's
-# Cholesky certificate).
+# Cholesky certificate).  The pass is counted warm: the delta0 fixtures'
+# shared space and its U_J (one SVD) are built once per process, before
+# it.
 _PASS_VALIDATED = 89
-_PASS_SVDS = 1080
-_PASS_UV_SVDS = 796
+_PASS_SVDS = 936
+_PASS_UV_SVDS = 664
+# The same pass per id: (SVDs, SVDs with singular vectors)
+_ID_SVDS = {
+    "pop_lemma": (27, 15),
+    "derk_lemma": (36, 30),
+    "cwsum_adjoint": (7, 7),
+    "torth": (12, 12),
+    "wie": (14, 10),
+    "behrndt20": (14, 10),
+    "projp1": (23, 15),
+    "rrz": (42, 30),
+    "rrzz": (2, 2),
+    "equivfNTh": (27, 19),
+    "mrTG_selfadjoint": (8, 8),
+    "lemma_r": (42, 12),
+    "lemma_r2": (8, 4),
+    "resTG_pipeline": (4, 2),
+    "IUBP": (28, 22),
+    "IUBP3": (38, 22),
+    "delta0": (88, 60),
+    "delta0b": (116, 88),
+    "scaled_obt": (50, 38),
+    "fTex": (36, 22),
+    "IBP0": (26, 22),
+    "IUBP2xxcor": (24, 20),
+    "GunTp": (38, 38),
+    "VVV": (20, 14),
+    "Vstar": (24, 22),
+    "propVVV": (24, 18),
+    "QBTex": (34, 32),
+    "thmVVV": (26, 20),
+    "pstan2_probe": (98, 50),
+}
 
 
 def _desk_pass(trials):
@@ -58,21 +97,25 @@ def test_trusted_bases_pass_the_validating_constructor(monkeypatch):
 
 
 def test_desk_pass_counts(monkeypatch):
-    counts = {"validated": 0, "svd": 0, "uv": 0}
+    _delta0_space()
+    validated, svds = [0], {}
     init, svd = Subspace.__init__, np.linalg.svd
 
     def counting_init(self, *a, **k):
-        counts["validated"] += 1
+        validated[0] += 1
         return init(self, *a, **k)
 
     def counting_svd(*a, **k):
-        counts["svd"] += 1
-        counts["uv"] += k.get("compute_uv", True)
+        svds[tid][0] += 1
+        svds[tid][1] += k.get("compute_uv", True)
         return svd(*a, **k)
 
     monkeypatch.setattr(Subspace, "__init__", counting_init)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    _desk_pass(2)
-    assert counts["validated"] <= _PASS_VALIDATED
-    assert counts["svd"] == _PASS_SVDS
-    assert counts["uv"] == _PASS_UV_SVDS
+    for tid in THEOREM_IDS:
+        svds[tid] = [0, 0]
+        check_theorem(tid, trials=2, dims=(1, 4), seed=7)
+    assert validated[0] <= _PASS_VALIDATED
+    assert {tid: tuple(c) for tid, c in svds.items()} == _ID_SVDS
+    assert sum(c[0] for c in svds.values()) == _PASS_SVDS
+    assert sum(c[1] for c in svds.values()) == _PASS_UV_SVDS
