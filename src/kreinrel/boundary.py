@@ -71,9 +71,10 @@ read p = m; no QR or SVD is made.  One Cholesky factorisation of the
 (b, 3, p, p) stack proves a block of b points; where it fails, each
 point's three are factorised alone.  Where a point's proof fails (a
 rank deficient or nearly deficient block, p > m) and on the SVD route,
-four values-only SVDs, of R, R_l, R_l' and W, decide.  A fresh 50-point sweep at n = 128, m = 16
-makes np.linalg svd/qr/cholesky/eig 2/3/13/2 times, plus 2 solve and
-1 inv, all but the 13 Choleskys (blocks of 4) once per pair.
+four values-only SVDs, of R, R_l, R_l' and W, decide.  A fresh 50-point
+sweep at n = 128, m = 16 makes np.linalg svd/qr/cholesky/eig 2/3/13/2
+times, plus 2 solve and 1 inv, all but the 13 Choleskys (blocks of 4)
+once per pair.
 """
 
 from dataclasses import dataclass, field
@@ -196,12 +197,8 @@ class BoundaryPair:
     @cached_property
     def _sigma0(self):
         """(sigma0_p(T), its symmetric closure), or (None, None) when
-        sigma_p(T) = C; raises where ``underlying_T`` does.  T is read
-        from the cache when a caller filled it, and otherwise derived for
-        this use alone: a pair read only through its Weyl family (a
-        sweep) keeps no T (0.46 MB at n = 128, m = 16)."""
-        T = self._T if "_T" in self.__dict__ else self._derive_T()
-        rep = point_spectrum(T, self.tol)
+        sigma_p(T) = C; raises where ``underlying_T`` does."""
+        rep = point_spectrum(self.underlying_T(), self.tol)
         if rep.all_flag:
             return None, None
         pts = tuple(complex(z) for z, _ in rep.eigenvalues
@@ -259,10 +256,6 @@ class BoundaryPair:
 
     @cached_property
     def _T(self):
-        return _read_only(self._derive_T())
-
-    def _derive_T(self):
-        """T as ``underlying_T`` describes it, derived afresh."""
         if self.classification == "not_isometric":
             raise PreconditionError("pair is not isometric; T is undefined")
         B, n2 = self.gamma_sharp.graph.basis, 2 * self.n
@@ -272,7 +265,7 @@ class BoundaryPair:
             raise PreconditionError(
                 "ker Gamma_# = (dom Gamma)^[perp] is not symmetric: the "
                 "isometric pair is not associated with a symmetric T")
-        return T
+        return _read_only(T)
 
     def a_star(self) -> LinearRelation:
         """A_* = dom Gamma as a relation in H (spans T+ here)."""

@@ -12,13 +12,12 @@ built from resolvent vectors of the main transform,
 
 The resolvent vectors are those of the Weyl sample at w = conj(z)
 (``WeylSample.resolvent_vectors``), read from its defect elements
-without forming the main transform.  The conditions read their grid
-in ``_weyl_samples`` passes, and kappa' has one route,
-``count_negative`` of ``_gram``.  On a grid exactly closed under
-conjugation each pair reads each distinct point once: (1) makes one
-pass when the pair is unitary (its own Gamma_# pair), and (2) and (3)
-share one pass on the scaled pair.  Otherwise (1) makes one pass on the
-pair and one on its Gamma_# pair, and (2) and (3) one pass each.
+without forming the main transform.  Each pair reads the distinct
+points it needs in one ``_weyl_samples`` pass: (1) the grid and its
+conjugates on a unitary pair, its own Gamma_# pair (otherwise one pass
+on the pair and one on its Gamma_# pair), and (2) and (3) the
+admissible points and the conjugates on the scaled pair.  kappa' has
+one route, ``count_negative`` of ``_gram``.
 
 Negative squares are estimated by sampling and never claimed exact;
 the report carries the grid metadata.
@@ -92,12 +91,6 @@ class NegSquaresReport:
     grids_used: int
 
 
-def _exactly_closed(points):
-    """Every point's conjugate is one of the points, exactly."""
-    pts = set(points)
-    return {z.conjugate() for z in pts} == pts
-
-
 def _samples_by_point(bp, points):
     """The Weyl sample at each distinct point, read in one pass."""
     distinct = list(dict.fromkeys(points))
@@ -107,16 +100,17 @@ def _samples_by_point(bp, points):
 def _symmetry_residual(bp: BoundaryPair, points):
     """The largest principal angle between M(z)* and M_{Gamma_#}(zbar)
     over the nonreal points, 1.0 on a dimension mismatch.  A unitary
-    pair is its own Gamma_# pair: on points exactly closed under
-    conjugation each is read once, and the sample at zbar is the
-    Gamma_# sample of z."""
+    pair is its own Gamma_# pair: the points and their conjugates are
+    read in one pass, and the sample at zbar is the Gamma_# sample of
+    z."""
     pts = [complex(z) for z in points]
-    if bp._sharp_pair is bp and _exactly_closed(pts):
-        samples = _samples_by_point(bp, pts)
-        pairs = ((samples[z], samples[z.conjugate()]) for z in pts)
+    conj = [z.conjugate() for z in pts]
+    if bp._sharp_pair is bp:
+        read = _samples_by_point(bp, pts + conj)
+        pairs = ((read[z], read[w]) for z, w in zip(pts, conj))
     else:
         pairs = zip(_weyl_samples(bp, pts),
-                    _weyl_samples(bp._sharp_pair, np.conj(pts)))
+                    _weyl_samples(bp._sharp_pair, conj))
     return max((_rel_residual(hilbert_adjoint(s.M, bp.tol), t.M)
                 for s, t in pairs), default=0.0)
 
@@ -172,21 +166,14 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     cond1 = _symmetry_residual(bp, grid.points) <= bp.tol.angle_tol
     scaled = scale_eps(bp, eps)
     pts = grid.points
+    conj = [z.conjugate() for z in pts]
     admissible = [z for z in pts if in_delta(bp, z) and abs(z) > eps]
-    if _exactly_closed(pts):
-        # one pass: the admissible points and the conjugates are all
-        # grid points
-        read = _samples_by_point(scaled, pts)
-        at_admissible = [read[z] for z in admissible]
-        at_conjugates = [read[z.conjugate()] for z in pts]
-    else:
-        at_admissible = _weyl_samples(scaled, admissible)
-        at_conjugates = _weyl_samples(scaled, np.conj(pts))
+    read = _samples_by_point(scaled, admissible + conj)
     if admissible:
-        cond2 = all(s.shift_invertible for s in at_admissible)
+        cond2 = all(read[z].shift_invertible for z in admissible)
     else:
         cond2 = None  # no admissible z on this grid (delta may be empty)
-    samples = dict(zip(pts, at_conjugates))
+    samples = {z: read[w] for z, w in zip(pts, conj)}
     usable = [z for z in pts if samples[z].in_mt_resolvent]
     usable = [z for z in usable if _has_conjugate(z, usable)]
     if usable:

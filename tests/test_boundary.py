@@ -1274,25 +1274,6 @@ def test_pair_caches_are_shared_exact_and_read_only():
                      ("not_isometric", "no T")}
 
 
-def test_a_sweep_keeps_no_t_on_its_pair(monkeypatch):
-    # sigma0_p(T) reads T from the cache when a caller filled it, and
-    # otherwise derives it without caching: a pair read only through its
-    # Weyl family holds no T
-    derived, real = [], boundary.is_symmetric
-
-    def counting(*a):
-        derived.append(a)
-        return real(*a)
-
-    monkeypatch.setattr(boundary, "is_symmetric", counting)
-    pairs = [gen_unitary_boundary_pair(InstanceSpec(16, 2, 4),
-                                       rng_stream(34, 16)) for _ in range(2)]
-    weyl_sweep(pairs[0], [1j, 0.5 - 2j])
-    assert "_T" not in vars(pairs[0]) and len(derived) == 1
-    pairs[1].underlying_T()
-    assert pairs[1]._sigma0 == pairs[0]._sigma0 and len(derived) == 2
-
-
 def test_gram_derivations_match_old_chains_at_n64():
     spec = InstanceSpec(64, 8, 16)
     _assert_matches_old_chains(gen_unitary_boundary_pair(spec, rng_stream(44)))

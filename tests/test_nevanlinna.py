@@ -1,6 +1,8 @@
 """Sampled Nevanlinna diagnostics: kernel congruence, negative-squares
 estimates and the three-condition probe."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -306,10 +308,10 @@ def test_probe_computes_the_point_spectrum_once(monkeypatch):
         passes.clear()
         out = gen_nevanlinna_probe(bp, 0.5, grid)
         admissible = out["admissible_points"]
-        # the grid is exactly closed under conjugation, so each pair reads
-        # each point once: condition 1 on the pair, which is unitary and
-        # so its own Gamma_# pair, and conditions 2 and 3 on the scaled
-        # pair, whose admissible points and conjugates are grid points
+        # each pair reads each distinct point once: condition 1 on the
+        # pair, which is unitary and so its own Gamma_# pair, and
+        # conditions 2 and 3 on the scaled pair; the grid is closed under
+        # conjugation, so both read the grid's points
         assert [p[1:] for p in passes] == [[size, size]] * 2
         assert passes[0][0] is bp and passes[1][0] is not bp
         assert 0 < admissible <= size or bp is degenerate
@@ -352,9 +354,8 @@ def _probe_outcomes(out):
 
 def test_probe_falls_back_to_two_passes(monkeypatch):
     # a strictly isometric pair (Gamma_# != Gamma, T symmetric) reads
-    # condition 1 on the pair and on its Gamma_# pair; a grid closed
-    # under conjugation only within _CONJ_ATOL reads two passes per pair,
-    # as before.  Both give the two-pass outcomes
+    # condition 1 on the pair and on its Gamma_# pair, as before, and
+    # gives the two-pass outcomes
     import kreinrel.nevanlinna as nevanlinna
     passes = []
 
@@ -363,38 +364,32 @@ def test_probe_falls_back_to_two_passes(monkeypatch):
         passes.append((bp, len(points)))
         yield from _real(bp, points)
 
-    isometric = gen_isometric_boundary_pair(InstanceSpec(1, 3, 0),
-                                            rng_stream(42, 130))
-    assert isometric.classification == "isometric"
-    isometric.underlying_T()  # T is symmetric: the probe can run
-    exact = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 3 + 0.5j,
-                                     3 - 0.5j))
-    near = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1.0000000000001j))
-    unitary = gen_obt(InstanceSpec(3, 2, 1), rng_stream(49), TOL)
-    for bp, grid in ((isometric, exact), (unitary, near)):
-        want, residual = _two_pass_probe(bp, 0.5, grid)
-        monkeypatch.setattr(nevanlinna, "_weyl_samples", counting_samples)
-        passes.clear()
-        out = gen_nevanlinna_probe(bp, 0.5, grid)
-        monkeypatch.undo()
-        assert _probe_outcomes(out) == want
-        assert _symmetry_residual(bp, grid.points) == residual
-        size, admissible = len(grid.points), out["admissible_points"]
-        assert passes[:2] == [(bp, size), (bp._sharp_pair, size)]
-        scaled = [n for _, n in passes[2:]]
-        if grid is exact:
-            assert bp._sharp_pair is not bp and scaled == [size]
-        else:
-            assert bp._sharp_pair is bp
-            assert scaled == [admissible, size] and admissible > 0
-    assert want["kappa_prime"] is not None
+    bp = gen_isometric_boundary_pair(InstanceSpec(1, 3, 0),
+                                     rng_stream(42, 130))
+    assert bp.classification == "isometric"
+    bp.underlying_T()  # T is symmetric: the probe can run
+    grid = KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1j, 3 + 0.5j,
+                                    3 - 0.5j))
+    want, residual = _two_pass_probe(bp, 0.5, grid)
+    monkeypatch.setattr(nevanlinna, "_weyl_samples", counting_samples)
+    out = gen_nevanlinna_probe(bp, 0.5, grid)
+    monkeypatch.undo()
+    assert _probe_outcomes(out) == want
+    assert _symmetry_residual(bp, grid.points) == residual
+    size = len(grid.points)
+    assert bp._sharp_pair is not bp
+    assert passes == [(bp, size), (bp._sharp_pair, size),
+                      (passes[2][0], size)]
 
 
 def test_one_pass_probe_matches_the_two_pass_reading():
+    # on a grid exactly closed under conjugation, and on one closed only
+    # within _CONJ_ATOL, where the one pass reads more points than the grid
     rng = np.random.default_rng(17)
     up = [complex(a, b) for a, b in zip(rng.uniform(-2, 2, 6),
                                         rng.uniform(0.3, 2, 6))]
-    grid = KernelSampleGrid(points=tuple(up + [z.conjugate() for z in up]))
+    grids = (KernelSampleGrid(points=tuple(up + [z.conjugate() for z in up])),
+             KernelSampleGrid(points=(2j, -2j, 1 + 1j, 1 - 1.0000000000001j)))
     pairs = [gen_obt(InstanceSpec(n, m, k), rng_stream(50, n), TOL)
              for n, m, k in ((1, 1, 0), (2, 1, 1), (3, 2, 1), (4, 3, 2))]
     pairs += [gen_unitary_boundary_pair(InstanceSpec(n, 1 + n % 3, n // 2),
@@ -405,7 +400,7 @@ def test_one_pass_probe_matches_the_two_pass_reading():
               for n in (16, 64)]  # the split route
     pairs += [_neg_index_one_pair(), sigma_p_all_pair()]
     seen = set()
-    for bp in pairs:
+    for bp, grid in itertools.product(pairs, grids):
         for eps in (0.25, 1.0):
             out = _probe_outcomes(gen_nevanlinna_probe(bp, eps, grid))
             want, residual = _two_pass_probe(bp, eps, grid)
