@@ -68,13 +68,14 @@ the blocks of R~ = S[2n:] K per point (shifted by tau^2 K* K), positive
 definite, prove R_l, R_l' and W, and with R_l also R, of full column
 rank p, so that dim M(z) = p, mul M(z) = ker M(z) = {0}, and both tests
 read p = m; no QR or SVD is made.  One Cholesky factorisation of the
-(b, 3, p, p) stack proves a block of b points; where it fails, each
-point's three are factorised alone.  Where a point's proof fails (a
-rank deficient or nearly deficient block, p > m) and on the SVD route,
-four values-only SVDs, of R, R_l, R_l' and W, decide.  A fresh 50-point
-sweep at n = 128, m = 16 makes np.linalg svd/qr/cholesky/eig 2/3/13/2
-times, plus 2 solve and 1 inv, all but the 13 Choleskys (blocks of 4)
-once per pair.
+(b, 3, p, p) stack proves a block of b points or none of them.  Where
+a block's proof fails (a point of it rank deficient or nearly so,
+p > m) and on the SVD route, four values-only SVDs, of R, R_l, R_l'
+and W, decide at each point; they reach the same verdicts, as the
+proof only holds where the singular values clear the SVD cutoffs by
+_MARGIN.  A fresh 50-point sweep at n = 128, m = 16 makes np.linalg
+svd/qr/cholesky/eig 2/3/13/2 times, plus 2 solve and 1 inv, all but
+the 13 Choleskys (blocks of 4) once per pair.
 """
 
 from dataclasses import dataclass, field
@@ -417,19 +418,11 @@ def _pencil_split(B, n):
     return _PencilSplit(lam, G, floor, BQ, np.vstack([V, BQ[2 * n :, :n] @ V]))
 
 
-def _positive_definite(A):
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _certify_block(bp, split, points):
     """X_k = V diag(1 / (lam - z_k)) G for a block of split-route points,
-    side by side in one n x b p array, and which points the certificate
-    proves: sigma_min of R, R_l, R_l' and W each above its tau, R's
-    through R_l's."""
+    side by side in one n x b p array, and whether the certificate
+    proves the whole block: sigma_min of R, R_l, R_l' and W each above
+    its tau at every point, R's through R_l's."""
     n, m = bp.n, bp.m
     z = np.asarray(points, dtype=complex)
     b, p = len(z), split.G.shape[1]
@@ -477,10 +470,9 @@ def _certify_block(bp, split, points):
     stack[:, 2] -= tau_w[:, None, None] * KK
     try:
         np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        # some point's proof fails: retry each point's three on their own
-        return X, [_positive_definite(grams) for grams in stack]
-    return X, [True] * b
+    except np.linalg.LinAlgError:  # some point's proof fails: SVDs decide
+        return X, False
+    return X, True
 
 
 @dataclass(frozen=True)
@@ -618,11 +610,11 @@ class _NullSample(WeylSample):
 class _SplitSample(WeylSample):
     """A Weyl sample on the pencil split: S = BQ and K = [-X; I], with X
     a view of its block's X (``_certify_block``).  K is not orthonormal,
-    and it and its thin QR factor Y are formed only when Y is read.  Each count
-    and test is read first from the block's stacked Cholesky, which
-    proved R, R_l, R_l' and W of full column rank or did not
-    (``_certified``), and where that proof failed, from WeylSample's
-    SVDs on Y."""
+    and it and its thin QR factor Y are formed only when Y is read.
+    Each count and test is read first from the block's stacked
+    Cholesky, which proved R, R_l, R_l' and W of full column rank at
+    every point of the block or did not (``_certified``), and where
+    that proof failed, from WeylSample's SVDs on Y."""
     X: np.ndarray = field(compare=False, repr=False)
     _certified: bool = field(compare=False)
 
@@ -668,8 +660,9 @@ def _weyl_samples(bp: BoundaryPair, points):
     at once, and the guarded points are certified in blocks of b
     (_PANEL_BYTES over the n x p panel of one point): one product gives
     every X and R~ of a block, and one Cholesky of a (b, 3, p, p) stack
-    proves them all (``_certify_block``).  The other points, and every
-    point below _SPLIT_MIN_N, take the SVD null space of B_f' - z B_f.
+    proves them all or leaves them all to the SVDs (``_certify_block``).
+    The other points, and every point below _SPLIT_MIN_N, take the SVD
+    null space of B_f' - z B_f.
     A block is formed when its first point is reached, so a caller that
     keeps no sample holds one block, and two only while the next is
     formed."""
@@ -689,8 +682,8 @@ def _weyl_samples(bp: BoundaryPair, points):
         if i in starts:
             idx = starts.pop(i)
             X, certified = _certify_block(bp, split, [pts[j] for j in idx])
-            block = {j: (X[:, c * p : (c + 1) * p], ok)
-                     for c, (j, ok) in enumerate(zip(idx, certified))}
+            block = {j: (X[:, c * p : (c + 1) * p], certified)
+                     for c, j in enumerate(idx)}
         if i in block:
             yield _SplitSample(bp, z, split.BQ, *block.pop(i))
         else:

@@ -10,7 +10,6 @@ inputs.  Hypotheses that are automatically true in finite dimensions
 ``vacuous_clauses`` ledger of the report, never silently dropped.
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -849,8 +848,9 @@ SWEEP_COLUMNS = ("re_z", "im_z", "dim_M", "dim_mul", "dim_ker",
                  "is_operator", "in_sigma", "in_j_resolvent")
 
 
-def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
-    """CSV rows describing M(z) over a nonreal grid.
+def weyl_sweep(bp: BoundaryPair, points, eps=0.5):
+    """CSV text, a header and one row per point, describing M(z) over a
+    nonreal grid.
 
     Each point is one Weyl sample, all drawn from one call of the
     sample entry along the grid, whose defect elements C give M(z) and
@@ -864,11 +864,10 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
     blocks of 4 at n = 128, m = 16: one product gives every block
     point's X and unnormalised boundary rows, and one stacked Cholesky
     proves R, R_l, R_l' and W of full column rank at all of them, with
-    no QR or SVD; where it cannot, each point of the block is retried
-    alone, and at the points it still cannot prove, and on the SVD
-    route, four values-only SVDs per point decide.  A fresh 50-point
-    sweep of an n = 128 pair whose points are all proved makes 13
-    Choleskys in all.
+    no QR or SVD; where it cannot, at every point of the block, and on
+    the SVD route, four values-only SVDs per point decide.  A fresh
+    50-point sweep of an n = 128 pair whose points are all proved makes
+    13 Choleskys in all.
 
     Columns: re_z, im_z, dim_M, dim_mul, dim_ker, is_operator (0/1),
     in_sigma (0/1 membership in the invertibility set of M(z)+z),
@@ -882,15 +881,12 @@ def weyl_sweep(bp: BoundaryPair, points, eps=0.5, out=None):
         raise PreconditionError("sweep grid must avoid the real axis")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    sigma0_points(bp)  # raises before the header where T is not symmetric
-    buf = io.StringIO() if out is None else out
-    buf.write(",".join(SWEEP_COLUMNS) + "\n")
+    sigma0_points(bp)  # raises where T is not symmetric
+    rows = [",".join(SWEEP_COLUMNS)]
     for sample in _weyl_samples(bp, pts):
         z = sample.z
         row = (f"{z.real:.12g}", f"{z.imag:.12g}", sample.dim_M,
                sample.dim_mul, sample.dim_ker, int(sample.dim_mul == 0),
                int(sample.in_sigma), int(sample.in_mt_resolvent))
-        buf.write(",".join(map(str, row)) + "\n")
-    if out is None:
-        return buf.getvalue()
-    return None
+        rows.append(",".join(map(str, row)))
+    return "\n".join(rows) + "\n"

@@ -43,12 +43,6 @@ def _parse_grid(text):
             f"--re and --im take lo:hi:num, not {text!r}") from None
 
 
-def _make_tol(args):
-    if args.tol is None:
-        return DEFAULT_TOL
-    return Tolerance(angle_tol=float(args.tol))
-
-
 def _write_out(text, out):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -60,14 +54,9 @@ def _write_out(text, out):
 
 
 def _cmd_gen(args):
-    spec = InstanceSpec(n=args.n, m=args.m, kappa_minus=args.kappa,
-                        seed=args.seed)
-    rng = rng_stream(args.seed)
-    tol = _make_tol(args)
-    if args.flavor == "obt":
-        bp = gen_obt(spec, rng, tol)
-    else:
-        bp = gen_unitary_boundary_pair(spec, rng, tol)
+    spec = InstanceSpec(n=args.n, m=args.m, kappa_minus=args.kappa)
+    gen = gen_obt if args.flavor == "obt" else gen_unitary_boundary_pair
+    bp = gen(spec, rng_stream(args.seed), DEFAULT_TOL)
     _write_out(dump(bp), args.out)
     return 0
 
@@ -87,7 +76,7 @@ def _cmd_check(args):
         if tid not in THEOREM_IDS:
             raise ValidationError(f"unknown theorem id: {tid!r}")
     dims = _parse_dims(args.dims)
-    tol = _make_tol(args)
+    tol = DEFAULT_TOL if args.tol is None else Tolerance(angle_tol=args.tol)
     reports = [check_theorem(tid, trials=args.trials, dims=dims,
                              seed=args.seed, tol=tol)
                for tid in sorted(ids)]
@@ -178,9 +167,6 @@ def _build_parser():
     p_gen.add_argument("--kappa", type=int, default=0,
                        help="negative index of the state space")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--tol", type=float, default=None,
-                       help="max principal angle for subspace equality; "
-                            "also bounds the classification Gram entries")
     p_gen.add_argument("--out", default=None, help="output file (default stdout)")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -194,7 +180,9 @@ def _build_parser():
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--dims", default="1:4",
                          help="dimension range lo:hi for random instances")
-    p_check.add_argument("--tol", type=float, default=None)
+    p_check.add_argument("--tol", type=float, default=None,
+                         help="max principal angle for subspace equality; "
+                              "also bounds the classification Gram entries")
     p_check.add_argument("--format", choices=("json", "csv"), default="json")
     p_check.add_argument("--out", default=None)
     p_check.set_defaults(func=_cmd_check)

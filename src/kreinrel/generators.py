@@ -59,7 +59,6 @@ class InstanceSpec:
     n: int
     m: int
     kappa_minus: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.kappa_minus <= self.n:
@@ -156,24 +155,24 @@ def hypermax_neutral(rng, metric) -> Subspace:
 # boundary pairs
 # ---------------------------------------------------------------------
 
-def gen_unitary_boundary_pair(spec: InstanceSpec, rng=None,
+def gen_unitary_boundary_pair(spec: InstanceSpec, rng,
                               tol=DEFAULT_TOL) -> BoundaryPair:
-    """A random unitary boundary pair with the requested signature."""
-    rng = rng_stream(spec.seed) if rng is None else rng
+    """A random unitary boundary pair with the requested signature, drawn
+    from the generator rng (``rng_stream(seed, trial)``)."""
     H = random_krein(rng, spec.n, spec.kappa_minus)
     graph = hypermax_neutral(rng, _pair_metric(H, hilbert_space(spec.m)))
     gamma = LinearRelation(2 * spec.n, 2 * spec.m, graph)
     return BoundaryPair(H, spec.m, gamma, tol)
 
 
-def gen_obt(spec: InstanceSpec, rng=None, tol=DEFAULT_TOL) -> BoundaryPair:
-    """A random ordinary boundary triple: unitary pair resampled until
-    Gamma is a surjective operator (retry cap 64)."""
+def gen_obt(spec: InstanceSpec, rng, tol=DEFAULT_TOL) -> BoundaryPair:
+    """A random ordinary boundary triple: unitary pair drawn from the
+    generator rng and resampled until Gamma is a surjective operator
+    (retry cap 64)."""
     if spec.m > spec.n:
         raise GenerationError(
             "no surjective operator Gamma exists for m > n "
             "(dim Gamma = n + m < 2m)")
-    rng = rng_stream(spec.seed) if rng is None else rng
     for _ in range(RETRY_CAP):
         bp = gen_unitary_boundary_pair(spec, rng, tol)
         if bp.is_obt():

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryPair, _weyl_samples, in_delta
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import PreconditionError
 from .relations import _rel_residual, hilbert_adjoint
 
 __all__ = [
@@ -56,11 +56,10 @@ def _has_conjugate(z, points):
 
 @dataclass(frozen=True)
 class KernelSampleGrid:
-    """Nonreal sample points closed under conjugation, with optional
-    probe vectors in the boundary space (default: standard basis)."""
+    """Nonreal sample points closed under conjugation.  The probe
+    vectors are the standard basis of the boundary space C^m."""
 
     points: tuple
-    vectors: tuple = None
 
     def __post_init__(self):
         pts = tuple(complex(z) for z in self.points)
@@ -69,17 +68,12 @@ class KernelSampleGrid:
         if not all(_has_conjugate(z, pts) for z in pts):
             raise PreconditionError("grid is not closed under conjugation")
         object.__setattr__(self, "points", pts)
-        if self.vectors is not None:
-            vecs = tuple(np.asarray(v, dtype=complex).reshape(-1)
-                         for v in self.vectors)
-            object.__setattr__(self, "vectors", vecs)
 
     def checksum(self):
-        payload = {
-            "points": [[z.real, z.imag] for z in self.points],
-            "vectors": None if self.vectors is None else
-                       [[c.real, c.imag] for v in self.vectors for c in v],
-        }
+        # "vectors": None keeps the digests of stored probe reports, made
+        # when a grid could carry probe vectors of its own
+        payload = {"points": [[z.real, z.imag] for z in self.points],
+                   "vectors": None}
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -115,21 +109,17 @@ def _symmetry_residual(bp: BoundaryPair, points):
                 for s, t in pairs), default=0.0)
 
 
-def _gram(bp, samples, vectors):
-    """The Gram matrix of the columns X v, X the resolvent vectors of each
-    sample in turn, v the probe vectors (default: C^m's basis)."""
-    m = bp.m
-    if vectors is not None and any(len(v) != m for v in vectors):
-        raise DimensionMismatchError(
-            f"probe vectors must lie in the boundary space C^{m}")
-    V = np.eye(m) if vectors is None else np.column_stack(vectors)
-    C = np.hstack([s.resolvent_vectors() @ V for s in samples])
+def _gram(bp, samples):
+    """The Gram matrix of the resolvent vectors of each sample in turn,
+    one column per standard basis vector e_a of C^m."""
+    C = np.hstack([s.resolvent_vectors() for s in samples])
     return C.conj().T @ bp.H.J @ C
 
 
 def block_gram(bp: BoundaryPair, grid: KernelSampleGrid):
-    """The full Gram matrix of a sample grid (points x probe vectors)."""
-    return _gram(bp, _weyl_samples(bp, np.conj(grid.points)), grid.vectors)
+    """The full Gram matrix of a sample grid (points x basis vectors of
+    C^m)."""
+    return _gram(bp, _weyl_samples(bp, np.conj(grid.points)))
 
 
 def count_negative(G):
@@ -179,7 +169,7 @@ def gen_nevanlinna_probe(bp: BoundaryPair, eps, grid: KernelSampleGrid):
     if usable:
         _require_unitary(scaled)
         kappa_prime = count_negative(
-            _gram(scaled, [samples[z] for z in usable], grid.vectors))
+            _gram(scaled, [samples[z] for z in usable]))
         cond3 = kappa_prime <= scaled.H.neg_index
     else:
         cond3, kappa_prime = None, None

@@ -98,12 +98,6 @@ class StdUnitaryOp:
     def block_matrix(self):
         return np.block([[self.A, self.B], [self.C, self.D]])
 
-    def inverse_block_matrix(self):
-        """V^{-1} = V^+ = (D+, -B+; -C+, A+)."""
-        plus = lambda X: krein_adjoint_matrix(X, self.K_from, self.K_to)
-        return np.block([[plus(self.D), -plus(self.B)],
-                         [-plus(self.C), plus(self.A)]])
-
 
 def _selfadj_defect(X, K):
     return np.linalg.norm(X - krein_adjoint_matrix(X, K, K))

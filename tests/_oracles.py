@@ -3,15 +3,15 @@
 Fixtures (the trivial relation, the symplectic flip, random symmetric
 relations, random isometric pairs and a pair with sigma_p(T) = C) and
 oracles (the indefinite metric, the defect numbers, the resolvent
-matrix, the inverse of the main transform, the Gram contribution of
-two grid points, the symmetry M(z)* = M_{Gamma_#}(zbar) one point
-at a time, the linear fractional transformation as an explicit
-composition, the block-operator transforms of a pair as compositions
-with the operator's graph, the three-clause ordinary-boundary-triple
-test, T as (dom Gamma)^[perp], the defect elements C formed in full,
-the sweep counts read from M's basis and the spectral sets per point),
-each written from its definition rather than from the package's fast
-paths.
+matrix, the inverse of the main transform and of a standard unitary
+operator, the Gram contribution of two grid points, the symmetry
+M(z)* = M_{Gamma_#}(zbar) one point at a time, the linear fractional
+transformation as an explicit composition, the block-operator
+transforms of a pair as compositions with the operator's graph, the
+three-clause ordinary-boundary-triple test, T as (dom Gamma)^[perp],
+the defect elements C formed in full, the sweep counts read from M's
+basis and the spectral sets per point), each written from its
+definition rather than from the package's fast paths.
 """
 
 from dataclasses import dataclass
@@ -48,7 +48,12 @@ from kreinrel.relations import (
     is_symmetric,
     point_spectrum,
 )
-from kreinrel.spaces import KreinSpace, hilbert_space, make_krein
+from kreinrel.spaces import (
+    KreinSpace,
+    hilbert_space,
+    krein_adjoint_matrix,
+    make_krein,
+)
 from kreinrel.subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -95,6 +100,12 @@ def symplectic_flip(n) -> StdUnitaryOp:
     return make_std_unitary(Z, I, -I, Z, H, H)
 
 
+def inverse_block_matrix(V: StdUnitaryOp):
+    """V^{-1} = V^+ = (D+, -B+; -C+, A+)."""
+    plus = lambda X: krein_adjoint_matrix(X, V.K_from, V.K_to)
+    return np.block([[plus(V.D), -plus(V.B)], [-plus(V.C), plus(V.A)]])
+
+
 def random_symmetric_relation(rng, H: KreinSpace,
                               graph_dim=None) -> LinearRelation:
     """A random symmetric relation in the Krein space H.
@@ -113,7 +124,7 @@ def random_symmetric_relation(rng, H: KreinSpace,
     return LinearRelation(n, n, Subspace(2 * n, maximal.basis @ coeff))
 
 
-def gen_isometric_boundary_pair(spec: InstanceSpec, rng=None, graph_dim=None,
+def gen_isometric_boundary_pair(spec: InstanceSpec, rng, graph_dim=None,
                                 tol=DEFAULT_TOL) -> BoundaryPair:
     """A random isometric pair: a random subspace of a unitary Gamma's
     graph (strictly isometric when proper).
@@ -123,7 +134,6 @@ def gen_isometric_boundary_pair(spec: InstanceSpec, rng=None, graph_dim=None,
     ker Gamma and not neutral, and then ``underlying_T`` raises
     PreconditionError.
     """
-    rng = rng_stream(spec.seed) if rng is None else rng
     full = gen_unitary_boundary_pair(spec, rng, tol)
     total = spec.n + spec.m
     if graph_dim is None:

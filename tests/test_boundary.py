@@ -1009,11 +1009,11 @@ def test_spectral_sets_match_the_m_plus_z_oracle(monkeypatch):
     assert (False, True, True) in got
 
 
-def test_one_uncertifiable_point_leaves_its_block_certified(monkeypatch):
+def test_one_uncertifiable_point_sends_its_block_to_the_svds(monkeypatch):
     # a block of four points holds one 1e-9 from a nonreal eigenvalue of
     # J(Gamma), where W is too near singular for the certificate: the
-    # block's stacked Cholesky fails, each of its points is retried on
-    # its own, and only that point is read from the singular values
+    # block's stacked Cholesky fails, and all four of its points are
+    # read from the singular values, with no Cholesky per point
     bp = gen_unitary_boundary_pair(InstanceSpec(16, 2, 4), rng_stream(34, 16))
     near = _upper_eigenvalue(main_transform(bp), bp.tol) + 1e-9j
     rng = np.random.default_rng(59)
@@ -1032,9 +1032,9 @@ def test_one_uncertifiable_point_leaves_its_block_certified(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     samples = list(boundary._weyl_samples(bp, points))
     assert all(isinstance(s, boundary._SplitSample) for s in samples)
-    assert [s._certified for s in samples] == [z != near for z in points]
-    assert shapes == ([(4, 3, p, p)] * 2 + [(3, p, p)] * 4
-                      + [(4, 3, p, p)])
+    assert [s._certified for s in samples] == [
+        not 4 <= i < 8 for i in range(len(points))]
+    assert shapes == [(4, 3, p, p)] * 3
     monkeypatch.undo()
     with monkeypatch.context() as patch:
         patch.setattr(boundary, "_SPLIT_MIN_N", 10**9)

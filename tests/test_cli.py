@@ -112,6 +112,14 @@ def test_sweep_has_no_eps_option(tmp_path):
     assert exc.value.code == 2
 
 
+def test_gen_has_no_tol_option():
+    # every draw is unitary to rounding, so a tolerance changes no
+    # generated pair; --tol belongs to check alone
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "2", "--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("args", [
     ["check", "all", "--dims", "16-32", "--seed", "1"],
     ["sweep", "{pair}", "--re", "1:2"],

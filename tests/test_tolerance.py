@@ -78,14 +78,22 @@ _TOL_DEFAULTS = _ENTRY_POINTS | {"compose"}
 # Entry points themselves, which build a pair at BoundaryPair's default.
 _DEFAULTING_CALLERS = {"identity_obt", "boundary_pair_from_json"}
 # The AST count of defaulted parameters in src/.
-_DEFAULTED = 23
+_DEFAULTED = 20
+# The dataclass fields in src/ that carry a default value.
+_DATACLASS_DEFAULTS = {"InstanceSpec.kappa_minus", "Tolerance.rank_rel",
+                       "Tolerance.angle_tol"}
+
+
+def _trees():
+    """The parsed source of every module in the package."""
+    package = pathlib.Path(kreinrel.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        yield ast.parse(path.read_text())
 
 
 def _functions():
     """(qualified name, FunctionDef) of every function in the package."""
-    package = pathlib.Path(kreinrel.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for tree in _trees():
         owner = {f: c.name for c in ast.walk(tree)
                  if isinstance(c, ast.ClassDef) for f in c.body}
         for f in ast.walk(tree):
@@ -100,6 +108,30 @@ def _defaulted(f):
     names = [p.arg for p in positional[len(positional) - len(a.defaults):]]
     return names + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
                     if d is not None]
+
+
+def _is_dataclass(decorator):
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(node, "id", None) == "dataclass"
+
+
+def _gives_default(value):
+    """Whether a field's assigned value is a default: anything but a
+    ``field(...)`` call without ``default`` or ``default_factory``."""
+    return not (isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"
+                and not {k.arg for k in value.keywords}
+                & {"default", "default_factory"})
+
+
+def test_dataclass_fields_with_a_default_are_pinned():
+    # a new setting on a config dataclass shows up here as a pin change
+    found = {f"{c.name}.{f.target.id}" for tree in _trees()
+             for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             and any(map(_is_dataclass, c.decorator_list))
+             for f in c.body if isinstance(f, ast.AnnAssign)
+             and f.value is not None and _gives_default(f.value)}
+    assert found == _DATACLASS_DEFAULTS
 
 
 def test_tol_has_a_default_only_at_the_entry_points():
