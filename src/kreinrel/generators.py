@@ -189,7 +189,9 @@ def gen_unitary_pair_with_T(T: LinearRelation, H: KreinSpace, m, rng,
     of an isometry between parts of the +-1 eigenspaces, which is
     completed to a unitary by a random rotation of the complements.
     Resamples, up to RETRY_CAP times, until ker Gamma = T exactly (the
-    completion can accidentally enlarge the kernel).
+    completion can accidentally enlarge the kernel).  A unitary Gamma
+    with ker Gamma = T has dim mul Gamma = m + dim T - n, so dim T + m
+    < n raises PreconditionError before any draw.
     """
     n = H.dim
     if T.from_dim != n or T.to_dim != n:
@@ -200,6 +202,9 @@ def gen_unitary_pair_with_T(T: LinearRelation, H: KreinSpace, m, rng,
     d = T.dim
     if d > p:
         raise PreconditionError("dim T exceeds n + m")
+    if d + m < n:
+        raise PreconditionError("dim T + m < n: no unitary pair has "
+                                "ker Gamma = T")
     seedbasis = np.vstack([T.graph.basis,
                            np.zeros((2 * m, d), dtype=complex)])
     a = plus.conj().T @ seedbasis

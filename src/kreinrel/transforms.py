@@ -272,19 +272,24 @@ def delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z):
     there.  With P = (zA - C) X_f + (zB - D) X_f',
     Delta = -X_l' P^{-1} p_V(z) gamma(z).
     """
-    tol = bp.tol
     if not bp.is_obt():
         raise PreconditionError("Delta correction requires an ordinary "
                                 "boundary triple")
-    if not bp.underlying_T().is_operator(tol):
+    if not bp.underlying_T().is_operator(bp.tol):
         raise PreconditionError("underlying T must be an operator")
     if not in_rho_v(bp, V, z):
         raise PreconditionError(f"z={z} is not in rho_V")
+    return _delta_correction(bp, V, z)
+
+
+def _delta_correction(bp: BoundaryPair, V: StdUnitaryOp, z):
+    """``delta_correction`` for a caller that has decided its guards:
+    bp is an OBT whose T is an operator, and z lies in rho_V."""
     n = bp.n
     X = bp._t0_elements
-    gamma_mat = weyl(bp, z).gamma_field.to_matrix(tol)   # m -> n
+    gamma_mat = weyl(bp, z).gamma_field.to_matrix(bp.tol)   # m -> n
     P = _p_pencil(V, z, X[:n], X[n : 2 * n])
-    rhs = p_poly(V, z) @ gamma_mat                       # n' x m
+    rhs = p_poly(V, z) @ gamma_mat                          # n' x m
     return -X[2 * n + bp.m :] @ np.linalg.solve(P, rhs)
 
 

@@ -8,6 +8,7 @@ import pytest
 import kreinrel.boundary
 import kreinrel.checks
 import kreinrel.relations
+import kreinrel.transforms
 from _oracles import (
     gen_isometric_boundary_pair,
     inverse_main_transform,
@@ -23,11 +24,11 @@ from kreinrel.checks import (
     weyl_sweep,
 )
 from kreinrel.checks import _REGISTRY
-from kreinrel.errors import PreconditionError, ValidationError
+from kreinrel.errors import GenerationError, PreconditionError, ValidationError
 from kreinrel.generators import InstanceSpec, gen_unitary_boundary_pair, rng_stream
 from kreinrel.relations import LinearRelation, in_resolvent
 from kreinrel.spaces import make_krein
-from kreinrel.subspaces import Subspace, Tolerance
+from kreinrel.subspaces import DEFAULT_TOL, Subspace, Tolerance
 
 
 def test_registry_is_complete_and_consistent():
@@ -99,7 +100,8 @@ def test_report_depends_on_seed_stream_not_call_order():
 def test_delta0_fixtures_draw_one_pair_each(monkeypatch):
     # the fixture redraws gen_unitary_pair_with_T until the pair is an OBT
     # with an operator T; at the desk's 20 trials and three seeds, every
-    # fixture of both delta0 ids takes its first draw
+    # fixture takes its first draw, and delta0b is handed the fixtures
+    # delta0 drew at the same (seed, trial)
     draws, fixtures = [], []
     draw, fixture = (kreinrel.checks.gen_unitary_pair_with_T,
                      kreinrel.checks._delta0_fixture)
@@ -120,7 +122,104 @@ def test_delta0_fixtures_draw_one_pair_each(monkeypatch):
             assert check_theorem(tid, trials=20, dims=(1, 4),
                                  seed=seed).passed
     # two fixtures (aligned and not) per trial, none cut short
-    assert len(draws) == len(fixtures) == 3 * 2 * 20 * 2
+    assert len(fixtures) == 3 * 2 * 20 * 2
+    assert len(draws) == 3 * 20 * 2
+
+
+def test_delta0_checks_decide_rho_v_and_t_once(monkeypatch):
+    # the fixture decides that T is an operator and the check that z lies
+    # in rho_V; the Delta correction reads both decisions, not again
+    calls = {"in_rho_v": 0, "is_operator": 0}
+    in_rho_v, is_operator = (kreinrel.transforms.in_rho_v,
+                             LinearRelation.is_operator)
+
+    def counting_in_rho_v(*a):
+        calls["in_rho_v"] += 1
+        return in_rho_v(*a)
+
+    def counting_is_operator(self, tol):
+        calls["is_operator"] += 1
+        return is_operator(self, tol)
+
+    for module in (kreinrel.checks, kreinrel.transforms):
+        monkeypatch.setattr(module, "in_rho_v", counting_in_rho_v)
+    monkeypatch.setattr(LinearRelation, "is_operator", counting_is_operator)
+    for seed in range(5):
+        assert check_theorem("delta0b", trials=20, dims=(1, 4),
+                             seed=seed).passed
+    # 200 fixtures: one rho_V test each, and the OBT and operator-T tests
+    assert calls == {"in_rho_v": 200, "is_operator": 400}
+
+
+def _full_pass(seed):
+    return [check_theorem(tid, trials=20, dims=(1, 4), seed=seed)
+            for tid in THEOREM_IDS]
+
+
+def test_reports_do_not_depend_on_shared_draws():
+    # each id alone, on its own draws, reports what it reports inside a
+    # pass whose ids share their draws
+    for seed in (7, 1, 123):
+        shared = _full_pass(seed)
+        alone = []
+        for tid in THEOREM_IDS:
+            kreinrel.checks._DRAWS.clear()
+            alone.append(check_theorem(tid, trials=20, dims=(1, 4),
+                                       seed=seed))
+        assert shared == alone
+
+
+def test_a_shared_draw_leaves_the_generator_where_the_draw_does():
+    draws = kreinrel.checks._DRAWS
+    for draw, arg in ((kreinrel.checks._rand_bp, (1, 4)),
+                      (kreinrel.checks._delta0_fixture, False)):
+        rng = rng_stream(7, 3)
+        missed = draw(rng, arg, DEFAULT_TOL)
+        after_miss = rng.uniform(size=4)
+        assert len(draws) == 1
+        rng = rng_stream(7, 3)
+        assert draw(rng, arg, DEFAULT_TOL) is missed
+        assert np.array_equal(rng.uniform(size=4), after_miss)
+        # the tolerance is matched by identity, not by value
+        equal = Tolerance(DEFAULT_TOL.rank_rel, DEFAULT_TOL.angle_tol)
+        other = draw(rng_stream(7, 3), arg, equal)
+        assert other is not missed and len(draws) == 2
+        draws.clear()
+
+
+def test_shared_pairs_are_read_only():
+    check_theorem("delta0", trials=2, dims=(1, 4), seed=7)
+    check_theorem("rrz", trials=2, dims=(1, 4), seed=7)
+    for out, _, _ in kreinrel.checks._DRAWS.values():
+        bp = out if isinstance(out, BoundaryPair) else out[0]
+        for X in (bp.gamma.graph.basis, bp.H.J):
+            with pytest.raises(ValueError):
+                X[0, 0] = 0.0
+
+
+def test_the_memo_holds_the_latest_seeds_desk_scale_draws(monkeypatch):
+    draws = kreinrel.checks._DRAWS
+    check_theorem("rrz", trials=3, dims=(1, 4), seed=7)
+    assert len(draws) == 3
+    # a new seed drops the old seed's draws
+    check_theorem("rrz", trials=2, dims=(1, 4), seed=8)
+    assert len(draws) == 2
+    assert {key[0] for key in draws} == {rng_stream(8).bit_generator.state[
+        "state"]["key"].tobytes()}
+    # pairs from n = 16 on are never held
+    check_theorem("rrz", trials=2, dims=(16, 17), seed=9)
+    assert len(draws) == 0
+    # nor draws past the cap, nor a draw that failed
+    monkeypatch.setattr(kreinrel.checks, "_DRAWS_CAP", 2)
+    check_theorem("rrz", trials=3, dims=(1, 4), seed=7)
+    assert len(draws) == 2
+
+    def failing(*a):
+        raise GenerationError("no draw")
+
+    monkeypatch.setattr(kreinrel.checks, "gen_unitary_boundary_pair", failing)
+    check_theorem("rrz", trials=2, dims=(1, 4), seed=10)
+    assert len(draws) == 0
 
 
 def test_report_passed_property():

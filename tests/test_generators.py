@@ -169,8 +169,42 @@ def test_gen_unitary_pair_with_t_reports_infeasible_dims():
     # the trivial T cannot be ker Gamma when n > m
     rng = rng_stream(15)
     K = random_krein(rng, 3, 1)
-    with pytest.raises(GenerationError):
+    with pytest.raises(PreconditionError):
         gen_unitary_pair_with_T(zero_relation(3), K, 1, rng, TOL)
+
+
+def test_gen_unitary_pair_with_t_realizes_exactly_the_feasible_dims(
+        monkeypatch):
+    # a unitary Gamma with ker Gamma = T has dim mul Gamma = m + dim T - n:
+    # dim T + m < n raises before any draw, every other T is realized
+    import kreinrel.generators
+    draws = []
+    unitary = kreinrel.generators.random_unitary
+
+    def counting_unitary(*a):
+        draws.append(a)
+        return unitary(*a)
+
+    monkeypatch.setattr(kreinrel.generators, "random_unitary",
+                        counting_unitary)
+    raised = realized = 0
+    for trial in range(60):
+        rng = rng_stream(16, trial)
+        n, m = 2 + trial % 4, 1 + (trial // 4) % 3
+        K = random_krein(rng, n, trial % (n + 1))
+        T = random_symmetric_relation(rng, K)
+        draws.clear()
+        if T.graph.dim + m < n:
+            with pytest.raises(PreconditionError):
+                gen_unitary_pair_with_T(T, K, m, rng, TOL)
+            assert draws == []
+            raised += 1
+        else:
+            bp = gen_unitary_pair_with_T(T, K, m, rng, TOL)
+            assert bp.classification == "unitary"
+            assert rel_equal(bp.underlying_T(), T, TOL)
+            realized += 1
+    assert (raised, realized) == (19, 41)
 
 
 def test_gen_boundary_unitary_relation_is_unitary():

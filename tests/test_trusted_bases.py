@@ -6,6 +6,7 @@ import numpy as np
 
 from kreinrel.checks import (
     THEOREM_IDS,
+    _DRAWS,
     _delta0_space,
     check_theorem,
     weyl_sweep,
@@ -25,10 +26,14 @@ from kreinrel.subspaces import Subspace
 # sample takes the SVD route, so no count moves with the split route's
 # Cholesky certificate).  The pass is counted warm: the delta0 fixtures'
 # shared space and its U_J (one SVD) are built once per process, before
-# it.
+# it.  Each id is counted on its own draws (the instance-draw memo
+# emptied before it); the shared counts are the same pass with the ids
+# of one (seed, trial) sharing their pair and delta0 draws.
 _PASS_VALIDATED = 89
-_PASS_SVDS = 936
-_PASS_UV_SVDS = 664
+_PASS_SVDS = 902
+_PASS_UV_SVDS = 654
+_SHARED_PASS_SVDS = 820
+_SHARED_PASS_UV_SVDS = 580
 # The same pass per id: (SVDs, SVDs with singular vectors)
 _ID_SVDS = {
     "pop_lemma": (27, 15),
@@ -46,11 +51,11 @@ _ID_SVDS = {
     "lemma_r2": (8, 4),
     "resTG_pipeline": (4, 2),
     "IUBP": (28, 22),
-    "IUBP3": (38, 22),
-    "delta0": (88, 60),
-    "delta0b": (116, 88),
+    "IUBP3": (34, 22),
+    "delta0": (76, 56),
+    "delta0b": (104, 84),
     "scaled_obt": (50, 38),
-    "fTex": (36, 22),
+    "fTex": (30, 20),
     "IBP0": (26, 22),
     "IUBP2xxcor": (24, 20),
     "GunTp": (38, 38),
@@ -96,7 +101,10 @@ def test_trusted_bases_pass_the_validating_constructor(monkeypatch):
     assert (_desk_pass(5), _sweeps()) == validated
 
 
-def test_desk_pass_counts(monkeypatch):
+def _count_desk_pass(monkeypatch, memo_per_id):
+    """Validated constructions and per-id (SVDs, SVDs with vectors) of
+    the 2-trial seed-7 pass, with the instance-draw memo emptied before
+    each id when ``memo_per_id``, or shared by the whole pass."""
     _delta0_space()
     validated, svds = [0], {}
     init, svd = Subspace.__init__, np.linalg.svd
@@ -113,9 +121,24 @@ def test_desk_pass_counts(monkeypatch):
     monkeypatch.setattr(Subspace, "__init__", counting_init)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for tid in THEOREM_IDS:
+        if memo_per_id:
+            _DRAWS.clear()
         svds[tid] = [0, 0]
         check_theorem(tid, trials=2, dims=(1, 4), seed=7)
-    assert validated[0] <= _PASS_VALIDATED
+    monkeypatch.undo()
+    return validated[0], svds
+
+
+def test_desk_pass_counts(monkeypatch):
+    validated, svds = _count_desk_pass(monkeypatch, memo_per_id=True)
+    assert validated <= _PASS_VALIDATED
     assert {tid: tuple(c) for tid, c in svds.items()} == _ID_SVDS
     assert sum(c[0] for c in svds.values()) == _PASS_SVDS
     assert sum(c[1] for c in svds.values()) == _PASS_UV_SVDS
+
+
+def test_desk_pass_counts_with_shared_draws(monkeypatch):
+    # the ids of one (seed, trial) share the pair and delta0 draws
+    _, svds = _count_desk_pass(monkeypatch, memo_per_id=False)
+    assert sum(c[0] for c in svds.values()) == _SHARED_PASS_SVDS
+    assert sum(c[1] for c in svds.values()) == _SHARED_PASS_UV_SVDS
