@@ -55,7 +55,6 @@ from .relations import (
 from .boundary import (
     BoundaryPair,
     WeylSample,
-    delta_excluded_points,
     gamma_sharp,
     identity_obt,
     in_delta,

@@ -57,8 +57,8 @@ and then P_H (J(Gamma) - z)^{-1} (0, e) = -C_f W^{-1} e.  M(z) and W
 read only the 2m boundary rows R = S[2n:] Y; Y, C, its f rows and the
 gamma-field are formed on first read.  Only this module indexes C.
 
-sigma0_p(T) and its symmetric closure (kept out of delta_Gamma) come
-from one point_spectrum of T per pair.  M's basis [F; G] is R K' with
+sigma0_p(T) comes from one point_spectrum of T per pair: Sigma_Gamma
+keeps z off it, delta_Gamma z and conj(z).  M's basis [F; G] is R K' with
 K' of full column rank, so the ranks of R, R_l, R_l' and W give
 dim M(z) = rank R, dim mul M(z) = rank R - rank R_l, dim ker M(z) =
 rank R - rank R_l' and Sigma_Gamma without forming M: z off
@@ -87,9 +87,9 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 from .relations import (
     LinearRelation,
-    _MERGE_RTOL,
     _RESOLVENT_SLACK,
     _SPLIT_RCOND,
+    _near,
     _rank_of,
     _rcond,
     is_symmetric,
@@ -120,7 +120,6 @@ __all__ = [
     "in_delta",
     "m_plus_z",
     "sigma0_points",
-    "delta_excluded_points",
     "main_transform",
     "main_transform_space",
     "theta_extension",
@@ -162,8 +161,8 @@ class BoundaryPair:
         and W = diag(hat J_H, -hat J_L); Gamma itself, and the pair
         itself, when unitary.  Cached on first read, as is the pair.
     sigma0_p(T)
-        and its symmetric closure, from one point_spectrum of T, cached
-        on first read.
+        from one point_spectrum of T, cached on first read; delta_Gamma
+        and Sigma_Gamma read it.
     T, T0, the elements of T0 and the OBT test
         cached on first read, as the pair is fixed, so that every check
         and transform reads what the first reader derived; the cached
@@ -197,14 +196,13 @@ class BoundaryPair:
 
     @cached_property
     def _sigma0(self):
-        """(sigma0_p(T), its symmetric closure), or (None, None) when
-        sigma_p(T) = C; raises where ``underlying_T`` does."""
+        """sigma0_p(T), or None when sigma_p(T) = C; raises where
+        ``underlying_T`` does."""
         rep = point_spectrum(self.underlying_T(), self.tol)
         if rep.all_flag:
-            return None, None
-        pts = tuple(complex(z) for z, _ in rep.eigenvalues
-                    if complex(z).imag != 0.0)
-        return pts, _symmetric_closure(pts)
+            return None
+        return tuple(complex(z) for z, _ in rep.eigenvalues
+                     if complex(z).imag != 0.0)
 
     @cached_property
     def _split(self):
@@ -584,7 +582,7 @@ class WeylSample:
     def in_sigma(self) -> bool:
         """z in Sigma_Gamma: in O (sigma_p(T) is not all of C, z is off
         sigma0_p(T) and ran(A_* - z) = C^n) and 0 in res(M(z) + z)."""
-        sigma0, _ = self.bp._sigma0
+        sigma0 = self.bp._sigma0
         return (sigma0 is not None
                 and not any(_near(self.z, w) for w in sigma0)
                 and self.ran_full and self.shift_invertible)
@@ -747,33 +745,16 @@ def theta_extension(bp: BoundaryPair, theta: LinearRelation) -> LinearRelation:
 def sigma0_points(bp: BoundaryPair):
     """sigma0_p(T) = the nonreal point spectrum of T, or None when
     sigma_p(T) covers the whole plane."""
-    return bp._sigma0[0]
-
-
-def _near(z, w):
-    """z lies within the merge radius _MERGE_RTOL (1 + |w|) of w."""
-    return abs(z - w) <= _MERGE_RTOL * (1 + abs(w))
-
-
-def _symmetric_closure(pts):
-    """pts with their conjugates, near-duplicates merged, sorted."""
-    out = []
-    for p in list(pts) + [p.conjugate() for p in pts]:
-        if not any(_near(p, q) for q in out):
-            out.append(p)
-    return tuple(sorted(out, key=lambda w: (w.real, w.imag)))
-
-
-def delta_excluded_points(bp: BoundaryPair):
-    """The symmetric closure of sigma0_p(T); None when delta is empty."""
-    return bp._sigma0[1]
+    return bp._sigma0
 
 
 def in_delta(bp: BoundaryPair, z):
-    """z in delta_Gamma: nonreal, away from sigma0_p(T) and conjugates."""
-    excluded = delta_excluded_points(bp)
-    return (excluded is not None and complex(z).imag != 0.0
-            and not any(_near(z, w) for w in excluded))
+    """z in delta_Gamma: nonreal, sigma_p(T) not all of C, and neither z
+    nor conj(z) within the merge radius of a point of sigma0_p(T)."""
+    z, sigma0 = complex(z), bp._sigma0
+    return (sigma0 is not None and z.imag != 0.0
+            and not any(_near(z, w) or _near(z.conjugate(), w)
+                        for w in sigma0))
 
 
 def m_plus_z(M: LinearRelation, z, tol):

@@ -26,7 +26,6 @@ from .boundary import (
     _SPLIT_MIN_N,
     BoundaryPair,
     _weyl_samples,
-    delta_excluded_points,
     gamma_sharp,
     in_delta,
     main_transform,
@@ -37,6 +36,7 @@ from .boundary import (
 )
 from .errors import GenerationError, PreconditionError, ValidationError
 from .generators import (
+    RETRY_CAP,
     InstanceSpec,
     gen_boundary_unitary_relation,
     gen_obt,
@@ -227,12 +227,6 @@ _DELTA_ZERO_RTOL = 1e-7
 # An eigenvalue of a Hermitian boundary Gram matrix within
 # _SIGN_RTOL max(1, max |eigenvalue|) of zero counts as neutral.
 _SIGN_RTOL = 1e-10
-# rrzz: conjugates pair within the closure's merge radius 1e-8 (1 + |w|)
-_CONJ_PAIR_ATOL = 1e-7
-# rrzz: an excluded point with |Im w| above this is nonreal, so not in delta
-_REAL_ATOL = 1e-9
-# rrzz: a z this far from every excluded point, far past the merge radius
-_FAR_ATOL = 1e-4
 
 
 def _mat_residual(A, B):
@@ -370,22 +364,16 @@ def _check_rrz(rng, dims, tol):
 
 
 def _check_rrzz(rng, dims, tol):
+    # w and conj(w), for w = z and each point of sigma0_p(T), lie in
+    # delta exactly when T's own rank test finds neither an eigenvalue
+    # (where sigma_p(T) = C, it finds every z, and delta is empty)
     bp = _rand_bp(rng, dims, tol)
-    excluded = delta_excluded_points(bp)
-    if excluded is None:
-        # sigma_p(T) = C: delta is empty, nothing nonvacuous to test
-        return not in_delta(bp, _nonreal_z(rng)), 0.0
-    pts = list(excluded)
-    for w in pts:
-        # symmetric closure
-        if not any(abs(np.conj(w) - v) < _CONJ_PAIR_ATOL for v in pts):
-            return False, 1.0
-        if abs(complex(w).imag) > _REAL_ATOL and in_delta(bp, w):
-            return False, 1.0
     z = _nonreal_z(rng)
-    clear = all(min(abs(z - w), abs(np.conj(z) - w)) > _FAR_ATOL for w in pts)
-    if clear and not in_delta(bp, z):
-        return False, 1.0
+    T = bp.underlying_T()
+    for w in (z, *(sigma0_points(bp) or ())):
+        excluded = sigma_p_contains(T, w) or sigma_p_contains(T, np.conj(w))
+        if excluded in (in_delta(bp, w), in_delta(bp, np.conj(w))):
+            return False, 1.0
     return True, 0.0
 
 
@@ -541,9 +529,10 @@ def _delta0_fixture(rng, aligned, tol):
     T = LinearRelation(2, 2, column_space(np.concatenate([u, v]), tol))
     if not is_symmetric(T, H, tol):
         raise GenerationError("fixture relation is not symmetric")
-    for _ in range(64):
+    # ker Gamma = T is an operator, as u != 0: only the OBT test can fail
+    for _ in range(RETRY_CAP):
         bp = gen_unitary_pair_with_T(T, H, 1, rng, tol)
-        if bp.is_obt() and bp.underlying_T().is_operator(tol):
+        if bp.is_obt():
             return bp, V, z
     raise GenerationError("no OBT realization found for the fixture")
 
@@ -883,6 +872,8 @@ def check_theorem(theorem_id, trials=100, dims=(1, 4), seed=0,
     dims = (int(dims[0]), int(dims[1]))
     if not (1 <= dims[0] <= dims[1]):
         raise ValidationError(f"invalid dims range: {dims}")
+    if int(trials) < 1:
+        raise ValidationError(f"trials must be at least 1, not {trials}")
     func, vacuous = _REGISTRY[theorem_id]
     failures = 0
     worst = 0.0

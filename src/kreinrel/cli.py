@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 when a check suite has failures, a
 mathematical precondition fails (e.g. a sweep over an isometric pair
 whose ker Gamma_# is not symmetric) or a file cannot be read, 2 for
 usage errors (unknown subcommand, bad flags, unknown theorem id,
-malformed input files).  All randomness is controlled by --seed, and
-repeated invocations with identical arguments produce byte-identical
-output.
+fewer than one trial, a negative --n or --m, malformed input files, a
+sweep file that holds no boundary pair).  All randomness is controlled
+by --seed, and repeated invocations with identical arguments produce
+byte-identical output.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .boundary import BoundaryPair
 from .checks import SWEEP_COLUMNS, THEOREM_IDS, check_theorem, weyl_sweep
 from .errors import KreinRelError, ValidationError
 from .generators import InstanceSpec, gen_obt, gen_unitary_boundary_pair, rng_stream
@@ -93,6 +95,9 @@ def _cmd_check(args):
 def _cmd_sweep(args):
     with open(args.instance) as fp:
         bp = load(fp)
+    if not isinstance(bp, BoundaryPair):
+        raise ValidationError(f"{args.instance} holds a "
+                              f"{type(bp).__name__}, not a boundary pair")
     res = _parse_grid(args.re)
     ims = _parse_grid(args.im)
     points = [complex(a, b) for b in ims for a in res]

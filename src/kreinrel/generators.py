@@ -61,6 +61,10 @@ class InstanceSpec:
     kappa_minus: int = 0
 
     def __post_init__(self):
+        for name, size in (("n", self.n), ("m", self.m)):
+            if size < 0:
+                raise ValidationError(
+                    f"{name} must be nonnegative, not {size}")
         if not 0 <= self.kappa_minus <= self.n:
             raise PreconditionError("kappa_minus must lie between 0 and n")
 

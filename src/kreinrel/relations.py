@@ -340,8 +340,15 @@ _PROBE_POINTS = (0.73462815 + 1.12904873j,
 _EIG_RTOL = 1e-7
 # Merge radius _MERGE_RTOL (1 + |w|): a point this close to an eigenvalue
 # w counts as w, both among pencil candidates and for the points that
-# boundary.py keeps off sigma0_p(T).
+# boundary.py keeps off sigma0_p(T) and its conjugates.
 _MERGE_RTOL = 1e-8
+
+
+def _near(z, w):
+    """z lies within the merge radius _MERGE_RTOL (1 + |w|) of w."""
+    return abs(z - w) <= _MERGE_RTOL * (1.0 + abs(w))
+
+
 # Slack on rank_rel shared by the resolvent-type rank tests, whose
 # verdicts must agree: in_resolvent, point_spectrum's singular-pencil
 # probes and boundary's main-transform resolvent test all cut at
@@ -463,7 +470,7 @@ def point_spectrum(T: LinearRelation, tol) -> SpectrumReport:
     found = []
     for z in candidates[_residual_ok(F, G, candidates, vectors)]:
         z = complex(z)
-        if any(abs(z - w) <= _MERGE_RTOL * (1.0 + abs(w)) for w, _ in found):
+        if any(_near(z, w) for w, _ in found):
             continue
         d = k - _rank_of(G - z * F, _EIG_RTOL)
         if d > 0:

@@ -10,8 +10,9 @@ transformation as an explicit composition, the block-operator
 transforms of a pair as compositions with the operator's graph, the
 three-clause ordinary-boundary-triple test, T as (dom Gamma)^[perp],
 the defect elements C formed in full, the sweep counts read from M's
-basis and the spectral sets per point), each written from its
-definition rather than from the package's fast paths.
+basis and the spectral sets per point, delta_Gamma off the symmetric
+closure of sigma0_p(T)), each written from its definition rather than
+from the package's fast paths.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,7 @@ import numpy as np
 
 from kreinrel.boundary import (
     BoundaryPair,
-    _near,
     _require_nonreal,
-    _symmetric_closure,
     m_plus_z,
     weyl,
 )
@@ -38,6 +37,7 @@ from kreinrel.generators import (
 from kreinrel.relations import (
     LinearRelation,
     _RESOLVENT_SLACK,
+    _near,
     _rank_of,
     _require_square,
     compose,
@@ -300,6 +300,16 @@ def weyl_counts_from_m(sample):
     if shift != in_resolvent(m_plus_z(M, z, tol), 0.0, tol):
         raise AssertionError(f"the two m_plus_z readings differ at z={z}")
     return M.dim, _null_dim(M.F, tol), _null_dim(M.G, tol), shift
+
+
+def _symmetric_closure(pts):
+    """pts with their conjugates, near-duplicates merged, sorted: the
+    points that delta_Gamma leaves out, by its definition."""
+    out = []
+    for p in list(pts) + [p.conjugate() for p in pts]:
+        if not any(_near(p, q) for q in out):
+            out.append(p)
+    return tuple(sorted(out, key=lambda w: (w.real, w.imag)))
 
 
 @dataclass(frozen=True)

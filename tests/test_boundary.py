@@ -19,13 +19,13 @@ from _oracles import (
 )
 from kreinrel.boundary import (
     BoundaryPair,
-    delta_excluded_points,
     gamma_sharp,
     identity_obt,
     in_delta,
     m_plus_z,
     main_transform,
     main_transform_space,
+    sigma0_points,
     theta_extension,
     weyl,
 )
@@ -868,7 +868,7 @@ def test_spectral_sets_identity_obt():
     sets = spectral_sets(bp, 0.75, samples)
     assert not sets.sigma_p_all
     assert sets.excluded_points == ()
-    assert delta_excluded_points(bp) == ()
+    assert sigma0_points(bp) == ()
     for sample, rec in zip(samples, sets.samples):
         assert rec["in_Omega"] and rec["in_delta"] and rec["in_O"]
         # M(z) + z = 2z is invertible away from zero
@@ -932,7 +932,7 @@ def _upper_eigenvalue(rel, tol):
 
 def test_spectral_sets_match_the_m_plus_z_oracle(monkeypatch):
     degenerate = sigma_p_all_pair()
-    assert delta_excluded_points(degenerate) is None  # sigma_p(T) = C
+    assert sigma0_points(degenerate) is None  # sigma_p(T) = C
     pairs = [identity_obt(), *_oracle_pairs(), _mul_pair(), _kernel_pair(),
              degenerate, _empty_resolvent_pair()[0],
              _deficient_part(_eigen_pair()[0], 0.2 + 0.6j),
@@ -1000,7 +1000,8 @@ def test_spectral_sets_match_the_m_plus_z_oracle(monkeypatch):
                         + [(True, True, 0)] + [(False, True, 0)] * 2)
     # a planted nonreal eigenvalue lam of T: at and near lam and conj lam
     bp, (lam, lam_bar) = _eigen_pair()
-    assert delta_excluded_points(bp) == pytest.approx(
+    assert sigma0_points(bp) == pytest.approx((lam,))
+    assert spectral_sets(bp, 0.5, []).excluded_points == pytest.approx(
         sorted((lam, lam_bar), key=lambda w: w.imag))
     near = [lam, lam_bar, lam * (1 + 1e-10), lam_bar + 1e-10j,
             lam + 1e-6, lam_bar - 1e-6j, 0.3 + 1e-8j, -0.3 - 1e-8j]
@@ -1063,14 +1064,22 @@ def test_weyl_sweep_rejects_nonpositive_eps():
 
 
 def test_delta_excluded_points_conjugate_closed():
-    for trial in range(10):
-        bp = gen_unitary_boundary_pair(
-            InstanceSpec(3, 1, 1), rng_stream(27, trial), TOL)
-        pts = delta_excluded_points(bp)
-        if pts:
-            for p in pts:
-                assert any(abs(p.conjugate() - q) < 1e-8 for q in pts)
-            assert not in_delta(bp, pts[0])
+    # the oracle's excluded points (the symmetric closure of sigma0_p(T))
+    # are closed under conjugation and out of delta, and so is each
+    # point of sigma0_p(T) with its conjugate
+    pairs = [gen_unitary_boundary_pair(
+        InstanceSpec(3, 1, 1), rng_stream(27, trial), TOL)
+        for trial in range(10)]
+    pairs.append(_eigen_pair()[0])
+    for bp in pairs:
+        pts = spectral_sets(bp, 0.5, []).excluded_points
+        for p in pts:
+            assert any(abs(p.conjugate() - q) < 1e-8 for q in pts)
+            assert not in_delta(bp, p)
+        for w in sigma0_points(bp):
+            assert not in_delta(bp, w)
+            assert not in_delta(bp, w.conjugate())
+    assert len(pts) == 2  # the planted eigenvalue and its conjugate
 
 
 def test_defect_numbers_identity_obt():

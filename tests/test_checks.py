@@ -1,5 +1,6 @@
 """Verification harness: registry, reports, determinism and sweeps."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -15,7 +16,13 @@ from _oracles import (
     sigma_p_all_pair,
     spectral_sets,
 )
-from kreinrel.boundary import BoundaryPair, identity_obt, main_transform, weyl
+from kreinrel.boundary import (
+    BoundaryPair,
+    identity_obt,
+    main_transform,
+    sigma0_points,
+    weyl,
+)
 from kreinrel.checks import (
     SWEEP_COLUMNS,
     THEOREM_IDS,
@@ -25,8 +32,13 @@ from kreinrel.checks import (
 )
 from kreinrel.checks import _REGISTRY
 from kreinrel.errors import GenerationError, PreconditionError, ValidationError
-from kreinrel.generators import InstanceSpec, gen_unitary_boundary_pair, rng_stream
-from kreinrel.relations import LinearRelation, in_resolvent
+from kreinrel.generators import (
+    InstanceSpec,
+    gen_unitary_boundary_pair,
+    gen_unitary_pair_with_T,
+    rng_stream,
+)
+from kreinrel.relations import LinearRelation, SpectrumReport, in_resolvent
 from kreinrel.spaces import make_krein
 from kreinrel.subspaces import DEFAULT_TOL, Subspace, Tolerance
 
@@ -127,8 +139,9 @@ def test_delta0_fixtures_draw_one_pair_each(monkeypatch):
 
 
 def test_delta0_checks_decide_rho_v_and_t_once(monkeypatch):
-    # the fixture decides that T is an operator and the check that z lies
-    # in rho_V; the Delta correction reads both decisions, not again
+    # the fixture decides the OBT test (its T is an operator by
+    # construction) and the check that z lies in rho_V; the Delta
+    # correction reads both decisions, not again
     calls = {"in_rho_v": 0, "is_operator": 0}
     in_rho_v, is_operator = (kreinrel.transforms.in_rho_v,
                              LinearRelation.is_operator)
@@ -147,8 +160,8 @@ def test_delta0_checks_decide_rho_v_and_t_once(monkeypatch):
     for seed in range(5):
         assert check_theorem("delta0b", trials=20, dims=(1, 4),
                              seed=seed).passed
-    # 200 fixtures: one rho_V test each, and the OBT and operator-T tests
-    assert calls == {"in_rho_v": 200, "is_operator": 400}
+    # 200 fixtures: one rho_V test and one OBT test each
+    assert calls == {"in_rho_v": 200, "is_operator": 200}
 
 
 def _full_pass(seed):
@@ -337,6 +350,47 @@ def test_rrzz_computes_the_point_spectrum_once_per_trial(monkeypatch):
     report = check_theorem("rrzz", trials=20, seed=7)
     assert report.failures == 0
     assert len(calls) == 20
+
+
+def _planted_pair(m, seed):
+    """A unitary pair over (C^2, [[0, 1], [1, 0]]) with the symmetric T =
+    span{(e1, i e1)} (e1 is neutral), so sigma_p(T) = sigma0_p(T) = {i}."""
+    H = make_krein(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    g = np.array([1.0, 0.0, 1j, 0.0]) / np.sqrt(2)
+    T = LinearRelation(2, 2, Subspace(4, g.reshape(-1, 1)))
+    return gen_unitary_pair_with_T(T, H, m, rng_stream(seed))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rrzz_fails_when_sigma0_holds_no_eigenvalue(m, monkeypatch):
+    seeds = itertools.count()
+    monkeypatch.setattr(kreinrel.checks, "_rand_bp",
+                        lambda rng, dims, tol: _planted_pair(m, next(seeds)))
+    assert sigma0_points(_planted_pair(m, 0)) == pytest.approx((1j,))
+    rrzz = kreinrel.checks._check_rrzz
+    for trial in range(5):
+        assert rrzz(rng_stream(7, trial), (1, 4), DEFAULT_TOL) == (True, 0.0)
+    # a point_spectrum whose eigenvalues are all 1e-3 off T's
+    spectrum = kreinrel.boundary.point_spectrum
+
+    def shifted(T, tol):
+        rep = spectrum(T, tol)
+        return SpectrumReport(tuple((w + 1e-3, d) for w, d in rep.eigenvalues),
+                              rep.all_flag)
+
+    monkeypatch.setattr(kreinrel.boundary, "point_spectrum", shifted)
+    for trial in range(5):
+        assert rrzz(rng_stream(7, trial), (1, 4), DEFAULT_TOL) == (False, 1.0)
+
+
+def test_rrzz_passes_where_sigma_p_is_the_plane(monkeypatch):
+    # sigma_p(T) = C: delta is empty, and T's rank test finds every z
+    monkeypatch.setattr(kreinrel.checks, "_rand_bp",
+                        lambda rng, dims, tol: sigma_p_all_pair())
+    assert sigma0_points(sigma_p_all_pair()) is None
+    rrzz = kreinrel.checks._check_rrzz
+    for trial in range(5):
+        assert rrzz(rng_stream(7, trial), (1, 4), DEFAULT_TOL) == (True, 0.0)
 
 
 def _sweep_grid(seed, count):

@@ -124,11 +124,20 @@ def test_gen_has_no_tol_option():
     ["check", "all", "--dims", "16-32", "--seed", "1"],
     ["sweep", "{pair}", "--re", "1:2"],
     ["sweep", "{pair}", "--re", "1:2:x"],
-], ids=["dims_with_a_dash", "grid_without_num", "grid_with_text_num"])
-def test_malformed_dims_or_grid_is_a_usage_error(args, tmp_path, capsys):
+    ["check", "rrz", "--trials", "-3", "--seed", "1"],
+    ["check", "rrz", "--trials", "0", "--seed", "1"],
+    ["gen", "--m", "-1"],
+    ["gen", "--n", "-2"],
+    ["sweep", "{graph}"],
+], ids=["dims_with_a_dash", "grid_without_num", "grid_with_text_num",
+        "negative_trials", "zero_trials", "negative_m", "negative_n",
+        "sweep_of_a_subspace"])
+def test_malformed_arguments_are_a_usage_error(args, tmp_path, capsys):
     pair = tmp_path / "pair.json"
     pair.write_text(dump(identity_obt()))
-    assert main([a.format(pair=pair) for a in args]) == 2
+    graph = tmp_path / "graph.json"
+    graph.write_text(dump(identity_obt().gamma.graph))
+    assert main([a.format(pair=pair, graph=graph) for a in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -268,6 +268,10 @@ def test_gen_qbt_map_shapes():
 def test_instance_spec_validation():
     with pytest.raises(PreconditionError):
         InstanceSpec(2, 1, kappa_minus=3)
+    with pytest.raises(ValidationError, match="^n "):
+        InstanceSpec(-2, 1)
+    with pytest.raises(ValidationError, match="^m "):
+        InstanceSpec(2, -1)
 
 
 def test_generation_is_deterministic():

@@ -79,16 +79,39 @@ _TOL_DEFAULTS = _ENTRY_POINTS | {"compose"}
 _DEFAULTING_CALLERS = {"identity_obt", "boundary_pair_from_json"}
 # The AST count of defaulted parameters in src/.
 _DEFAULTED = 20
+# The module-level names in src/ bound to a float literal: the named
+# tolerances, cut-offs and slacks.
+_FLOAT_CONSTANTS = {
+    "boundary._MARGIN",
+    "checks._MAT_RTOL", "checks._DELTA_ZERO_RTOL", "checks._SIGN_RTOL",
+    "generators._SEED_GRAM_ATOL", "generators._MIN_F_SIGMA",
+    "generators._OP_ATOL",
+    "nevanlinna._CONJ_ATOL", "nevanlinna._NEG_RTOL",
+    "nevanlinna._NEG_SCALE_FLOOR",
+    "relations._EIG_RTOL", "relations._MERGE_RTOL",
+    "relations._RESOLVENT_SLACK", "relations._SPLIT_RCOND",
+    "relations._EIG_RESIDUAL",
+    "spaces._SNAP_TOL",
+    "subspaces._ORTHONORMAL_ATOL",
+    "transforms._BLOCK_ATOL", "transforms._P_RTOL", "transforms._QBT_RTOL",
+    "transforms._KAPPA_ATOL",
+}
 # The dataclass fields in src/ that carry a default value.
 _DATACLASS_DEFAULTS = {"InstanceSpec.kappa_minus", "Tolerance.rank_rel",
                        "Tolerance.angle_tol"}
 
 
-def _trees():
-    """The parsed source of every module in the package."""
+def _modules():
+    """(module name, parsed source) of every module in the package."""
     package = pathlib.Path(kreinrel.__file__).parent
     for path in sorted(package.glob("*.py")):
-        yield ast.parse(path.read_text())
+        yield path.stem, ast.parse(path.read_text())
+
+
+def _trees():
+    """The parsed source of every module in the package."""
+    for _, tree in _modules():
+        yield tree
 
 
 def _functions():
@@ -132,6 +155,16 @@ def test_dataclass_fields_with_a_default_are_pinned():
              for f in c.body if isinstance(f, ast.AnnAssign)
              and f.value is not None and _gives_default(f.value)}
     assert found == _DATACLASS_DEFAULTS
+
+
+def test_float_constants_are_pinned():
+    # a new tolerance literal shows up here as a pin change
+    found = {f"{module}.{target.id}" for module, tree in _modules()
+             for node in tree.body if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Constant)
+             and isinstance(node.value.value, float)
+             for target in node.targets}
+    assert found == _FLOAT_CONSTANTS
 
 
 def test_tol_has_a_default_only_at_the_entry_points():

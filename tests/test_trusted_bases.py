@@ -30,10 +30,10 @@ from kreinrel.subspaces import Subspace
 # emptied before it); the shared counts are the same pass with the ids
 # of one (seed, trial) sharing their pair and delta0 draws.
 _PASS_VALIDATED = 89
-_PASS_SVDS = 902
-_PASS_UV_SVDS = 654
-_SHARED_PASS_SVDS = 820
-_SHARED_PASS_UV_SVDS = 580
+_PASS_SVDS = 894
+_PASS_UV_SVDS = 646
+_SHARED_PASS_SVDS = 816
+_SHARED_PASS_UV_SVDS = 576
 # The same pass per id: (SVDs, SVDs with singular vectors)
 _ID_SVDS = {
     "pop_lemma": (27, 15),
@@ -52,8 +52,8 @@ _ID_SVDS = {
     "resTG_pipeline": (4, 2),
     "IUBP": (28, 22),
     "IUBP3": (34, 22),
-    "delta0": (76, 56),
-    "delta0b": (104, 84),
+    "delta0": (72, 52),
+    "delta0b": (100, 80),
     "scaled_obt": (50, 38),
     "fTex": (30, 20),
     "IBP0": (26, 22),
